@@ -6,10 +6,10 @@ from .data import Dataset, batches, load_idx, synthetic_dataset
 from .graph import (Dag, GraphMetrics, LayeredDag, UndirectedGraph,
                     compute_metrics, generate_ws, layer_dag, to_dag)
 from .measure import (CorrelationTable, RobustnessRecord, avg_confidence,
-                      avg_epsilon, cohen_label, error_rate, iqr_filter,
-                      kendall, spearman)
-from .network import (MaskedNetwork, WeightGroup, backward, build_network,
-                      forward, init_weights, network_to_graph, param_count,
+                      avg_epsilon, cohen_label, error_rate, kendall,
+                      spearman)
+from .network import (MaskedNetwork, backward, build_network, forward,
+                      init_weights, network_to_graph, param_count,
                       prune_random)
 from .train import EvalReport, TrainConfig, adam_step, evaluate_f1, train
 
@@ -19,8 +19,8 @@ __all__ = [
     "Dag", "GraphMetrics", "LayeredDag", "UndirectedGraph", "compute_metrics",
     "generate_ws", "layer_dag", "to_dag", "CorrelationTable",
     "RobustnessRecord", "avg_confidence", "avg_epsilon", "cohen_label",
-    "error_rate", "iqr_filter", "kendall", "spearman", "MaskedNetwork",
-    "WeightGroup", "backward", "build_network", "forward", "init_weights",
+    "error_rate", "kendall", "spearman", "MaskedNetwork",
+    "backward", "build_network", "forward", "init_weights",
     "network_to_graph", "param_count", "prune_random", "EvalReport",
     "TrainConfig", "adam_step", "evaluate_f1", "train",
 ]

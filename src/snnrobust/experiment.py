@@ -497,7 +497,7 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
         store.save_robustness(graph_id, init_method, records)
         count += 1
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
-                            models=count)
+                            models=count, dataset=data_source[0])
     return count
 
 
@@ -627,7 +627,7 @@ def dense_stack_dag(hidden_layers: list[int]) -> Dag:
 
 
 def hidden_edge_count(net: MaskedNetwork) -> int:
-    return int(sum(g.n_connections for g in net.hidden_groups()))
+    return int(sum(m.sum() for m in net.masks[1:-1]))
 
 
 PRUNING_STEP_HEADER = [
@@ -732,7 +732,8 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
     store.save_correlations(table, subdir="pruning")
     store.append_provenance("prune-baseline", manifest_hash=manifest.manifest_hash,
                             steps=p.steps, alpha=p.alpha,
-                            retrain_epochs=manifest.effective_retrain_epochs())
+                            retrain_epochs=manifest.effective_retrain_epochs(),
+                            dataset=data_source[0])
     return steps
 
 
@@ -740,14 +741,18 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
 
 
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
-    """Human-readable summary: run mode, counts, and the two strongest
-    graph properties per robustness measure."""
+    """Human-readable summary: run mode, the dataset the latest stage ran on,
+    counts, and the two strongest graph properties per robustness measure."""
+    prov_path = store.root / "provenance.json"
+    events = json.loads(prov_path.read_text()) if prov_path.exists() else []
+    used = [e["dataset"] for e in events if "dataset" in e]
     lines = [
         "Sparse network robustness study",
         "=" * 34,
         f"manifest_hash: {manifest.manifest_hash}",
         f"mode: {manifest.mode} (scale factors {asdict(manifest.scale)})",
-        f"dataset: {manifest.dataset}",
+        f"dataset: {used[-1] if used else 'none recorded'} "
+        f"(manifest requests {manifest.dataset})",
         "note: parameter counts include biases",
         "",
     ]

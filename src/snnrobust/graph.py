@@ -47,14 +47,6 @@ class UndirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> np.ndarray:
-        """Symmetric binary adjacency matrix with zero diagonal."""
-        a = np.zeros((self.vertex_count, self.vertex_count), dtype=np.int8)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
-        return a
-
     def neighbor_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:

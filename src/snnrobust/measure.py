@@ -141,37 +141,6 @@ def tukey_fences(values) -> tuple[float, float]:
     return float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr)
 
 
-def iqr_filter(values) -> tuple[list[int], list[int]]:
-    """Partition indices into (kept, outliers) by the Tukey fences."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size < 4:
-        raise MeasureError(f"IQR filter needs at least 4 values, got {v.size}")
-    lo, hi = tukey_fences(v)
-    kept = [i for i, x in enumerate(v) if lo <= x <= hi]
-    out = [i for i, x in enumerate(v) if not (lo <= x <= hi)]
-    return kept, out
-
-
-class AllRunsDiscardedError(ValueError):
-    """Every run of a model was flagged as an outlier."""
-
-
-def aggregate_runs(values, filter_fn=iqr_filter) -> float:
-    """Mean of the runs surviving outlier filtering.
-
-    filter_fn partitions indices into (kept, discarded); the default applies
-    the Tukey fences to the given values themselves. Pass a closure over
-    pooled fences to filter against a wider distribution.
-    """
-    values = list(values)
-    if not values:
-        raise AllRunsDiscardedError("no runs to aggregate")
-    kept, _ = filter_fn(values)
-    if not kept:
-        raise AllRunsDiscardedError("all runs flagged as outliers")
-    return float(np.mean([values[i] for i in kept]))
-
-
 @dataclass
 class CorrelationCell:
     graph_property: str
@@ -246,11 +215,6 @@ class CorrelationTable:
                          "" if c.tau is None else c.tau,
                          c.label or "", c.n, c.flag or ""])
         return rows
-
-    def strongest(self, attack: str, measure: str, k: int = 2) -> list[CorrelationCell]:
-        defined = [c for c in self.cells
-                   if c.attack == attack and c.measure == measure and c.defined]
-        return sorted(defined, key=lambda c: -abs(c.rho))[:k]
 
 
 def correlation_cell(graph_property: str, attack: str, measure: str,

@@ -1,19 +1,22 @@
 """Masked feed-forward networks built from layered DAGs.
 
-A network holds one weight group per (source layer, target layer) pair that
-carries connections. Each group stores a dense weight matrix W of shape
-(target_units, source_units) and a binary mask M of the same shape; only
-W * M ever enters the forward pass, and masked positions are pinned to zero
-through initialization, every optimizer step, and pruning.
+A network holds one dense weight matrix W and one binary mask M of the same
+shape per target layer. The hidden activations of one input row live in a
+single buffer, hidden layer l in columns offsets[l]:offsets[l+1], so every
+target layer is one matmul:
+  * layer 0 (the in-degree-0 vertices) reads the network input; its matrix
+    is (layer_units[0], input_dim) with an all-ones mask;
+  * hidden layer l > 0 reads buffer columns :offsets[l], every earlier
+    hidden unit in vertex-layer order (skip connections included); its
+    matrix is (layer_units[l], offsets[l]) and the mask mirrors the DAG
+    edges;
+  * the output reads the whole buffer; its matrix is (output_dim,
+    offsets[-1]) and the mask selects the sink columns (no outgoing DAG
+    edge, whatever their layer).
 
-Group wiring:
-  * input group: source_layer == -1, feeds layer 0 (the in-degree-0
-    vertices), mask all ones;
-  * hidden groups: source_layer s >= 0 to target_layer l <= last hidden
-    layer, mask entries mirror the DAG edge set;
-  * output groups: target_layer == len(layer_units); sink units (no
-    outgoing DAG edge, whatever their layer) connect densely to the outputs,
-    non-sink columns are masked off.
+Weights are zero wherever the mask is: construction, initialization and
+pruning write zeros there, and backward() masks the weight gradients, so
+Adam's moments and updates stay zero at masked positions too.
 
 Hidden layers apply ReLU; the output layer is affine followed by softmax.
 """
@@ -22,14 +25,17 @@ from __future__ import annotations
 
 import json
 import struct
+from copy import deepcopy
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .graph import Dag, LayeredDag
+from .store import atomic_open
 
 CHECKPOINT_MAGIC = b"SNNCKPT1"
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 INIT_METHODS = ("G_N", "G_U", "He_N", "He_U", "N", "U")
 
@@ -43,39 +49,15 @@ class StaleCacheError(RuntimeError):
 
 
 @dataclass
-class WeightGroup:
-    """One masked weight matrix from source_layer to target_layer.
-
-    source_layer -1 denotes the network input; target_layer equal to the
-    number of hidden layers denotes the network output.
-    """
-
-    source_layer: int
-    target_layer: int
-    weights: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if self.weights.shape != self.mask.shape:
-            raise NetworkError("weights and mask shapes differ")
-
-    @property
-    def n_connections(self) -> int:
-        return int(self.mask.sum())
-
-    def effective(self) -> np.ndarray:
-        return self.weights * self.mask
-
-
-@dataclass
 class MaskedNetwork:
     input_dim: int
     output_dim: int
     layer_units: list[int]
     layer_vertices: list[list[int]]
     sinks: list[int]
-    groups: list[WeightGroup]
-    biases: list[np.ndarray]  # one per hidden layer, then the output bias
+    weights: list[np.ndarray]  # one per hidden layer, then the output matrix
+    masks: list[np.ndarray]    # aligned with weights
+    biases: list[np.ndarray]   # one per hidden layer, then the output bias
     init_method: str | None = None
     version: int = field(default=0, repr=False)
 
@@ -83,33 +65,23 @@ class MaskedNetwork:
     def n_layers(self) -> int:
         return len(self.layer_units)
 
+    @property
+    def offsets(self) -> list[int]:
+        """First activation-buffer column of each hidden layer, then the
+        total hidden width."""
+        return [0, *accumulate(self.layer_units)]
+
     def mark_mutated(self) -> None:
         self.version += 1
 
-    def hidden_groups(self) -> list[WeightGroup]:
-        return [g for g in self.groups
-                if g.source_layer >= 0 and g.target_layer < self.n_layers]
-
-    def output_groups(self) -> list[WeightGroup]:
-        return [g for g in self.groups if g.target_layer == self.n_layers]
-
     def copy(self) -> "MaskedNetwork":
-        return MaskedNetwork(
-            input_dim=self.input_dim,
-            output_dim=self.output_dim,
-            layer_units=list(self.layer_units),
-            layer_vertices=[list(vs) for vs in self.layer_vertices],
-            sinks=list(self.sinks),
-            groups=[WeightGroup(g.source_layer, g.target_layer,
-                                g.weights.copy(), g.mask.copy())
-                    for g in self.groups],
-            biases=[b.copy() for b in self.biases],
-            init_method=self.init_method,
-        )
+        out = deepcopy(self)
+        out.version = 0
+        return out
 
     def assert_mask_invariant(self) -> None:
-        for g in self.groups:
-            if not np.all(g.weights[g.mask == 0] == 0.0):
+        for w, m in zip(self.weights, self.masks):
+            if np.any(w[m == 0] != 0.0):
                 raise NetworkError("nonzero weight at masked position")
 
 
@@ -117,72 +89,50 @@ class MaskedNetwork:
 class ForwardCache:
     x: np.ndarray            # (batch, input_dim)
     pre: list[np.ndarray]    # pre-activations per hidden layer
-    acts: list[np.ndarray]   # post-ReLU activations per hidden layer
+    acts: np.ndarray         # (batch, offsets[-1]) post-ReLU activation buffer
     logits: np.ndarray
     probs: np.ndarray
     single: bool
     version: int
 
 
-def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetwork:
-    """Construct the masked network induced by a layered DAG.
+def _layer_shapes(input_dim: int, output_dim: int,
+                  units: list[int]) -> list[tuple[int, int]]:
+    offsets = [0, *accumulate(units)]
+    return ([(units[0], input_dim)]
+            + [(units[l], offsets[l]) for l in range(1, len(units))]
+            + [(output_dim, offsets[-1])])
 
-    One group per adjacent layer pair, one skip group per non-adjacent pair
-    that carries at least one edge, an all-ones input group into layer 0,
-    and per-layer output groups whose masks select the sink units.
-    """
+
+def _columns(offsets: list[int], source_layer: int) -> slice:
+    """Columns that a source layer occupies in its target layer's matrix;
+    source layer -1 is the network input."""
+    if source_layer < 0:
+        return slice(None)
+    return slice(offsets[source_layer], offsets[source_layer + 1])
+
+
+def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetwork:
+    """Construct the zero-weight masked network induced by a layered DAG."""
     if ld.dag.vertex_count < 1 or not ld.layers:
         raise NetworkError("layered DAG must contain at least one vertex")
     if input_dim < 1 or output_dim < 1:
         raise NetworkError("input_dim and output_dim must be >= 1")
 
     layers = [list(layer) for layer in ld.layers]
-    n_layers = len(layers)
     units = [len(layer) for layer in layers]
-    pos: dict[int, int] = {}
-    for layer in layers:
-        for i, v in enumerate(layer):
-            pos[v] = i
+    column = {v: i for i, v in enumerate(v for layer in layers for v in layer)}
+    row = {v: i for layer in layers for i, v in enumerate(layer)}
 
-    edge_masks: dict[tuple[int, int], np.ndarray] = {}
-    for s in range(n_layers - 1):
-        edge_masks[(s, s + 1)] = np.zeros((units[s + 1], units[s]))
+    masks = [np.zeros(shape) for shape in _layer_shapes(input_dim, output_dim, units)]
+    masks[0][:] = 1.0
     for u, v in ld.dag.directed_edges:
-        s, l = ld.layer_index[u], ld.layer_index[v]
-        if (s, l) not in edge_masks:
-            edge_masks[(s, l)] = np.zeros((units[l], units[s]))
-        edge_masks[(s, l)][pos[v], pos[u]] = 1.0
+        masks[ld.layer_index[v]][row[v], column[u]] = 1.0
+    masks[-1][:, [column[v] for v in ld.sinks]] = 1.0
 
-    groups = [WeightGroup(-1, 0, np.zeros((units[0], input_dim)),
-                          np.ones((units[0], input_dim)))]
-    for (s, l) in sorted(edge_masks):
-        m = edge_masks[(s, l)]
-        groups.append(WeightGroup(s, l, np.zeros_like(m), m))
-
-    sink_set = set(ld.sinks)
-    for t in range(n_layers):
-        cols = [i for i, v in enumerate(layers[t]) if v in sink_set]
-        if not cols:
-            continue
-        m = np.zeros((output_dim, units[t]))
-        m[:, cols] = 1.0
-        groups.append(WeightGroup(t, n_layers, np.zeros_like(m), m))
-
-    biases = [np.zeros(u) for u in units] + [np.zeros(output_dim)]
-    return MaskedNetwork(
-        input_dim=input_dim,
-        output_dim=output_dim,
-        layer_units=units,
-        layer_vertices=layers,
-        sinks=sorted(sink_set),
-        groups=groups,
-        biases=biases,
-    )
-
-
-def _fan(shape: tuple[int, int]) -> tuple[int, int]:
-    fan_out, fan_in = shape
-    return fan_in, fan_out
+    return MaskedNetwork(input_dim, output_dim, units, layers, sorted(ld.sinks),
+                         [np.zeros_like(m) for m in masks], masks,
+                         [np.zeros(u) for u in units] + [np.zeros(output_dim)])
 
 
 def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
@@ -190,35 +140,44 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
 
     Methods: G_N / G_U (Glorot normal/uniform, gain sqrt(2)), He_N / He_U
     (fan-in Kaiming with a=0, gain sqrt(2)), N (normal, mean 0, std 0.1),
-    U (uniform on [-0.1, 0.1]). Biases stay zero; masked entries are forced
-    back to zero after sampling.
+    U (uniform on [-0.1, 0.1]). Each (source layer, target layer) block that
+    carries a connection is drawn whole, with the block's own fans, in the
+    order input block, hidden blocks by (source, target), output blocks by
+    source; masked entries are then zeroed. Biases stay zero.
     """
     if method not in INIT_METHODS:
         raise NetworkError(f"unknown init method {method!r}; expected one of {INIT_METHODS}")
     rng = np.random.default_rng(seed)
     gain = np.sqrt(2.0)
     out = net.copy()
-    for g in out.groups:
-        fan_in, fan_out = _fan(g.weights.shape)
+    out.weights = [np.zeros_like(m) for m in out.masks]
+    L, offsets = out.n_layers, out.offsets
+    pairs = ([(-1, 0)] + [(s, l) for s in range(L) for l in range(s + 1, L)]
+             + [(t, L) for t in range(L)])
+    for s, t in pairs:
+        cols = _columns(offsets, s)
+        m = out.masks[t][:, cols]
+        if not m.any():
+            continue
+        fan_out, fan_in = m.shape
         if method == "G_N":
             std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-            w = rng.normal(0.0, std, size=g.weights.shape)
+            w = rng.normal(0.0, std, size=m.shape)
         elif method == "G_U":
             bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=g.weights.shape)
+            w = rng.uniform(-bound, bound, size=m.shape)
         elif method == "He_N":
             std = gain / np.sqrt(fan_in)
-            w = rng.normal(0.0, std, size=g.weights.shape)
+            w = rng.normal(0.0, std, size=m.shape)
         elif method == "He_U":
             bound = gain * np.sqrt(3.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=g.weights.shape)
+            w = rng.uniform(-bound, bound, size=m.shape)
         elif method == "N":
-            w = rng.normal(0.0, 0.1, size=g.weights.shape)
+            w = rng.normal(0.0, 0.1, size=m.shape)
         else:  # "U"
-            w = rng.uniform(-0.1, 0.1, size=g.weights.shape)
-        g.weights = w * g.mask
-    for i, b in enumerate(out.biases):
-        out.biases[i] = np.zeros_like(b)
+            w = rng.uniform(-0.1, 0.1, size=m.shape)
+        out.weights[t][:, cols] = w * m
+    out.biases = [np.zeros_like(b) for b in out.biases]
     out.init_method = method
     out.mark_mutated()
     return out
@@ -241,24 +200,15 @@ def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise NetworkError(f"input must have {net.input_dim} features, got shape {x.shape}")
 
-    L = net.n_layers
-    by_target: dict[int, list[WeightGroup]] = {}
-    for g in net.groups:
-        by_target.setdefault(g.target_layer, []).append(g)
-
+    offsets = net.offsets
+    acts = np.empty((X.shape[0], offsets[-1]))
     pre: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
-    for l in range(L):
-        z = np.broadcast_to(net.biases[l], (X.shape[0], net.layer_units[l])).copy()
-        for g in by_target.get(l, []):
-            src = X if g.source_layer == -1 else acts[g.source_layer]
-            z += src @ g.effective().T
+    for l in range(net.n_layers):
+        src = X if l == 0 else acts[:, :offsets[l]]
+        z = src @ net.weights[l].T + net.biases[l]
         pre.append(z)
-        acts.append(np.maximum(z, 0.0))
-
-    logits = np.broadcast_to(net.biases[L], (X.shape[0], net.output_dim)).copy()
-    for g in by_target.get(L, []):
-        logits += acts[g.source_layer] @ g.effective().T
+        np.maximum(z, 0.0, out=acts[:, offsets[l]:offsets[l + 1]])
+    logits = acts @ net.weights[-1].T + net.biases[-1]
     probs = softmax(logits)
 
     cache = ForwardCache(x=X, pre=pre, acts=acts, logits=logits, probs=probs,
@@ -282,9 +232,10 @@ def backward(
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Gradients of the mean cross-entropy loss for the cached forward pass.
 
-    Returns (weight gradients aligned with net.groups, bias gradients aligned
-    with net.biases, gradient with respect to the input). Gradients at masked
-    positions are zero. ReLU takes derivative 0 at exactly 0.
+    Returns (weight gradients aligned with net.weights, bias gradients
+    aligned with net.biases, gradient with respect to the input). Weight
+    gradients are multiplied by the masks, so they are zero at masked
+    positions. ReLU takes derivative 0 at exactly 0.
     """
     if cache.version != net.version:
         raise StaleCacheError("forward cache predates a parameter mutation")
@@ -293,35 +244,26 @@ def backward(
     if labels.shape[0] != B:
         raise NetworkError(f"got {labels.shape[0]} labels for batch of {B}")
 
-    L = net.n_layers
+    L, offsets = net.n_layers, net.offsets
     onehot = np.zeros_like(cache.probs)
     onehot[np.arange(B), labels] = 1.0
     dlogits = (cache.probs - onehot) / B
 
-    d_acts = [np.zeros_like(a) for a in cache.acts]
-    dx = np.zeros_like(cache.x)
-    weight_grads: list[np.ndarray] = [None] * len(net.groups)  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * len(net.biases)  # type: ignore[list-item]
+    weight_grads: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
+    bias_grads: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
+    weight_grads[L] = (dlogits.T @ cache.acts) * net.masks[L]
     bias_grads[L] = dlogits.sum(axis=0)
-
-    by_target: dict[int, list[tuple[int, WeightGroup]]] = {}
-    for gi, g in enumerate(net.groups):
-        by_target.setdefault(g.target_layer, []).append((gi, g))
-
-    for gi, g in by_target.get(L, []):
-        weight_grads[gi] = (dlogits.T @ cache.acts[g.source_layer]) * g.mask
-        d_acts[g.source_layer] += dlogits @ g.effective()
+    d_acts = dlogits @ net.weights[L]
 
     for l in range(L - 1, -1, -1):
-        dz = d_acts[l] * (cache.pre[l] > 0.0)
+        dz = d_acts[:, offsets[l]:offsets[l + 1]] * (cache.pre[l] > 0.0)
         bias_grads[l] = dz.sum(axis=0)
-        for gi, g in by_target.get(l, []):
-            src = cache.x if g.source_layer == -1 else cache.acts[g.source_layer]
-            weight_grads[gi] = (dz.T @ src) * g.mask
-            if g.source_layer == -1:
-                dx += dz @ g.effective()
-            else:
-                d_acts[g.source_layer] += dz @ g.effective()
+        src = cache.x if l == 0 else cache.acts[:, :offsets[l]]
+        weight_grads[l] = (dz.T @ src) * net.masks[l]
+        if l == 0:
+            dx = dz @ net.weights[0]
+        else:
+            d_acts[:, :offsets[l]] += dz @ net.weights[l]
 
     input_grad = dx[0] if cache.single else dx
     return weight_grads, bias_grads, input_grad
@@ -329,56 +271,52 @@ def backward(
 
 def param_count(net: MaskedNetwork) -> int:
     """Unmasked weight count plus all bias lengths."""
-    return int(sum(g.n_connections for g in net.groups)
-               + sum(b.size for b in net.biases))
+    return int(sum(m.sum() for m in net.masks) + sum(b.size for b in net.biases))
 
 
 def prune_random(net: MaskedNetwork, alpha: float, seed: int) -> MaskedNetwork:
     """Zero floor(alpha * nonzero) hidden-to-hidden mask entries uniformly.
 
-    Input and output groups are untouched; pruned positions have both mask
-    and weight set to zero in the returned copy.
+    Hidden edges are enumerated by target layer, then row-major within the
+    layer's mask. Input and output masks are untouched; pruned positions
+    have both mask and weight set to zero in the returned copy.
     """
     if not (0.0 <= alpha <= 1.0):
         raise NetworkError(f"alpha must be in [0,1], got {alpha}")
     out = net.copy()
-    hidden = out.hidden_groups()
-    sizes = [g.n_connections for g in hidden]
-    total = sum(sizes)
+    edges = [(l, *np.nonzero(out.masks[l])) for l in range(1, out.n_layers)]
+    total = sum(rows.size for _, rows, _ in edges)
     k = int(np.floor(alpha * total))
     if k == 0:
         return out
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(total, size=k, replace=False)
-    offsets = np.cumsum([0] + sizes)
-    chosen.sort()
-    for g, lo, hi in zip(hidden, offsets[:-1], offsets[1:]):
-        local = chosen[(chosen >= lo) & (chosen < hi)] - lo
-        if local.size == 0:
-            continue
-        rows, cols = np.nonzero(g.mask)
-        g.mask[rows[local], cols[local]] = 0.0
-        g.weights[rows[local], cols[local]] = 0.0
+    chosen = np.zeros(total, dtype=bool)
+    chosen[rng.choice(total, size=k, replace=False)] = True
+    start = 0
+    for l, rows, cols in edges:
+        hit = chosen[start:start + rows.size]
+        start += rows.size
+        out.masks[l][rows[hit], cols[hit]] = 0.0
+        out.weights[l][rows[hit], cols[hit]] = 0.0
     out.mark_mutated()
     return out
 
 
 def network_to_graph(net: MaskedNetwork) -> Dag:
     """Recover the hidden-structure DAG: one vertex per hidden unit, one
-    directed edge per surviving hidden-group mask entry."""
-    n = sum(net.layer_units)
+    directed edge per surviving hidden mask entry."""
+    order = [v for layer in net.layer_vertices for v in layer]
     edges = set()
-    for g in net.hidden_groups():
-        src_vs = net.layer_vertices[g.source_layer]
-        tgt_vs = net.layer_vertices[g.target_layer]
-        for j, i in zip(*np.nonzero(g.mask)):
-            edges.add((src_vs[i], tgt_vs[j]))
-    return Dag(n, frozenset(edges))
+    for l in range(1, net.n_layers):
+        targets = net.layer_vertices[l]
+        for j, i in zip(*np.nonzero(net.masks[l])):
+            edges.add((order[i], targets[j]))
+    return Dag(len(order), frozenset(edges))
 
 
 def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None:
-    """Write a checkpoint: JSON header, then per-group float32 weights and
-    bit-packed masks in header order, then float32 biases."""
+    """Write a checkpoint atomically: magic, JSON header, then per layer the
+    float32 weights and bit-packed mask, then float32 biases."""
     header = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "input_dim": net.input_dim,
@@ -387,55 +325,67 @@ def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None
         "layer_vertices": [list(v) for v in net.layer_vertices],
         "sinks": list(net.sinks),
         "init_method": net.init_method,
-        "groups": [
-            {"source_layer": g.source_layer, "target_layer": g.target_layer,
-             "shape": list(g.weights.shape)}
-            for g in net.groups
-        ],
-        "bias_lengths": [int(b.size) for b in net.biases],
     }
     if extra:
         header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for g in net.groups:
-            f.write(g.weights.astype("<f4").tobytes())
-            f.write(np.packbits(g.mask.astype(np.uint8)).tobytes())
+        for w, m in zip(net.weights, net.masks):
+            f.write(w.astype("<f4").tobytes())
+            f.write(np.packbits(m.astype(np.uint8)).tobytes())
         for b in net.biases:
             f.write(b.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
+    """Read a checkpoint of schema 2, or of schema 1, whose per-(source
+    layer, target layer) groups are placed into their blocks. Raises
+    NetworkError on a bad magic, an unknown schema, a truncated file or a
+    nonzero weight at a masked position."""
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise NetworkError(f"bad checkpoint magic {magic!r}")
-        (blob_len,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(blob_len).decode("utf-8"))
-        if header.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise NetworkError("unsupported checkpoint schema version")
-        groups = []
-        for gd in header["groups"]:
-            shape = tuple(gd["shape"])
-            size = shape[0] * shape[1]
-            w = np.frombuffer(f.read(4 * size), dtype="<f4").astype(np.float64).reshape(shape)
-            packed = np.frombuffer(f.read((size + 7) // 8), dtype=np.uint8)
-            m = np.unpackbits(packed, count=size).astype(np.float64).reshape(shape)
-            groups.append(WeightGroup(gd["source_layer"], gd["target_layer"], w, m))
-        biases = []
-        for blen in header["bias_lengths"]:
-            biases.append(np.frombuffer(f.read(4 * blen), dtype="<f4").astype(np.float64))
-    net = MaskedNetwork(
-        input_dim=header["input_dim"],
-        output_dim=header["output_dim"],
-        layer_units=list(header["layer_units"]),
-        layer_vertices=[list(v) for v in header["layer_vertices"]],
-        sinks=list(header["sinks"]),
-        groups=groups,
-        biases=biases,
-        init_method=header.get("init_method"),
-    )
+        buf = f.read()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(buf):
+            raise NetworkError(f"checkpoint {path} is truncated")
+        pos += n
+        return buf[pos - n:pos]
+
+    magic = take(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise NetworkError(f"bad checkpoint magic {magic!r}")
+    (blob_len,) = struct.unpack("<I", take(4))
+    header = json.loads(take(blob_len).decode("utf-8"))
+    version = header.get("schema_version")
+    units = list(header["layer_units"])
+    shapes = _layer_shapes(header["input_dim"], header["output_dim"], units)
+    weights = [np.zeros(shape) for shape in shapes]
+    masks = [np.zeros(shape) for shape in shapes]
+    if version == CHECKPOINT_SCHEMA_VERSION:
+        blocks = [(l, slice(None), shape) for l, shape in enumerate(shapes)]
+    elif version == 1:
+        offsets = [0, *accumulate(units)]
+        blocks = [(g["target_layer"], _columns(offsets, g["source_layer"]),
+                   tuple(g["shape"])) for g in header["groups"]]
+    else:
+        raise NetworkError(f"unsupported checkpoint schema version {version!r}")
+    for l, cols, shape in blocks:
+        if weights[l][:, cols].shape != shape:
+            raise NetworkError(f"checkpoint block of shape {shape} does not fit layer {l}")
+        size = shape[0] * shape[1]
+        weights[l][:, cols] = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
+        packed = np.frombuffer(take((size + 7) // 8), dtype=np.uint8)
+        masks[l][:, cols] = np.unpackbits(packed, count=size).reshape(shape)
+    biases = [np.frombuffer(take(4 * n), dtype="<f4").astype(np.float64)
+              for n in units + [header["output_dim"]]]
+    net = MaskedNetwork(header["input_dim"], header["output_dim"], units,
+                        [list(v) for v in header["layer_vertices"]],
+                        list(header["sinks"]), weights, masks, biases,
+                        init_method=header.get("init_method"))
+    net.assert_mask_invariant()
     return net, header

@@ -10,19 +10,38 @@ Layout under the output directory:
   pruning/steps.csv, pruning/correlations.csv, pruning/correlations_long.csv
 
 done.json is written last for a (graph, init) pair; a pair counts as
-completed only if its done.json carries the current manifest hash.
+completed only if its done.json carries the current manifest hash. Every
+file is written to a temporary name in its directory and renamed over the
+target, so a crash mid-write leaves the previous version intact.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import GraphMetrics, UndirectedGraph, graph_from_json, graph_to_json
 from .measure import CorrelationTable, RobustnessRecord
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside `path`; on a clean exit it replaces
+    `path`, on an exception it is removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -45,11 +64,12 @@ class ResultsStore:
 
     def _write_json(self, path: Path, payload) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        with atomic_open(path) as f:
+            f.write(json.dumps(payload, indent=2, sort_keys=True))
 
     def _write_csv(self, path: Path, rows) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as f:
+        with atomic_open(path, newline="") as f:
             csv.writer(f).writerows(rows)
 
     # --- manifest & provenance ---------------------------------------
@@ -166,4 +186,5 @@ class ResultsStore:
         self._write_csv(self.root / "pruning" / "steps.csv", rows)
 
     def save_report(self, text: str) -> None:
-        (self.root / "report.txt").write_text(text)
+        with atomic_open(self.root / "report.txt") as f:
+            f.write(text)

@@ -50,12 +50,11 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     cfg: TrainConfig,
-    masks: list[np.ndarray | None] | None = None,
 ) -> tuple[list[np.ndarray], AdamState]:
     """One Adam update with bias correction, applied in place.
 
-    When a mask is given for a parameter, its masked positions are re-forced
-    to zero after the update.
+    A position whose gradient has always been zero keeps zero moments and
+    is left unchanged, so masked weights stay zero under masked gradients.
     """
     state.t += 1
     t = state.t
@@ -67,8 +66,6 @@ def adam_step(
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
         p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        if masks is not None and masks[i] is not None:
-            p *= masks[i]
     return params, state
 
 
@@ -94,8 +91,7 @@ def train(net: MaskedNetwork, train_set: Dataset, cfg: TrainConfig) -> TrainHist
     Deterministic for a fixed cfg.seed. Raises TrainingDivergedError if the
     loss goes non-finite; the mask invariant is asserted every epoch.
     """
-    params = [g.weights for g in net.groups] + net.biases
-    masks: list[np.ndarray | None] = [g.mask for g in net.groups] + [None] * len(net.biases)
+    params = net.weights + net.biases
     state = AdamState.for_params(params)
 
     history = TrainHistory()
@@ -113,7 +109,7 @@ def train(net: MaskedNetwork, train_set: Dataset, cfg: TrainConfig) -> TrainHist
             epoch_loss += loss * len(batch_idx)
             correct += int((probs.argmax(axis=1) == yb).sum())
             w_grads, b_grads, _ = backward(net, cache, yb)
-            adam_step(params, w_grads + b_grads, state, cfg, masks)
+            adam_step(params, w_grads + b_grads, state, cfg)
             net.mark_mutated()
         net.assert_mask_invariant()
         history.records.append(EpochRecord(

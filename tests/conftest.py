@@ -22,26 +22,24 @@ def random_small_graph(rng: np.random.Generator, max_vertices: int = 8):
 def random_layered_net(rng: np.random.Generator, input_dim: int = 6,
                        output_dim: int = 4, max_units: int = 30,
                        require_skip: bool = True, bias_scale: float = 0.0):
-    """Small initialized network from a random WS prior, with a skip group."""
+    """Small initialized network from a random WS prior, with a skip edge."""
     for _ in range(200):
         size = int(rng.integers(5, max_units + 1))
         nei = int(rng.integers(1, min(3, (size - 1) // 2) + 1))
         p = float(rng.uniform(0.2, 0.9))
         g = generate_ws(size, nei, p, seed=int(rng.integers(2**31)))
         ld = layer_dag(to_dag(g))
-        net = build_network(ld, input_dim, output_dim)
-        has_skip = any(gr.source_layer >= 0
-                       and gr.target_layer - gr.source_layer > 1
-                       and gr.target_layer < net.n_layers
-                       for gr in net.groups)
+        has_skip = any(ld.layer_index[v] - ld.layer_index[u] > 1
+                       for u, v in ld.dag.directed_edges)
         if has_skip or not require_skip:
-            net = init_weights(net, "He_N", seed=int(rng.integers(2**31)))
+            net = init_weights(build_network(ld, input_dim, output_dim), "He_N",
+                               seed=int(rng.integers(2**31)))
             if bias_scale:
                 for b in net.biases:
                     b += rng.uniform(-bias_scale, bias_scale, b.shape)
                 net.mark_mutated()
             return net
-    raise AssertionError("could not sample a network with a skip group")
+    raise AssertionError("could not sample a network with a skip edge")
 
 
 def kink_free_case(rng: np.random.Generator, margin: float = 1e-3, **net_kwargs):

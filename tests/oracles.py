@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: distances come from
 Floyd-Warshall instead of BFS, betweenness from naive per-pair path
 counting instead of Brandes accumulation, gradients from central finite
-differences, and rank statistics from exhaustive pair counting.
+differences, network outputs vertex by vertex along the DAG edges instead
+of one matmul per layer, and rank statistics from exhaustive pair counting.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from snnrobust.graph import UndirectedGraph
+from snnrobust.graph import LayeredDag, UndirectedGraph
 from snnrobust.network import MaskedNetwork, cross_entropy, forward
 
 INF = float("inf")
@@ -106,15 +107,15 @@ def loss_at(net: MaskedNetwork, x: np.ndarray, y: int) -> float:
 def finite_diff_weight_grads(net: MaskedNetwork, x: np.ndarray, y: int,
                              h: float = 1e-5) -> list[np.ndarray]:
     grads = []
-    for g in net.groups:
-        grad = np.zeros_like(g.weights)
-        for j, i in zip(*np.nonzero(g.mask)):
-            orig = g.weights[j, i]
-            g.weights[j, i] = orig + h
+    for w, m in zip(net.weights, net.masks):
+        grad = np.zeros_like(w)
+        for j, i in zip(*np.nonzero(m)):
+            orig = w[j, i]
+            w[j, i] = orig + h
             up = loss_at(net, x, y)
-            g.weights[j, i] = orig - h
+            w[j, i] = orig - h
             down = loss_at(net, x, y)
-            g.weights[j, i] = orig
+            w[j, i] = orig
             grad[j, i] = (up - down) / (2 * h)
         grads.append(grad)
     return grads
@@ -150,6 +151,39 @@ def finite_diff_input_grad(net: MaskedNetwork, x: np.ndarray, y: int,
         down = loss_at(net, xp, y)
         grad[i] = (up - down) / (2 * h)
     return grad
+
+
+def keyed_weights(net: MaskedNetwork) -> dict[tuple[str, str], float]:
+    """Every unmasked weight keyed by (source, target): a source is "p<pixel>"
+    or "v<vertex>", a target "v<vertex>" or "c<class>"."""
+    order = [v for layer in net.layer_vertices for v in layer]
+    keyed = {}
+    for l, (w, m) in enumerate(zip(net.weights, net.masks)):
+        for j, i in zip(*np.nonzero(m)):
+            src = f"p{i}" if l == 0 else f"v{order[i]}"
+            tgt = f"c{j}" if l == net.n_layers else f"v{net.layer_vertices[l][j]}"
+            keyed[(src, tgt)] = float(w[j, i])
+    return keyed
+
+
+def vertex_forward_logits(net: MaskedNetwork, ld: LayeredDag, x: np.ndarray) -> np.ndarray:
+    """Logits of one input, one vertex at a time in layer order: sources read
+    every pixel, other vertices their DAG predecessors, classes the sinks."""
+    w = keyed_weights(net)
+    preds: dict[int, list[int]] = {v: [] for v in range(ld.dag.vertex_count)}
+    for u, v in ld.dag.directed_edges:
+        preds[v].append(u)
+    act: dict[int, float] = {}
+    for l, layer in enumerate(ld.layers):
+        for j, v in enumerate(layer):
+            z = net.biases[l][j]
+            if l == 0:
+                z += sum(w[(f"p{i}", f"v{v}")] * x[i] for i in range(net.input_dim))
+            z += sum(w[(f"v{u}", f"v{v}")] * act[u] for u in preds[v])
+            act[v] = max(z, 0.0)
+    return np.array([net.biases[-1][c] + sum(w[(f"v{s}", f"c{c}")] * act[s]
+                                             for s in ld.sinks)
+                     for c in range(net.output_dim)])
 
 
 def spearman_rank_diff(xs, ys) -> float:

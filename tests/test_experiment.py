@@ -8,13 +8,14 @@ import pytest
 
 from snnrobust.experiment import (CorrelationWithheldError, ExperimentError,
                                   ExperimentManifest, GridSpec, ScaleFactors,
-                                  build_graph_dataset, candidate_param_count,
+                                  _aggregate_column, build_graph_dataset,
+                                  candidate_param_count,
                                   correlate, dense_stack_dag, derive_seed,
                                   hidden_edge_count, load_data_source,
                                   render_report, resolve_data_source,
                                   run_pruning_baseline, run_sweep)
 from snnrobust.graph import generate_ws, layer_dag
-from snnrobust.measure import RobustnessRecord
+from snnrobust.measure import MEASURE_COLUMNS, RobustnessRecord, tukey_fences
 from snnrobust.network import build_network, param_count
 from snnrobust.store import ResultsStore
 
@@ -189,13 +190,18 @@ class TestCorrelate:
                        and c.defined]
             for c in defined:
                 assert c.n <= col["n_models"]
-        strongest = table.strongest("fgsm", "error_rate")
-        if strongest:
-            assert abs(strongest[0].rho) == max(
-                abs(c.rho) for c in table.cells
-                if c.attack == "fgsm" and c.measure == "error_rate" and c.defined)
         text = render_report(manifest, store)
         assert "strongest correlations" in text
+        # each column lists its two largest |rho| in descending order
+        lines = text.splitlines()
+        for attack, measure in MEASURE_COLUMNS:
+            at = lines.index(f"  {attack} / {measure}:")
+            shown = [line.split()[1] for line in lines[at + 1:at + 3]
+                     if line.startswith("    ") and "rho=" in line]
+            rhos = sorted((abs(c.rho) for c in table.cells
+                           if (c.attack, c.measure) == (attack, measure)
+                           and c.defined), reverse=True)[:2]
+            assert [abs(float(r[4:])) for r in shown] == pytest.approx(rhos, abs=5e-4)
 
     def test_task_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         from snnrobust import experiment as exp_mod
@@ -242,6 +248,91 @@ class TestCorrelate:
         store.mark_pair_done("g0", "U", "h")
         loaded = store.load_robustness()
         assert loaded == [rec]
+
+
+def run_records(runs_by_model: dict[str, list[float]]) -> list[RobustnessRecord]:
+    """One fgsm record per run, the run's value as its error rate."""
+    return [RobustnessRecord(model, "U", "fgsm", v, None, None, 10, 5, 0)
+            for model, runs in runs_by_model.items() for v in runs]
+
+
+class TestAggregateColumn:
+    def aggregate(self, runs_by_model, mode="run"):
+        return _aggregate_column(run_records(runs_by_model), "fgsm",
+                                 "error_rate", mode)
+
+    def test_degenerate_iqr(self):
+        means, info = self.aggregate({"a": [0, 0, 0, 0, 10]})
+        assert means == {"a": 0.0}
+        assert info["discarded_runs"] == 1
+        means, info = self.aggregate({"a": [0], "b": [0], "c": [0], "d": [0],
+                                      "e": [10]}, mode="model")
+        assert sorted(means) == ["a", "b", "c", "d"]
+        assert info["discarded_models"] == 1
+
+    def test_symmetric_data_keeps_everything(self):
+        means, info = self.aggregate({"a": [1, 2, 3, 4], "b": [5, 6, 7, 8]})
+        assert means == {"a": 2.5, "b": 6.5}
+        assert info["discarded_runs"] == 0
+
+    def test_hand_computed_fences(self):
+        values = list(range(1, 10)) + [100]
+        # Q1 = 3.25, Q3 = 7.75 under linear interpolation; hi fence 14.5
+        lo, hi = tukey_fences(values)
+        assert lo == pytest.approx(3.25 - 1.5 * 4.5)
+        assert hi == pytest.approx(7.75 + 1.5 * 4.5)
+        means, info = self.aggregate({"a": values})
+        assert means["a"] == pytest.approx(5.0)
+        assert info["discarded_runs"] == 1
+
+    def test_fewer_than_four_runs_unfiltered(self):
+        means, info = self.aggregate({"a": [1, 2, 100]})
+        assert means["a"] == pytest.approx(103 / 3)
+        assert info["discarded_runs"] == 0
+
+    def test_identical_runs(self):
+        means, _ = self.aggregate({"a": [0.2] * 6})
+        assert means["a"] == pytest.approx(0.2)
+
+    def test_outlier_excluded(self):
+        means, _ = self.aggregate({"a": [0.2] * 5 + [0.9]})
+        assert means["a"] == pytest.approx(0.2)
+
+    def test_single_run(self):
+        means, info = self.aggregate({"a": [0.4]})
+        assert means == {"a": pytest.approx(0.4)}
+        assert info["n_runs"] == 1
+
+    def test_model_with_only_outlier_runs_dropped(self):
+        means, info = self.aggregate({"a": [0.2] * 4, "b": [0.9]})
+        assert list(means) == ["a"]
+        assert info["discarded_models"] == 1
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        path = tmp_path / "table.csv"
+        store._write_csv(path, [["a", "b"], [1, 2]])
+        before = path.read_bytes()
+
+        def rows():
+            yield ["c", "d"]
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            store._write_csv(path, rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["graphs", "models",
+                                                              "table.csv"]
+
+    def test_failed_json_write_keeps_previous_file(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.save_generation_log({"accepted": 1})
+        with pytest.raises(TypeError):
+            store.save_generation_log({"accepted": object()})
+        assert json.loads((tmp_path / "generation.json").read_text()) == {"accepted": 1}
+        assert not list(tmp_path.glob(".*"))
 
 
 class TestPruningBaseline:
@@ -300,6 +391,14 @@ class TestDataResolution:
     def test_auto_falls_back(self, tmp_path):
         manifest = tiny_manifest(dataset="auto")
         assert resolve_data_source(manifest, tmp_path)[0] == "synthetic"
+
+    def test_report_names_dataset_used(self, tmp_path):
+        manifest = tiny_manifest(dataset="auto")
+        store = ResultsStore(tmp_path / "out")
+        build_graph_dataset(manifest, store)
+        run_sweep(manifest, store, resolve_data_source(manifest, tmp_path))
+        text = render_report(manifest, store)
+        assert "dataset: synthetic (manifest requests auto)" in text.splitlines()
 
     def test_auto_prefers_idx_files(self, tmp_path):
         from snnrobust.data import write_synthetic_idx

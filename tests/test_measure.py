@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnrobust.attack import AdversarialExample
-from snnrobust.measure import (AllRunsDiscardedError, DegenerateDataError,
-                               MeasureError, aggregate_runs, avg_confidence,
-                               avg_epsilon, cohen_label, error_rate,
-                               iqr_filter, kendall, robustness_record,
-                               spearman, tukey_fences)
+from snnrobust.measure import (DegenerateDataError, MeasureError,
+                               avg_confidence, avg_epsilon, cohen_label,
+                               error_rate, kendall, robustness_record,
+                               spearman)
 
 from tests.oracles import kendall_pair_count, spearman_rank_diff
 
@@ -154,42 +153,3 @@ class TestCohenLabel:
     def test_out_of_range_rejected(self):
         with pytest.raises(MeasureError):
             cohen_label(1.2)
-
-
-class TestIqrFilter:
-    def test_degenerate_iqr(self):
-        kept, out = iqr_filter([0, 0, 0, 0, 10])
-        assert out == [4]
-        assert kept == [0, 1, 2, 3]
-
-    def test_symmetric_data_keeps_everything(self):
-        kept, out = iqr_filter([1, 2, 3, 4, 5, 6, 7, 8])
-        assert out == []
-
-    def test_hand_computed_fences(self):
-        values = list(range(1, 10)) + [100]
-        # Q1 = 3.25, Q3 = 7.75 under linear interpolation; hi fence 14.5
-        lo, hi = tukey_fences(values)
-        assert lo == pytest.approx(3.25 - 1.5 * 4.5)
-        assert hi == pytest.approx(7.75 + 1.5 * 4.5)
-        kept, out = iqr_filter(values)
-        assert out == [9]
-
-    def test_minimum_size(self):
-        with pytest.raises(MeasureError):
-            iqr_filter([1, 2, 3])
-
-
-class TestAggregateRuns:
-    def test_identical_runs(self):
-        assert aggregate_runs([0.2] * 6) == pytest.approx(0.2)
-
-    def test_outlier_excluded(self):
-        assert aggregate_runs([0.2] * 5 + [0.9]) == pytest.approx(0.2)
-
-    def test_single_survivor(self):
-        assert aggregate_runs([0.4], filter_fn=lambda v: ([0], [])) == pytest.approx(0.4)
-
-    def test_all_discarded_raises(self):
-        with pytest.raises(AllRunsDiscardedError):
-            aggregate_runs([1.0, 2.0], filter_fn=lambda v: ([], [0, 1]))

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from snnrobust.graph import Dag, layer_dag, to_dag
+from snnrobust.graph import Dag, generate_ws, layer_dag, to_dag
 from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
                                backward, build_network, cross_entropy, forward,
                                init_weights, load_checkpoint, network_to_graph,
@@ -11,7 +16,10 @@ from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
 
 from tests.conftest import kink_free_case, random_layered_net, random_small_graph
 from tests.oracles import (finite_diff_bias_grads, finite_diff_input_grad,
-                           finite_diff_weight_grads)
+                           finite_diff_weight_grads, keyed_weights,
+                           vertex_forward_logits)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def tiny_skip_net():
@@ -22,30 +30,29 @@ def tiny_skip_net():
 
 class TestBuildNetwork:
     def test_group_structure_of_skip_example(self):
+        # one matrix per target layer; layer 2 reads layers 0 (skip) and 1
         net = tiny_skip_net()
-        kinds = sorted((g.source_layer, g.target_layer) for g in net.groups)
-        assert kinds == [(-1, 0), (0, 1), (0, 2), (1, 2), (2, 3)]
+        assert [m.tolist() for m in net.masks] == [
+            [[1, 1]], [[1]], [[1, 1]], [[0, 0, 1], [0, 0, 1]]]
+        assert net.offsets == [0, 1, 2, 3]
         assert param_count(net) == 12
 
     def test_chain_has_no_skip_groups(self):
-        ld = layer_dag(Dag(2, frozenset({(0, 1)})))
+        ld = layer_dag(Dag(3, frozenset({(0, 1), (1, 2)})))
         net = build_network(ld, 3, 2)
-        spans = [(g.source_layer, g.target_layer) for g in net.groups]
-        assert (-1, 0) in spans and (1, 2) in spans
-        assert all(t - s == 1 for s, t in spans if s >= 0 and t < net.n_layers)
+        assert [m.shape for m in net.masks] == [(1, 3), (1, 1), (1, 2), (2, 3)]
+        assert net.masks[2].tolist() == [[0, 1]]  # no skip from layer 0
 
     def test_isolated_vertex_wired_both_ways(self):
         ld = layer_dag(Dag(3, frozenset({(0, 1)})))  # vertex 2 isolated
         net = build_network(ld, 4, 3)
-        # layer 0 holds vertices {0, 2}; input group covers both densely
+        # layer 0 holds vertices {0, 2}; the input matrix covers both densely
         assert net.layer_vertices[0] == [0, 2]
-        assert net.groups[0].mask.shape == (2, 4)
-        assert np.all(net.groups[0].mask == 1)
-        # vertex 2 is a sink: the layer-0 output group selects its column
-        out0 = [g for g in net.output_groups() if g.source_layer == 0]
-        assert len(out0) == 1
-        assert np.all(out0[0].mask[:, 1] == 1)  # vertex 2 at position 1
-        assert np.all(out0[0].mask[:, 0] == 0)
+        assert net.masks[0].shape == (2, 4)
+        assert np.all(net.masks[0] == 1)
+        # vertex 2 is a sink: the output mask selects its column
+        assert np.all(net.masks[-1][:, 1] == 1)  # vertex 2 at column 1
+        assert np.all(net.masks[-1][:, 0] == 0)
 
     def test_param_count_formula(self, rng):
         for _ in range(20):
@@ -71,34 +78,55 @@ class TestBuildNetwork:
 class TestInitWeights:
     def test_uniform_bounds(self):
         net = init_weights(tiny_skip_net(), "U", seed=0)
-        for g in net.groups:
-            w = g.weights[g.mask == 1]
-            assert np.all(np.abs(w) <= 0.1)
+        for w, m in zip(net.weights, net.masks):
+            assert np.all(np.abs(w[m == 1]) <= 0.1)
 
     def test_masked_positions_zero_for_all_methods(self, rng):
         base = tiny_skip_net()
         for method in INIT_METHODS:
             net = init_weights(base, method, seed=1)
-            for g in net.groups:
-                assert np.all(g.weights[g.mask == 0] == 0.0)
+            for w, m in zip(net.weights, net.masks):
+                assert np.all(w[m == 0] == 0.0)
+
+    # SHA-256 over the sorted "source>target=float.hex()" lines of the
+    # unmasked initial weights of WS(40, 2, 0.5, seed 7), 784 -> 10, seed 2024,
+    # recorded from the per-(source layer, target layer) group implementation
+    GOLDEN_INIT = {
+        "G_N": "78d2cdd81737fb622db350f10bf9625e16463aa791a389fbfc0426935a46ffaf",
+        "G_U": "722dda12f3e04c00e3a354cf7ce1d53f057f98c4820dac384662a312d2cdf2dd",
+        "He_N": "1d5ef38237a4eae1c6d2f45488d32d694e9d6d06c9e7876a3169f831ac99d5eb",
+        "He_U": "988a675c360fb490744bb3560eaee70c7f2edba3354a79a816e15c9ba013df8e",
+        "N": "5be00234a07d5776f24dd00b264652b143b4b3bfdce53f6805a9b01a4b8b3f65",
+        "U": "bb53b0a31d087b4dbbb4b021ac38156994f1ba2040b5c3ddd822ac8a66e4641b",
+    }
+
+    @pytest.mark.parametrize("method", INIT_METHODS)
+    def test_golden_digest(self, method):
+        ld = layer_dag(to_dag(generate_ws(40, 2, 0.5, seed=7)))
+        net = init_weights(build_network(ld, 784, 10), method, seed=2024)
+        keyed = keyed_weights(net)
+        assert len(keyed) == 1668
+        lines = sorted(f"{s}>{t}={w.hex()}" for (s, t), w in keyed.items())
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.GOLDEN_INIT[method]
 
     def test_normal_std(self):
         ld = layer_dag(Dag(100, frozenset()))
         net = build_network(ld, 100, 10)  # input group alone has 10^4 entries
         net = init_weights(net, "N", seed=7)
-        w = net.groups[0].weights.ravel()
+        w = net.weights[0].ravel()
         assert abs(w.std() - 0.1) / 0.1 < 0.05
 
     def test_he_normal_scale(self):
         ld = layer_dag(Dag(200, frozenset()))
         net = init_weights(build_network(ld, 400, 10), "He_N", seed=3)
-        w = net.groups[0].weights.ravel()  # fan_in = 400
+        w = net.weights[0].ravel()  # fan_in = 400
         assert abs(w.std() - np.sqrt(2.0 / 400)) / np.sqrt(2.0 / 400) < 0.05
 
     def test_glorot_uniform_bound(self):
         ld = layer_dag(Dag(50, frozenset()))
         net = init_weights(build_network(ld, 100, 10), "G_U", seed=5)
-        w = net.groups[0].weights
+        w = net.weights[0]
         bound = np.sqrt(2.0) * np.sqrt(6.0 / (100 + 50))
         assert np.all(np.abs(w) <= bound)
         assert w.max() > 0.8 * bound  # actually fills the range
@@ -107,8 +135,8 @@ class TestInitWeights:
         a = init_weights(tiny_skip_net(), "G_N", seed=9)
         b = init_weights(tiny_skip_net(), "G_N", seed=9)
         assert all(np.all(x == 0) for x in a.biases)
-        for ga, gb in zip(a.groups, b.groups):
-            assert np.array_equal(ga.weights, gb.weights)
+        for wa, wb in zip(a.weights, b.weights):
+            assert np.array_equal(wa, wb)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(NetworkError):
@@ -124,12 +152,38 @@ class TestForward:
     def test_chain_propagates_value(self):
         ld = layer_dag(Dag(2, frozenset({(0, 1)})))
         net = build_network(ld, 1, 1)
-        for g in net.groups:
-            g.weights = g.mask.copy()
+        net.weights = [m.copy() for m in net.masks]
         _, _, cache = forward(net, np.array([1.0]))
-        assert cache.acts[0][0, 0] == 1.0
-        assert cache.acts[1][0, 0] == 1.0
+        assert cache.acts.tolist() == [[1.0, 1.0]]
         assert cache.logits[0, 0] == 1.0
+
+    def test_matches_vertex_oracle(self, rng):
+        for _ in range(20):
+            ld = layer_dag(to_dag(random_small_graph(rng, max_vertices=12)))
+            net = init_weights(build_network(ld, 6, 4), "He_N",
+                               seed=int(rng.integers(2**31)))
+            for b in net.biases:
+                b += rng.uniform(-0.1, 0.1, b.shape)
+            x = rng.uniform(0, 1, 6)
+            logits, _, _ = forward(net, x)
+            assert np.abs(logits - vertex_forward_logits(net, ld, x)).max() < 1e-12
+
+    def test_one_matmul_per_layer(self, rng):
+        matmuls = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    matmuls.append(1)
+                inputs = [np.asarray(a) for a in inputs]
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        net = random_layered_net(rng)
+        net.weights = [w.view(Counted) for w in net.weights]
+        forward(net, rng.uniform(0, 1, (3, net.input_dim)))
+        assert len(matmuls) == net.n_layers + 1
 
     def test_probabilities_sum_to_one(self, rng):
         net = random_layered_net(rng)
@@ -158,8 +212,8 @@ class TestBackward:
         x = rng.uniform(0, 1, net.input_dim)
         _, _, cache = forward(net, x)
         w_grads, _, _ = backward(net, cache, 1)
-        for g, wg in zip(net.groups, w_grads):
-            assert np.all(wg[g.mask == 0] == 0.0)
+        for m, wg in zip(net.masks, w_grads):
+            assert np.all(wg[m == 0] == 0.0)
 
     def test_matches_finite_differences(self, rng):
         for trial in range(5):
@@ -200,33 +254,30 @@ class TestPruneRandom:
     def test_alpha_zero_is_identity(self, rng):
         net = random_layered_net(rng)
         pruned = prune_random(net, 0.0, seed=0)
-        for a, b in zip(net.groups, pruned.groups):
-            assert np.array_equal(a.mask, b.mask)
+        for a, b in zip(net.masks, pruned.masks):
+            assert np.array_equal(a, b)
 
     def test_alpha_one_clears_hidden_only(self, rng):
         net = random_layered_net(rng)
         pruned = prune_random(net, 1.0, seed=0)
-        for g in pruned.hidden_groups():
-            assert g.n_connections == 0
-        assert np.all(pruned.groups[0].mask == 1)
-        for g in pruned.output_groups():
-            orig = next(o for o in net.output_groups()
-                        if o.source_layer == g.source_layer)
-            assert np.array_equal(g.mask, orig.mask)
+        for m in pruned.masks[1:-1]:
+            assert not m.any()
+        assert np.all(pruned.masks[0] == 1)
+        assert np.array_equal(pruned.masks[-1], net.masks[-1])
 
     def test_exact_floor_count(self, rng):
+        from snnrobust.experiment import hidden_edge_count
         net = random_layered_net(rng)
-        before = sum(g.n_connections for g in net.hidden_groups())
+        before = hidden_edge_count(net)
         pruned = prune_random(net, 0.5, seed=1)
-        after = sum(g.n_connections for g in pruned.hidden_groups())
-        assert after == before - int(np.floor(0.5 * before))
+        assert hidden_edge_count(pruned) == before - int(np.floor(0.5 * before))
 
     def test_deterministic(self, rng):
         net = random_layered_net(rng)
         a = prune_random(net, 0.3, seed=42)
         b = prune_random(net, 0.3, seed=42)
-        for ga, gb in zip(a.groups, b.groups):
-            assert np.array_equal(ga.mask, gb.mask)
+        for ma, mb in zip(a.masks, b.masks):
+            assert np.array_equal(ma, mb)
 
     def test_pruned_weights_zeroed(self, rng):
         net = random_layered_net(rng)
@@ -264,9 +315,10 @@ class TestCheckpoint:
         loaded, header = load_checkpoint(path)
         assert header["extra"]["note"] == "test"
         assert loaded.layer_units == net.layer_units
-        for a, b in zip(net.groups, loaded.groups):
-            assert np.array_equal(a.mask, b.mask)
-            assert np.array_equal(a.weights.astype(np.float32), b.weights.astype(np.float32))
+        for ma, mb in zip(net.masks, loaded.masks):
+            assert np.array_equal(ma, mb)
+        for wa, wb in zip(net.weights, loaded.weights):
+            assert np.array_equal(wa.astype(np.float32), wb.astype(np.float32))
         x = rng.uniform(0, 1, net.input_dim)
         _, p1, _ = forward(net, x)
         _, p2, _ = forward(loaded, x)
@@ -276,4 +328,38 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(NetworkError):
+            load_checkpoint(path)
+
+    def test_schema_1_fixture_reproduces_probabilities(self):
+        # written by the per-(source layer, target layer) group format;
+        # pruned, so some of its groups carry no connection
+        net, header = load_checkpoint(FIXTURES / "v1_checkpoint.bin")
+        assert header["schema_version"] == 1
+        recorded = json.loads((FIXTURES / "v1_checkpoint_probs.json").read_text())
+        _, probs, _ = forward(net, np.array(recorded["input"]))
+        assert np.abs(probs - recorded["probs"]).max() < 1e-12
+
+    @pytest.mark.parametrize("keep", [6, 20, -40, -1])
+    def test_truncated_file_rejected(self, rng, tmp_path, keep):
+        path = tmp_path / "model.bin"
+        save_checkpoint(random_layered_net(rng), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(NetworkError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_weight_at_masked_position_rejected(self, rng, tmp_path):
+        net = random_layered_net(rng)
+        path = tmp_path / "model.bin"
+        save_checkpoint(net, path)
+        raw = bytearray(path.read_bytes())
+        (blob_len,) = struct.unpack_from("<I", raw, 8)
+        offset = 12 + blob_len
+        # the output matrix's weights start after every hidden layer's
+        # float32 weights and packed mask
+        for m in net.masks[:-1]:
+            offset += 4 * m.size + (m.size + 7) // 8
+        masked = int(np.flatnonzero(net.masks[-1] == 0)[0])
+        struct.pack_into("<f", raw, offset + 4 * masked, 0.5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NetworkError, match="masked position"):
             load_checkpoint(path)

@@ -33,12 +33,14 @@ class TestAdamStep:
         assert np.array_equal(theta[0], [0.7, -0.2])
 
     def test_masked_position_stays_zero(self):
+        # backward masks the gradient, so a masked weight only ever sees 0
         cfg = TrainConfig()
         theta = [np.array([[0.5, 0.0]])]
-        mask = np.array([[1.0, 0.0]])
         state = AdamState.for_params(theta)
-        adam_step(theta, [np.array([[0.1, 5.0]])], state, cfg, masks=[mask])
+        for _ in range(3):
+            adam_step(theta, [np.array([[0.1, 0.0]])], state, cfg)
         assert theta[0][0, 1] == 0.0
+        assert state.m[0][0, 1] == 0.0 and state.v[0][0, 1] == 0.0
         assert theta[0][0, 0] != 0.5
 
 
@@ -61,21 +63,21 @@ class TestTrain:
 
     def test_zero_epochs_is_identity(self, rng):
         net = random_layered_net(rng)
-        before = [g.weights.copy() for g in net.groups]
+        before = [w.copy() for w in net.weights]
         history = train(net, two_class_toy(), TrainConfig(epochs=0, seed=0))
         assert history.records == []
-        for g, w in zip(net.groups, before):
-            assert np.array_equal(g.weights, w)
+        for w, w0 in zip(net.weights, before):
+            assert np.array_equal(w, w0)
 
     def test_mask_pattern_unchanged_by_training(self):
         ds = two_class_toy()
         ld = layer_dag(Dag(6, frozenset({(0, 3), (1, 4), (2, 5), (0, 4)})))
         net = init_weights(build_network(ld, 8, 2), "G_U", seed=4)
-        masks_before = [g.mask.copy() for g in net.groups]
+        masks_before = [m.copy() for m in net.masks]
         train(net, ds, TrainConfig(epochs=3, batch_size=32, seed=0))
-        for g, m in zip(net.groups, masks_before):
-            assert np.array_equal(g.mask, m)
-            assert np.all(g.weights[m == 0] == 0.0)
+        for w, m, m0 in zip(net.weights, net.masks, masks_before):
+            assert np.array_equal(m, m0)
+            assert np.all(w[m0 == 0] == 0.0)
 
     def test_bitwise_deterministic(self):
         ds = two_class_toy()
@@ -85,8 +87,8 @@ class TestTrain:
             net = init_weights(build_network(ld, 8, 2), "N", seed=9)
             train(net, ds, TrainConfig(epochs=2, batch_size=16, seed=5))
             nets.append(net)
-        for a, b in zip(nets[0].groups, nets[1].groups):
-            assert np.array_equal(a.weights, b.weights)
+        for a, b in zip(nets[0].weights, nets[1].weights):
+            assert np.array_equal(a, b)
 
     def test_loss_decreases_over_first_five_steps(self):
         # fixed batch, 5 Adam steps; median verdict over 20 seeds
@@ -97,16 +99,14 @@ class TestTrain:
         for seed in range(20):
             ld = layer_dag(Dag(6, frozenset({(0, 3), (1, 4), (2, 5)})))
             net = init_weights(build_network(ld, 8, 2), "He_N", seed=seed)
-            params = [g.weights for g in net.groups] + net.biases
-            masks = [g.mask for g in net.groups] + [None] * len(net.biases)
+            params = net.weights + net.biases
             state = AdamState.for_params(params)
             losses = []
             for _ in range(5):
                 logits, _, cache = forward(net, ds.images)
                 losses.append(cross_entropy(logits, ds.labels))
                 w_grads, b_grads, _ = backward(net, cache, ds.labels)
-                adam_step(params, w_grads + b_grads, state,
-                          TrainConfig(seed=0), masks)
+                adam_step(params, w_grads + b_grads, state, TrainConfig(seed=0))
                 net.mark_mutated()
             logits, _, _ = forward(net, ds.images)
             losses.append(cross_entropy(logits, ds.labels))
@@ -117,7 +117,7 @@ class TestTrain:
         ds = two_class_toy(50)
         ld = layer_dag(Dag(4, frozenset({(0, 2), (1, 3)})))
         net = init_weights(build_network(ld, 8, 2), "He_N", seed=0)
-        net.groups[0].weights += 1e308  # overflow: inf logits, nan loss
+        net.weights[0] += 1e308  # overflow: inf logits, nan loss
         net.mark_mutated()
         with pytest.raises(TrainingDivergedError):
             train(net, ds, TrainConfig(epochs=1, batch_size=16, seed=0))

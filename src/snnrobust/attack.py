@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import MaskedNetwork, backward, forward
+from .network import MaskedNetwork, backward, forward, propagate, softmax
 
 IMG_SIDE = 28
 INTENSITY_MAX = 255.0
@@ -187,11 +187,35 @@ def apply_candidate(x: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pixel_index(cands: np.ndarray) -> np.ndarray:
+    """Flat input index of each candidate's 1-indexed (p_x, p_y) pixel."""
+    return (cands[:, 1].astype(int) - 1) * IMG_SIDE + (cands[:, 0].astype(int) - 1)
+
+
 def perturbed_batch(x: np.ndarray, cands: np.ndarray) -> np.ndarray:
     out = np.tile(x, (cands.shape[0], 1))
-    flat = (cands[:, 1].astype(int) - 1) * IMG_SIDE + (cands[:, 0].astype(int) - 1)
-    out[np.arange(cands.shape[0]), flat] = cands[:, 2] / INTENSITY_MAX
+    out[np.arange(cands.shape[0]), _pixel_index(cands)] = cands[:, 2] / INTENSITY_MAX
     return out
+
+
+def rand1_bin_draw(n: int, CR: float, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The random choices of one rand/1/bin generation over n members.
+
+    Returns (donors, cross). Row i of the (n, 3) donors holds (a, b, c), a
+    uniformly random ordered triple of distinct members other than i. Row i
+    of the (n, 3) boolean cross marks the coordinates child i takes from its
+    mutant: each with probability CR, plus one forced coordinate.
+    """
+    taken = np.arange(n)[:, None]
+    for k in (1, 2, 3):
+        pick = rng.integers(n - k, size=n)
+        for t in np.sort(taken, axis=1).T:
+            pick += pick >= t
+        taken = np.hstack([taken, pick[:, None]])
+    cross = rng.random((n, 3)) < CR
+    cross[np.arange(n), rng.integers(3, size=n)] = True
+    return taken[:, 1:], cross
 
 
 def de_evolve(
@@ -208,6 +232,14 @@ def de_evolve(
     children are repaired (coordinates rounded and clamped, intensity
     clamped) before evaluation. fitness_fn maps an (n, 3) candidate array to
     an (n,) fitness array. Returns the next population and its fitness.
+
+    The generation's random choices are drawn for all parents at once
+    (rand1_bin_draw). a, b and c are drawn over n-1, n-2 and n-3 values, and
+    each draw is shifted past the indices already taken for its parent (i,
+    then a, then b), in ascending order. This maps it onto the members not yet
+    taken, so the triple has the distribution of drawing three members other
+    than i without replacement. One call then draws the (n, 3) crossover
+    uniforms and one the forced coordinate of every parent.
     """
     n = population.shape[0]
     if n < 4:
@@ -217,15 +249,10 @@ def de_evolve(
     if fitness is None:
         fitness = fitness_fn(population)
 
-    idx = np.arange(n)
-    children = np.empty_like(population)
-    for i in range(n):
-        a, b, c = rng.choice(np.delete(idx, i), size=3, replace=False)
-        mutant = population[a] + cfg.F * (population[b] - population[c])
-        cross = rng.random(3) < cfg.CR
-        cross[rng.integers(3)] = True
-        children[i] = np.where(cross, mutant, population[i])
-    children = _repair(children)
+    donors, cross = rand1_bin_draw(n, cfg.CR, rng)
+    a, b, c = donors.T
+    mutants = population[a] + cfg.F * (population[b] - population[c])
+    children = _repair(np.where(cross, mutants, population))
 
     child_fitness = fitness_fn(children)
     replace = child_fitness >= fitness
@@ -234,18 +261,41 @@ def de_evolve(
     return next_pop, next_fit
 
 
+def candidate_probs(net: MaskedNetwork, x: np.ndarray):
+    """Class probabilities of one-pixel candidates on image x.
+
+    Returns a function mapping (n, 3) candidates to (n, output_dim)
+    probabilities, forward(net, perturbed_batch(x, cands))[1] up to rounding.
+    A candidate changes one input, so its layer-0 pre-activations are the
+    clean image's, computed once, plus one input-matrix column times the
+    change; only the layers above run per candidate.
+    """
+    w0_rows = net.weights[0].T.copy()
+    pre0 = x @ net.weights[0].T + net.biases[0]
+
+    def probs(cands: np.ndarray) -> np.ndarray:
+        flat = _pixel_index(cands)
+        delta = cands[:, 2] / INTENSITY_MAX - x[flat]
+        _, _, logits = propagate(net, pre0 + w0_rows[flat] * delta[:, None])
+        return softmax(logits)
+
+    return probs
+
+
 def one_pixel(net: MaskedNetwork, x: np.ndarray, y: int, cfg: DEConfig,
               index: int = 0, keep_image: bool = True) -> AdversarialExample:
     """One-pixel attack: evolve (p_x, p_y, I) candidates maximizing
     1 - P(true class), stopping early as soon as any evaluated candidate
-    makes the model misclassify."""
+    makes the model misclassify. The returned record comes from a full
+    forward of the best candidate's image."""
     rng = np.random.default_rng(cfg.seed)
     y = int(y)
+    score = candidate_probs(net, x)
 
     flipped: dict = {}
 
     def evaluate(cands: np.ndarray) -> np.ndarray:
-        _, probs, _ = forward(net, perturbed_batch(x, cands))
+        probs = score(cands)
         preds = probs.argmax(axis=1)
         fit = 1.0 - probs[:, y]
         hits = np.flatnonzero(preds != y)

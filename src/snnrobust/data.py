@@ -128,13 +128,16 @@ def find_mnist(data_dir) -> dict[str, tuple[Path, Path]] | None:
     return found
 
 
-def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
+def load_mnist_split(data_dir, split: str) -> Dataset:
+    """Load one MNIST split ("train" or "test") from a directory."""
     paths = find_mnist(data_dir)
     if paths is None:
         raise DataFormatError(f"MNIST IDX files not found under {data_dir}")
-    train = load_idx(*paths["train"], split="train")
-    test = load_idx(*paths["test"], split="test")
-    return train, test
+    return load_idx(*paths[split], split=split)
+
+
+def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
+    return load_mnist_split(data_dir, "train"), load_mnist_split(data_dir, "test")
 
 
 def batches(ds: Dataset, batch_size: int, shuffle_seed: int) -> list[np.ndarray]:

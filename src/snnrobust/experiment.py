@@ -213,6 +213,23 @@ class ExperimentManifest:
             F=self.attacks.de_F, CR=self.attacks.de_CR, seed=seed,
         )
 
+    def attack_settings(self, full_test_n: int) -> dict:
+        """The attack settings in effect, scaling applied, for a test split
+        of full_test_n images; image counts are upper bounds, since only
+        correctly classified images are attacked."""
+        atk = self.attacks
+        de = self.de_config(seed=0)
+        test_n = self.test_subset_n(full_test_n)
+        return {
+            "fgsm_eps": atk.fgsm_eps,
+            "eps_grid": {"start": atk.search_start, "step": atk.search_step,
+                         "cap": atk.search_cap},
+            "de": {"pop_size": de.pop_size, "max_iter": de.max_iter,
+                   "F": de.F, "CR": de.CR},
+            "images": {"fgsm": test_n, "fgsm_search": self.search_subset_n(test_n),
+                       "one_pixel": self.one_pixel_n()},
+        }
+
     def train_config(self, epochs: int, seed: int) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.train.learning_rate,
@@ -241,12 +258,20 @@ def resolve_data_source(manifest: ExperimentManifest, data_dir) -> tuple:
             derive_seed(manifest.master_seed, "synthetic-data"))
 
 
+def load_test_split(source: tuple) -> Dataset:
+    if source[0] == "mnist":
+        return data_mod.load_mnist_split(source[1], "test")
+    _, _, test_n, seed = source
+    return data_mod.synthetic_dataset(test_n, seed + 1, "test")
+
+
 def load_data_source(source: tuple) -> tuple[Dataset, Dataset]:
     if source[0] == "mnist":
-        return data_mod.load_mnist(source[1])
-    _, train_n, test_n, seed = source
-    return (data_mod.synthetic_dataset(train_n, seed, "train"),
-            data_mod.synthetic_dataset(test_n, seed + 1, "test"))
+        train_set = data_mod.load_mnist_split(source[1], "train")
+    else:
+        _, train_n, _, seed = source
+        train_set = data_mod.synthetic_dataset(train_n, seed, "train")
+    return train_set, load_test_split(source)
 
 
 # --- graph dataset -------------------------------------------------------
@@ -484,7 +509,7 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
 
     Pairs completed under any manifest hash qualify, so attack settings can
     change without retraining."""
-    _, test_set = load_data_source(data_source)
+    test_set = load_test_split(data_source)
     count = 0
     for graph_id, init_method in store.completed_pairs(None):
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
@@ -497,7 +522,8 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
         store.save_robustness(graph_id, init_method, records)
         count += 1
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
-                            models=count, dataset=data_source[0])
+                            models=count, dataset=data_source[0],
+                            settings=manifest.attack_settings(test_set.n))
     return count
 
 

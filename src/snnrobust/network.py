@@ -189,6 +189,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def propagate(net: MaskedNetwork, pre0: np.ndarray
+              ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Run the network from the layer-0 pre-activations pre0, a
+    (batch, layer_units[0]) array, through hidden layers >= 1 and the output.
+
+    Returns (pre-activations per hidden layer, pre0 first; the
+    (batch, offsets[-1]) post-ReLU activation buffer; logits).
+    """
+    offsets = net.offsets
+    acts = np.empty((pre0.shape[0], offsets[-1]))
+    pre = [pre0]
+    np.maximum(pre0, 0.0, out=acts[:, :offsets[1]])
+    for l in range(1, net.n_layers):
+        z = acts[:, :offsets[l]] @ net.weights[l].T + net.biases[l]
+        pre.append(z)
+        np.maximum(z, 0.0, out=acts[:, offsets[l]:offsets[l + 1]])
+    logits = acts @ net.weights[-1].T + net.biases[-1]
+    return pre, acts, logits
+
+
 def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on one input vector or a (batch, input_dim) array.
 
@@ -200,15 +220,7 @@ def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise NetworkError(f"input must have {net.input_dim} features, got shape {x.shape}")
 
-    offsets = net.offsets
-    acts = np.empty((X.shape[0], offsets[-1]))
-    pre: list[np.ndarray] = []
-    for l in range(net.n_layers):
-        src = X if l == 0 else acts[:, :offsets[l]]
-        z = src @ net.weights[l].T + net.biases[l]
-        pre.append(z)
-        np.maximum(z, 0.0, out=acts[:, offsets[l]:offsets[l + 1]])
-    logits = acts @ net.weights[-1].T + net.biases[-1]
+    pre, acts, logits = propagate(net, X @ net.weights[0].T + net.biases[0])
     probs = softmax(logits)
 
     cache = ForwardCache(x=X, pre=pre, acts=acts, logits=logits, probs=probs,

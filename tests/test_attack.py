@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from snnrobust.attack import (AttackError, DEConfig, apply_candidate,
-                              de_evolve, fgsm, fgsm_eps_search, fgsm_many,
-                              init_population, one_pixel, perturbed_batch)
+                              candidate_probs, de_evolve, fgsm,
+                              fgsm_eps_search, fgsm_many, init_population,
+                              one_pixel, perturbed_batch, rand1_bin_draw)
 from snnrobust.data import synthetic_dataset
 from snnrobust.graph import Dag, layer_dag
 from snnrobust.network import build_network, forward, init_weights
@@ -141,6 +142,23 @@ class TestOnePixel:
         assert 1.0 - probs[y] == pytest.approx(
             1.0 - forward(frozen_net, apply_candidate(sample_image, cand))[1][y])
 
+    def test_incremental_fitness_matches_full_forward(self):
+        rng = np.random.default_rng(31)
+        x = synthetic_dataset(1, seed=9).images[0]
+        x[0] = 0.0
+        x[783] = 1.0
+        k = 14 * 28 + 13  # (p_x, p_y) = (14, 15)
+        cands = np.array([[1, 1, 0.0], [1, 1, 255.0], [28, 28, 0.0],
+                          [28, 28, 255.0], [14, 15, x[k] * 255.0],
+                          [5, 9, 200.0], [5, 9, 200.0], [28, 28, 255.0]])
+        for _ in range(4):
+            net = random_layered_net(rng, input_dim=784, output_dim=10,
+                                     bias_scale=0.1)
+            for y in range(3):
+                reference = 1.0 - forward(net, perturbed_batch(x, cands))[1][:, y]
+                fitness = 1.0 - candidate_probs(net, x)(cands)[:, y]
+                assert np.abs(fitness - reference).max() <= 1e-12
+
     def test_initial_population_distributions(self):
         cfg = DEConfig(pop_size=4000, max_iter=1, seed=0)
         pop = init_population(cfg, np.random.default_rng(0))
@@ -215,6 +233,41 @@ class TestDeEvolve:
         pop = init_population(cfg, np.random.default_rng(1))
         nxt, _ = de_evolve(pop, self.sum_fitness, cfg)
         assert nxt.shape == pop.shape
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_donors_distinct_and_uniform(self, n):
+        rng = np.random.default_rng(n)
+        generations = 24_000 // n
+        counts = np.zeros((3, n))
+        for _ in range(generations):
+            donors, _ = rand1_bin_draw(n, 0.9, rng)
+            a, b, c = donors.T
+            assert np.all(donors != np.arange(n)[:, None])
+            assert np.all((a != b) & (a != c) & (b != c))
+            for j in range(3):
+                counts[j] += np.bincount(donors[:, j], minlength=n)
+        # each member is drawn for n-1 of the n parents: share 1/n per slot
+        share = counts / (generations * n)
+        assert np.abs(share - 1.0 / n).max() < 0.01
+
+    def test_cr_zero_takes_one_mutant_coordinate(self):
+        _, cross = rand1_bin_draw(50, 0.0, np.random.default_rng(2))
+        assert np.array_equal(cross.sum(axis=1), np.ones(50))
+        # through de_evolve a child differs from its parent in at most the
+        # one coordinate it took (repair can map a mutant value back onto
+        # the parent's)
+        cfg = DEConfig(pop_size=40, max_iter=1, seed=4, CR=0.0)
+        pop = init_population(cfg, np.random.default_rng(4))
+        seen = []
+
+        def fitness(cands):
+            seen.append(cands.copy())
+            return np.zeros(len(cands))
+
+        de_evolve(pop, fitness, cfg, np.random.default_rng(5))
+        changed = (seen[1] != seen[0]).sum(axis=1)
+        assert changed.max() <= 1
+        assert changed.mean() > 0.8
 
     def test_small_population_rejected(self):
         cfg = DEConfig(pop_size=4, max_iter=1, seed=0)

@@ -12,11 +12,13 @@ from snnrobust.experiment import (CorrelationWithheldError, ExperimentError,
                                   candidate_param_count,
                                   correlate, dense_stack_dag, derive_seed,
                                   hidden_edge_count, load_data_source,
-                                  render_report, resolve_data_source,
-                                  run_pruning_baseline, run_sweep)
-from snnrobust.graph import generate_ws, layer_dag
+                                  render_report, rerun_attacks,
+                                  resolve_data_source, run_pruning_baseline,
+                                  run_sweep)
+from snnrobust.graph import generate_ws, layer_dag, to_dag
 from snnrobust.measure import MEASURE_COLUMNS, RobustnessRecord, tukey_fences
-from snnrobust.network import build_network, param_count
+from snnrobust.network import (build_network, init_weights, param_count,
+                               save_checkpoint)
 from snnrobust.store import ResultsStore
 
 
@@ -359,6 +361,47 @@ class TestPruningBaseline:
         assert [len(layer) for layer in ld.layers] == [3, 4, 2]
         net = build_network(ld, 5, 2)
         assert hidden_edge_count(net) == 3 * 4 + 4 * 2
+
+
+class TestRerunAttacks:
+    @pytest.fixture
+    def store_with_model(self, tmp_path):
+        manifest = tiny_manifest()
+        store = ResultsStore(tmp_path)
+        ld = layer_dag(to_dag(generate_ws(30, 2, 0.5, seed=1)))
+        net = init_weights(build_network(ld, 784, 10), "He_N", seed=2)
+        save_checkpoint(net, store.checkpoint_path("g0000", "He_N"))
+        store.mark_pair_done("g0000", "He_N", manifest.manifest_hash)
+        return manifest, store
+
+    def test_loads_only_the_test_split(self, store_with_model, monkeypatch):
+        from snnrobust import data
+        manifest, store = store_with_model
+        splits = []
+        real = data.synthetic_dataset
+
+        def counting(n, seed, split="train", **kwargs):
+            splits.append(split)
+            return real(n, seed, split, **kwargs)
+
+        monkeypatch.setattr(data, "synthetic_dataset", counting)
+        assert rerun_attacks(manifest, store, resolve_data_source(manifest, None)) == 1
+        assert splits == ["test"]
+
+    def test_provenance_records_attack_settings(self, store_with_model):
+        manifest, store = store_with_model
+        manifest.attacks.de_F = 0.7
+        rerun_attacks(manifest, store, resolve_data_source(manifest, None))
+        event = json.loads((store.root / "provenance.json").read_text())[-1]
+        assert event["event"] == "attack"
+        # the scaled values: pop 500 x 0.016, 500 generations x 0.004,
+        # 90 test images x 0.04, 100 one-pixel images x 0.03
+        assert event["settings"] == {
+            "fgsm_eps": 0.1,
+            "eps_grid": {"start": 0.001, "step": 0.01, "cap": 1.0},
+            "de": {"pop_size": 8, "max_iter": 2, "F": 0.7, "CR": 0.9},
+            "images": {"fgsm": 90, "fgsm_search": 4, "one_pixel": 3},
+        }
 
 
 class TestDeterminism:

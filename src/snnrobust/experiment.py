@@ -24,8 +24,8 @@ from . import data as data_mod
 from .attack import (ATTACK_CSV_HEADER, DEConfig, fgsm_eps_search, fgsm_many,
                      one_pixel)
 from .data import Dataset
-from .graph import (Dag, compute_metrics, generate_ws, layer_dag, make_graph,
-                    to_dag)
+from .graph import (Dag, GraphMetrics, compute_metrics, generate_ws, layer_dag,
+                    make_graph, to_dag)
 from .measure import (MEASURE_COLUMNS, CorrelationTable, RobustnessRecord,
                       correlation_cell, robustness_record, tukey_fences)
 from .network import (MaskedNetwork, build_network, init_weights,
@@ -119,8 +119,28 @@ class PruningSettings:
     init_method: str = "He_N"
 
 
+# graph property name -> GraphMetrics field; num_parameters is the network's
+METRIC_PROPERTIES = {
+    "vertex_count": "vertex_count",
+    "edge_count": "edge_count",
+    "density": "density_undirected",
+    "density_directed": "density_directed",
+    "diameter": "diameter",
+    "avg_path_length": "avg_path_length",
+    "avg_eccentricity": "avg_eccentricity",
+    "avg_betweenness": "avg_betweenness",
+    "avg_closeness": "avg_closeness",
+}
+PROPERTY_NAMES = ("num_parameters", *METRIC_PROPERTIES)
 DEFAULT_PROPERTIES = ["num_parameters", "density", "avg_path_length",
                       "avg_eccentricity", "diameter"]
+
+
+def graph_properties(metrics: GraphMetrics, num_parameters: int) -> dict:
+    """Every graph property a manifest may correlate, by name."""
+    props = {"num_parameters": num_parameters}
+    props.update((name, getattr(metrics, f)) for name, f in METRIC_PROPERTIES.items())
+    return props
 
 
 @dataclass
@@ -149,6 +169,10 @@ class ExperimentManifest:
             raise ExperimentError(f"unknown outlier_mode {self.outlier_mode!r}")
         if self.dataset not in ("mnist", "synthetic", "auto"):
             raise ExperimentError(f"unknown dataset {self.dataset!r}")
+        unknown = [p for p in self.properties if p not in PROPERTY_NAMES]
+        if unknown:
+            raise ExperimentError(f"unknown graph properties {unknown}; "
+                                  f"allowed: {', '.join(PROPERTY_NAMES)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -530,24 +554,6 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
 # --- correlation ----------------------------------------------------------
 
 
-PROPERTY_GETTERS = {
-    "num_parameters": lambda e: e.param_count,
-    "vertex_count": lambda e: e.metrics.vertex_count,
-    "edge_count": lambda e: e.metrics.edge_count,
-    "density": lambda e: e.metrics.density_undirected,
-    "density_directed": lambda e: e.metrics.density_directed,
-    "diameter": lambda e: e.metrics.diameter,
-    "avg_path_length": lambda e: e.metrics.avg_path_length,
-    "avg_eccentricity": lambda e: e.metrics.avg_eccentricity,
-    "avg_betweenness": lambda e: e.metrics.avg_betweenness,
-    "avg_closeness": lambda e: e.metrics.avg_closeness,
-}
-
-
-def _measure_value(record: RobustnessRecord, measure: str) -> float | None:
-    return getattr(record, measure)
-
-
 def _aggregate_column(records: list[RobustnessRecord], attack: str, measure: str,
                       mode: str) -> tuple[dict[str, float], dict]:
     """Per-model mean of per-run measure values after outlier filtering.
@@ -561,7 +567,7 @@ def _aggregate_column(records: list[RobustnessRecord], attack: str, measure: str
     for r in records:
         if r.attack != attack:
             continue
-        v = _measure_value(r, measure)
+        v = getattr(r, measure)
         if v is None:
             continue
         per_model.setdefault(r.model_id, []).append(float(v))
@@ -612,7 +618,7 @@ def correlate(manifest: ExperimentManifest, store: ResultsStore,
         entries = store.load_graph_entries()
     if not records:
         raise CorrelationWithheldError("no robustness records in store")
-    by_id = {e.graph_id: e for e in entries}
+    props = {e.graph_id: graph_properties(e.metrics, e.param_count) for e in entries}
     models_with_records = {r.model_id for r in records}
     if len(models_with_records) < 3:
         raise CorrelationWithheldError(
@@ -624,10 +630,9 @@ def correlate(manifest: ExperimentManifest, store: ResultsStore,
         means, info = _aggregate_column(records, attack, measure,
                                         manifest.outlier_mode)
         logs.append(info)
-        model_ids = sorted(m for m in means if m in by_id)
+        model_ids = sorted(m for m in means if m in props)
         for prop in manifest.properties:
-            getter = PROPERTY_GETTERS[prop]
-            xs = [getter(by_id[m]) for m in model_ids]
+            xs = [props[m][prop] for m in model_ids]
             ys = [means[m] for m in model_ids]
             cells.append(correlation_cell(prop, attack, measure, xs, ys))
     table = CorrelationTable(cells=cells, properties=list(manifest.properties))
@@ -662,6 +667,7 @@ PRUNING_STEP_HEADER = [
     "one_pixel_error_rate", "one_pixel_avg_confidence",
     "num_parameters", "density", "avg_path_length", "avg_eccentricity",
     "diameter", "avg_betweenness", "avg_closeness", "disconnected",
+    "vertex_count", "edge_count", "density_directed",
 ]
 
 
@@ -670,41 +676,25 @@ def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
     report = evaluate_f1(net, test_set.subset(
         np.arange(manifest.test_subset_n(test_set.n))))
     outcomes, _ = run_attacks(net, test_set, manifest, ("prune", step))
-    measures = {}
-    for kind, outs in outcomes.items():
-        if not outs:
-            measures[kind] = None
-            continue
-        measures[kind] = robustness_record("prune", "baseline", kind, outs)
-
-    hidden_dag = network_to_graph(net)
-    hidden_undirected = compute_metrics(
-        make_graph(hidden_dag.vertex_count, hidden_dag.directed_edges))
-
-    def m(kind, attr):
-        rec = measures.get(kind)
-        return getattr(rec, attr) if rec is not None else None
-
-    return {
+    record = {
         "step": step,
         "param_count": param_count(net),
         "hidden_edges": hidden_edge_count(net),
         "accuracy": report.accuracy,
         "macro_f1": report.macro_f1,
-        "fgsm_error_rate": m("fgsm", "error_rate"),
-        "fgsm_avg_confidence": m("fgsm", "avg_confidence"),
-        "fgsm_search_avg_epsilon": m("fgsm_search", "avg_epsilon"),
-        "one_pixel_error_rate": m("one_pixel", "error_rate"),
-        "one_pixel_avg_confidence": m("one_pixel", "avg_confidence"),
-        "num_parameters": param_count(net),
-        "density": hidden_undirected.density_undirected,
-        "avg_path_length": hidden_undirected.avg_path_length,
-        "avg_eccentricity": hidden_undirected.avg_eccentricity,
-        "diameter": hidden_undirected.diameter,
-        "avg_betweenness": hidden_undirected.avg_betweenness,
-        "avg_closeness": hidden_undirected.avg_closeness,
-        "disconnected": hidden_undirected.disconnected,
     }
+    measured = {kind: robustness_record("prune", "baseline", kind, outs)
+                for kind, outs in outcomes.items() if outs}
+    for attack, measure in MEASURE_COLUMNS:
+        rec = measured.get(attack)
+        record[f"{attack}_{measure}"] = getattr(rec, measure) if rec is not None else None
+
+    hidden_dag = network_to_graph(net)
+    hidden_metrics = compute_metrics(
+        make_graph(hidden_dag.vertex_count, hidden_dag.directed_edges))
+    record.update(graph_properties(hidden_metrics, record["param_count"]))
+    record["disconnected"] = hidden_metrics.disconnected
+    return record
 
 
 def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
@@ -744,11 +734,7 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
 
     cells = []
     for attack, measure in MEASURE_COLUMNS:
-        col = {"fgsm": {"error_rate": "fgsm_error_rate",
-                        "avg_confidence": "fgsm_avg_confidence"},
-               "fgsm_search": {"avg_epsilon": "fgsm_search_avg_epsilon"},
-               "one_pixel": {"error_rate": "one_pixel_error_rate",
-                             "avg_confidence": "one_pixel_avg_confidence"}}[attack][measure]
+        col = f"{attack}_{measure}"
         pairs = [(rec, rec[col]) for rec in steps if rec[col] is not None]
         for prop in manifest.properties:
             xs = [rec[prop] for rec, _ in pairs]

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 GRAPH_SCHEMA_VERSION = 1
 
@@ -46,15 +47,6 @@ class UndirectedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbor_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.vertex_count, dtype=np.int64)
@@ -245,174 +237,58 @@ class GraphMetrics:
     disconnected: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "density_undirected": self.density_undirected,
-            "density_directed": self.density_directed,
-            "diameter": self.diameter,
-            "avg_path_length": self.avg_path_length,
-            "avg_eccentricity": self.avg_eccentricity,
-            "avg_betweenness": self.avg_betweenness,
-            "avg_closeness": self.avg_closeness,
-            "degree_distribution": list(self.degree_distribution),
-            "path_length_distribution": list(self.path_length_distribution),
-            "disconnected": self.disconnected,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphMetrics":
         return cls(**d)
 
 
-def connected_components(g: UndirectedGraph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, largest first."""
-    adj = g.neighbor_lists()
-    seen = [False] * g.vertex_count
-    comps: list[list[int]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
-
-
-def _bfs_distances(adj: list[list[int]], source: int, n: int) -> np.ndarray:
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
-def _brandes_betweenness(adj: list[list[int]], nodes: list[int]) -> dict[int, float]:
-    """Unnormalized betweenness over ordered pairs (Brandes accumulation)."""
-    bc = {v: 0.0 for v in nodes}
-    for s in nodes:
-        stack: list[int] = []
-        preds: dict[int, list[int]] = {v: [] for v in nodes}
-        sigma = {v: 0.0 for v in nodes}
-        dist = {v: -1 for v in nodes}
-        sigma[s] = 1.0
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            stack.append(u)
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-                if dist[w] == dist[u] + 1:
-                    sigma[w] += sigma[u]
-                    preds[w].append(u)
-        delta = {v: 0.0 for v in nodes}
-        while stack:
-            w = stack.pop()
-            for u in preds[w]:
-                delta[u] += (sigma[u] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    return bc
-
-
 def compute_metrics(g: UndirectedGraph) -> GraphMetrics:
     """Compute the full metric set for an undirected graph.
 
     Densities: undirected |E| / (n(n-1)/2); directed density of the derived
-    DAG is half that (same edge set). Betweenness is normalized by
-    (n-1)(n-2)/2 and closeness is (n-1) / sum of distances, with n the size
-    of the component the metric is computed on.
+    DAG is half that (same edge set). Path metrics are read off one
+    unweighted shortest-path matrix of the largest component (on a size tie,
+    the one holding the lowest vertex), with n its size: closeness is
+    (n-1) / sum of distances, and betweenness is normalized by (n-1)(n-2)/2.
+    Every shortest s-t path has d(s,t) - 1 interior vertices, so the
+    betweenness summed over vertices is sum over pairs of (d(s,t) - 1), and
+    its mean is (avg_path_length - 1) / (n - 2).
     """
     n = g.vertex_count
     m = g.edge_count
     density_u = 0.0 if n < 2 else m / (n * (n - 1) / 2.0)
-    density_d = density_u / 2.0
-
     degrees = g.degrees()
-    max_deg = int(degrees.max()) if n > 0 else 0
-    degree_hist = np.bincount(degrees, minlength=max_deg + 1).tolist()
+    degree_hist = np.bincount(degrees, minlength=int(degrees.max()) + 1).tolist()
 
-    comps = connected_components(g)
-    disconnected = len(comps) > 1
-    comp = comps[0]
+    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    adj = csr_matrix((np.ones(m), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    n_comps, labels = csgraph.connected_components(adj, directed=False)
+    # argmax takes the lowest vertex among those in a largest component
+    comp = np.flatnonzero(labels == labels[np.argmax(np.bincount(labels)[labels])])
     nc = len(comp)
-    adj = g.neighbor_lists()
+    dist = csgraph.shortest_path(adj[comp][:, comp], directed=False,
+                                 unweighted=True).astype(np.int64)
 
-    if nc == 1:
-        return GraphMetrics(
-            vertex_count=n,
-            edge_count=m,
-            density_undirected=density_u,
-            density_directed=density_d,
-            diameter=0,
-            avg_path_length=0.0,
-            avg_eccentricity=0.0,
-            avg_betweenness=0.0,
-            avg_closeness=0.0,
-            degree_distribution=degree_hist,
-            path_length_distribution=[0],
-            disconnected=disconnected,
-        )
-
-    ecc: dict[int, int] = {}
-    closeness: dict[int, float] = {}
-    path_sum = 0
-    path_hist_counts: dict[int, int] = {}
-    for v in comp:
-        dist = _bfs_distances(adj, v, n)
-        dcomp = dist[comp]
-        ecc[v] = int(dcomp.max())
-        closeness[v] = (nc - 1) / float(dcomp.sum())
-        path_sum += int(dcomp.sum())
-        for d_val, cnt in zip(*np.unique(dcomp[dcomp > 0], return_counts=True)):
-            path_hist_counts[int(d_val)] = path_hist_counts.get(int(d_val), 0) + int(cnt)
-
-    diameter = max(ecc.values())
-    # each unordered pair was counted twice in the per-source scan
-    avg_path_length = path_sum / float(nc * (nc - 1))
-    path_hist = [0] * (diameter + 1)
-    for d_val, cnt in path_hist_counts.items():
-        path_hist[d_val] = cnt // 2
-
-    # neighbors of a component vertex stay inside the component
-    raw_bc = _brandes_betweenness(adj, comp)
-    if nc > 2:
-        norm = (nc - 1) * (nc - 2) / 2.0
-        bc = {v: (raw_bc[v] / 2.0) / norm for v in comp}
-    else:
-        bc = {v: 0.0 for v in comp}
-
+    ecc = dist.max(axis=1)
+    diameter = int(ecc.max())
+    row_sums = dist.sum(axis=1)
+    avg_path_length = int(row_sums.sum()) / float(nc * (nc - 1)) if nc > 1 else 0.0
     return GraphMetrics(
         vertex_count=n,
         edge_count=m,
         density_undirected=density_u,
-        density_directed=density_d,
+        density_directed=density_u / 2.0,
         diameter=diameter,
         avg_path_length=avg_path_length,
-        avg_eccentricity=float(np.mean([ecc[v] for v in comp])),
-        avg_betweenness=float(np.mean([bc[v] for v in comp])),
-        avg_closeness=float(np.mean([closeness[v] for v in comp])),
+        avg_eccentricity=float(ecc.mean()),
+        avg_betweenness=(avg_path_length - 1.0) / (nc - 2) if nc > 2 else 0.0,
+        avg_closeness=float(np.mean((nc - 1) / row_sums)) if nc > 1 else 0.0,
         degree_distribution=degree_hist,
-        path_length_distribution=path_hist,
-        disconnected=disconnected,
+        path_length_distribution=np.bincount(
+            dist[np.triu_indices(nc, 1)], minlength=diameter + 1).tolist(),
+        disconnected=n_comps > 1,
     )
 
 

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to verify the implementation.
 
 These deliberately avoid the code paths they check: distances come from
-Floyd-Warshall instead of BFS, betweenness from naive per-pair path
-counting instead of Brandes accumulation, gradients from central finite
-differences, network outputs vertex by vertex along the DAG edges instead
-of one matmul per layer, and rank statistics from exhaustive pair counting.
+Floyd-Warshall instead of scipy's shortest paths, betweenness from naive
+per-pair path counting instead of the identity sum_v bc(v) =
+sum_{s<t} (d(s,t) - 1) that `compute_metrics` uses, gradients from
+central finite differences, network outputs vertex by vertex along the DAG
+edges instead of one matmul per layer, and rank statistics from exhaustive
+pair counting.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ def floyd_warshall(g: UndirectedGraph) -> np.ndarray:
 def path_counts(g: UndirectedGraph, dist: np.ndarray) -> np.ndarray:
     """sigma[s, t]: number of shortest s-t paths, by increasing distance."""
     n = g.vertex_count
-    adj = g.neighbor_lists()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     sigma = np.zeros((n, n))
     np.fill_diagonal(sigma, 1.0)
     max_d = int(dist[np.isfinite(dist)].max())

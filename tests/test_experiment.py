@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from snnrobust.experiment import (CorrelationWithheldError, ExperimentError,
-                                  ExperimentManifest, GridSpec, ScaleFactors,
+from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
+                                  ExperimentError, ExperimentManifest,
+                                  GridSpec, ScaleFactors,
                                   _aggregate_column, build_graph_dataset,
                                   candidate_param_count,
                                   correlate, dense_stack_dag, derive_seed,
@@ -69,6 +70,15 @@ class TestManifest:
     def test_param_range_validated(self):
         with pytest.raises(ExperimentError):
             ExperimentManifest(param_range=(100, 100))
+
+    def test_unknown_property_rejected(self):
+        with pytest.raises(ExperimentError, match="no_such_property.*avg_closeness"):
+            ExperimentManifest(properties=["density", "no_such_property"])
+        d = ExperimentManifest().to_dict()
+        d["properties"] = ["no_such_property"]
+        with pytest.raises(ExperimentError):
+            ExperimentManifest.from_dict(d)
+        assert ExperimentManifest(properties=list(PROPERTY_NAMES)).properties
 
     def test_effective_scaling(self):
         m = tiny_manifest()
@@ -355,6 +365,33 @@ class TestPruningBaseline:
             assert steps[k]["hidden_edges"] == n
         assert (tmp_path / "pruning" / "steps.csv").exists()
         assert (tmp_path / "pruning" / "correlations.csv").exists()
+
+    def test_every_property_recorded_and_correlated(self, tmp_path):
+        manifest = tiny_manifest(properties=["density", "edge_count", "vertex_count",
+                                             "density_directed"])
+        manifest.pruning.hidden_layers = [4, 6, 4]
+        manifest.pruning.steps = 1
+        manifest.pruning.alpha = 0.5
+        manifest.pruning.retrain_epochs = 1
+        store = ResultsStore(tmp_path)
+        steps = run_pruning_baseline(manifest, store,
+                                     resolve_data_source(manifest, None))
+        assert steps[0]["edge_count"] == 4 * 6 + 6 * 4
+        assert steps[0]["vertex_count"] == 14
+        assert all(set(PROPERTY_NAMES) <= set(rec) for rec in steps)
+        with open(tmp_path / "pruning" / "steps.csv") as f:
+            header = next(csv.reader(f))
+        # the earlier columns in their earlier order, then the three added ones
+        assert header == [
+            "step", "param_count", "hidden_edges", "accuracy", "macro_f1",
+            "fgsm_error_rate", "fgsm_avg_confidence", "fgsm_search_avg_epsilon",
+            "one_pixel_error_rate", "one_pixel_avg_confidence",
+            "num_parameters", "density", "avg_path_length", "avg_eccentricity",
+            "diameter", "avg_betweenness", "avg_closeness", "disconnected",
+            "vertex_count", "edge_count", "density_directed"]
+        with open(tmp_path / "pruning" / "correlations.csv") as f:
+            rows = list(csv.reader(f))
+        assert [r[0] for r in rows[1:]] == manifest.properties
 
     def test_dense_stack_dag_layers(self):
         ld = layer_dag(dense_stack_dag([3, 4, 2]))

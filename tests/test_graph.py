@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnrobust.experiment import derive_seed
 from snnrobust.graph import (Dag, GraphError, UndirectedGraph, compute_metrics,
                              generate_ws, graph_from_json, graph_to_json,
                              layer_dag, make_graph, to_dag)
@@ -151,6 +153,49 @@ class TestComputeMetrics:
             assert m.avg_eccentricity == pytest.approx(o["avg_eccentricity"], abs=1e-12)
             assert m.avg_betweenness == pytest.approx(o["avg_betweenness"], abs=1e-12)
             assert m.avg_closeness == pytest.approx(o["avg_closeness"], abs=1e-12)
+
+    @pytest.mark.parametrize("edges, diameter", [
+        ([(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], 2),
+        ([(0, 4), (4, 5), (1, 2), (2, 3), (1, 3)], 2),
+        ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)], 1),
+    ], ids=["path-first", "path-interleaved", "triangle-first"])
+    def test_component_tie_keeps_lowest_vertex(self, edges, diameter):
+        # two 3-vertex components: the one holding vertex 0 is measured
+        m = compute_metrics(make_graph(6, edges))
+        assert m.disconnected
+        assert m.diameter == diameter
+        assert m.path_length_distribution == ([0, 2, 1] if diameter == 2 else [0, 3])
+
+    @pytest.mark.parametrize("kind", ["ws", "disconnected"])
+    def test_matches_oracle_at_40_vertices(self, kind):
+        g = generate_ws(40, 2, 0.5, seed=5)
+        if kind == "disconnected":
+            a, b = generate_ws(24, 2, 0.6, seed=7), generate_ws(15, 1, 0.4, seed=8)
+            g = make_graph(40, [*a.edges, *((u + 24, v + 24) for u, v in b.edges)])
+        m = compute_metrics(g)
+        o = naive_metrics(g)
+        assert m.disconnected == o["disconnected"] == (kind == "disconnected")
+        assert m.diameter == o["diameter"]
+        for key in ("avg_path_length", "avg_eccentricity", "avg_betweenness",
+                    "avg_closeness"):
+            assert getattr(m, key) == pytest.approx(o[key], abs=1e-12), key
+
+    # The benchmark's stored WS(400, 2, p) graphs (perfbench/workloads.py):
+    # SHA-256 of every field but avg_betweenness, and avg_betweenness, as the
+    # BFS/Brandes implementation computed them.
+    @pytest.mark.parametrize("index, p, digest, betweenness", [
+        (0, 0.7, "3b783ba7f6dec7ebe3ec5bdb9c9811a775fceb946d06a79b4b275c3073dd51f5",
+         0.009081119885139986),
+        (1, 0.8, "7d0c44a367b892e7f819b76c78d3926f4e4388ccc0a44fafe1956c462f63b255",
+         0.00907652296570572),
+        (2, 0.9, "a5c3b585fd38917340a7d29d1ece7cead4736ab6d79545f5708694542888834d",
+         0.008981876802559161),
+    ])
+    def test_golden_benchmark_graphs(self, index, p, digest, betweenness):
+        g = generate_ws(400, 2, p, derive_seed(2107_06158, "bench-graph", index))
+        d = compute_metrics(g).to_dict()
+        assert d.pop("avg_betweenness") == pytest.approx(betweenness, abs=1e-15)
+        assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
 
     def test_directed_density_is_half_undirected(self, rng):
         for _ in range(20):

@@ -271,12 +271,12 @@ def candidate_probs(net: MaskedNetwork, x: np.ndarray):
     change; only the layers above run per candidate.
     """
     w0_rows = net.weights[0].T.copy()
-    pre0 = x @ net.weights[0].T + net.biases[0]
+    pre0 = net.weights[0] @ x + net.biases[0]
 
     def probs(cands: np.ndarray) -> np.ndarray:
         flat = _pixel_index(cands)
         delta = cands[:, 2] / INTENSITY_MAX - x[flat]
-        _, _, logits = propagate(net, pre0 + w0_rows[flat] * delta[:, None])
+        _, _, logits = propagate(net, (pre0 + w0_rows[flat] * delta[:, None]).T)
         return softmax(logits)
 
     return probs

@@ -302,7 +302,14 @@ def load_data_source(source: tuple) -> tuple[Dataset, Dataset]:
 
 
 def candidate_param_count(g) -> int:
-    return param_count(build_network(layer_dag(to_dag(g)), INPUT_DIM, OUTPUT_DIM))
+    """param_count of the network that g induces, from the edge list alone:
+    INPUT_DIM weights into every source (no lower-indexed neighbour), one
+    per edge, OUTPUT_DIM out of every sink (no higher-indexed neighbour),
+    and a bias per hidden unit and output."""
+    n = g.vertex_count
+    sources = n - len({v for _, v in g.edges})
+    sinks = n - len({u for u, _ in g.edges})
+    return INPUT_DIM * sources + g.edge_count + OUTPUT_DIM * sinks + n + OUTPUT_DIM
 
 
 def build_graph_dataset(manifest: ExperimentManifest,
@@ -701,7 +708,7 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
                          data_source: tuple) -> list[dict]:
     """Dense reference model pruned randomly for the configured number of
     steps, with retraining, attacks, and hidden-structure metrics per step."""
-    train_set, test_set = load_data_source(data_source)
+    train_set, test_set = _get_worker_data(tuple(data_source))
     p = manifest.pruning
     ld = layer_dag(dense_stack_dag(p.hidden_layers))
     net = build_network(ld, INPUT_DIM, OUTPUT_DIM)
@@ -754,7 +761,8 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
 
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     """Human-readable summary: run mode, the dataset the latest stage ran on,
-    counts, and the two strongest graph properties per robustness measure."""
+    counts, censored epsilon searches, failed tasks, and the two strongest
+    graph properties per robustness measure."""
     prov_path = store.root / "provenance.json"
     events = json.loads(prov_path.read_text()) if prov_path.exists() else []
     used = [e["dataset"] for e in events if "dataset" in e]
@@ -777,6 +785,14 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     models = sorted({r.model_id for r in records})
     inits = sorted({r.init_method for r in records})
     lines.append(f"models: {len(models)} graphs x {len(inits)} initializations")
+    searched = [r for r in records if r.attack == "fgsm_search"]
+    lines.append(f"epsilon search: {sum(r.n_censored for r in searched)} of "
+                 f"{sum(r.n_attacked for r in searched)} searched images censored "
+                 "(no flip within the cap)")
+    failed = [e for e in events if e["event"] == "task-failed"]
+    lines.append(f"failed tasks: {len(failed)}")
+    for e in failed:
+        lines.append(f"  {e['graph_id']} / {e['init_method']}: {e['error']}")
     lines.append("")
 
     corr_path = store.root / "correlations_long.csv"

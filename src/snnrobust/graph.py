@@ -155,11 +155,15 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
                 continue
             if len(adj[u]) >= size - 1:
                 continue
-            forbidden = np.zeros(size, dtype=bool)
-            forbidden[u] = True
-            forbidden[list(adj[u])] = True
-            candidates = np.flatnonzero(~forbidden)
-            w = int(rng.choice(candidates))
+            # draw w's rank among the vertices outside adj[u] | {u} (one
+            # integers() draw, the stream use of rng.choice over them), then
+            # step past each taken vertex at or below it
+            taken = sorted(adj[u] | {u})
+            w = int(rng.integers(size - len(taken)))
+            for t in taken:
+                if t > w:
+                    break
+                w += 1
             adj[u].discard(v)
             adj[v].discard(u)
             adj[u].add(w)

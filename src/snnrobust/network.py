@@ -1,18 +1,24 @@
 """Masked feed-forward networks built from layered DAGs.
 
-A network holds one dense weight matrix W and one binary mask M of the same
-shape per target layer. The hidden activations of one input row live in a
-single buffer, hidden layer l in columns offsets[l]:offsets[l+1], so every
-target layer is one matmul:
+A network holds, per target layer, one dense weight matrix W, one binary
+mask M of the same shape, and the sorted columns `sources[l]` that the
+matrix reads. The hidden activations live in one unit-major buffer, hidden
+layer l in rows offsets[l]:offsets[l+1], so every target layer is one
+matmul over the rows it gathers:
   * layer 0 (the in-degree-0 vertices) reads the network input; its matrix
-    is (layer_units[0], input_dim) with an all-ones mask;
-  * hidden layer l > 0 reads buffer columns :offsets[l], every earlier
-    hidden unit in vertex-layer order (skip connections included); its
-    matrix is (layer_units[l], offsets[l]) and the mask mirrors the DAG
-    edges;
-  * the output reads the whole buffer; its matrix is (output_dim,
-    offsets[-1]) and the mask selects the sink columns (no outgoing DAG
-    edge, whatever their layer).
+    is (layer_units[0], input_dim) with an all-ones mask, and sources[0]
+    lists every input feature;
+  * hidden layer l > 0 reads the buffer rows sources[l], the earlier hidden
+    units with at least one unmasked edge into it (skip connections
+    included); its matrix is (layer_units[l], len(sources[l])) and the mask
+    mirrors the DAG edges;
+  * the output reads the sinks (no outgoing DAG edge, whatever their
+    layer); its matrix is (output_dim, len(sinks)) with an all-ones mask.
+
+sources[l] therefore holds the columns with an unmasked entry of layer l's
+full-width block, whose columns are the input features (layer 0) or every
+earlier hidden unit in vertex-layer order. Checkpoints store those blocks;
+a column that loses its last unmasked entry to pruning is dropped.
 
 Weights are zero wherever the mask is: construction, initialization and
 pruning write zeros there, and backward() masks the weight gradients, so
@@ -57,6 +63,7 @@ class MaskedNetwork:
     sinks: list[int]
     weights: list[np.ndarray]  # one per hidden layer, then the output matrix
     masks: list[np.ndarray]    # aligned with weights
+    sources: list[np.ndarray]  # aligned with weights: the columns each reads
     biases: list[np.ndarray]   # one per hidden layer, then the output bias
     init_method: str | None = None
     version: int = field(default=0, repr=False)
@@ -67,8 +74,8 @@ class MaskedNetwork:
 
     @property
     def offsets(self) -> list[int]:
-        """First activation-buffer column of each hidden layer, then the
-        total hidden width."""
+        """First activation-buffer row of each hidden layer, then the total
+        hidden width."""
         return [0, *accumulate(self.layer_units)]
 
     def mark_mutated(self) -> None:
@@ -88,8 +95,8 @@ class MaskedNetwork:
 @dataclass
 class ForwardCache:
     x: np.ndarray            # (batch, input_dim)
-    pre: list[np.ndarray]    # pre-activations per hidden layer
-    acts: np.ndarray         # (batch, offsets[-1]) post-ReLU activation buffer
+    pre: list[np.ndarray]    # (layer_units[l], batch) pre-activations per hidden layer
+    acts: np.ndarray         # (offsets[-1], batch) post-ReLU activation buffer
     logits: np.ndarray
     probs: np.ndarray
     single: bool
@@ -98,18 +105,44 @@ class ForwardCache:
 
 def _layer_shapes(input_dim: int, output_dim: int,
                   units: list[int]) -> list[tuple[int, int]]:
+    """Shapes of the full-width blocks, one per target layer."""
     offsets = [0, *accumulate(units)]
     return ([(units[0], input_dim)]
             + [(units[l], offsets[l]) for l in range(1, len(units))]
             + [(output_dim, offsets[-1])])
 
 
-def _columns(offsets: list[int], source_layer: int) -> slice:
-    """Columns that a source layer occupies in its target layer's matrix;
-    source layer -1 is the network input."""
+def _columns(offsets: list[int], input_dim: int, source_layer: int) -> slice:
+    """Columns that a source layer occupies in its target layer's full-width
+    block; source layer -1 is the network input."""
     if source_layer < 0:
-        return slice(None)
+        return slice(0, input_dim)
     return slice(offsets[source_layer], offsets[source_layer + 1])
+
+
+def _keep_live_columns(net: MaskedNetwork) -> None:
+    """Drop, in place, every matrix column without an unmasked entry."""
+    for l, m in enumerate(net.masks):
+        live = m.any(axis=0)
+        if not live.all():
+            net.sources[l] = net.sources[l][live]
+            net.masks[l] = m[:, live]
+            net.weights[l] = net.weights[l][:, live]
+
+
+def _from_blocks(input_dim: int, output_dim: int, layer_units: list[int],
+                layer_vertices: list[list[int]], sinks: list[int],
+                weights: list[np.ndarray], masks: list[np.ndarray],
+                biases: list[np.ndarray], init_method: str | None = None
+                ) -> MaskedNetwork:
+    """The network of full-width blocks, narrowed to their live columns;
+    raises NetworkError on a nonzero weight at a masked position."""
+    net = MaskedNetwork(input_dim, output_dim, layer_units, layer_vertices, sinks,
+                        weights, masks, [np.arange(m.shape[1]) for m in masks],
+                        biases, init_method=init_method)
+    net.assert_mask_invariant()
+    _keep_live_columns(net)
+    return net
 
 
 def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetwork:
@@ -130,9 +163,9 @@ def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetw
         masks[ld.layer_index[v]][row[v], column[u]] = 1.0
     masks[-1][:, [column[v] for v in ld.sinks]] = 1.0
 
-    return MaskedNetwork(input_dim, output_dim, units, layers, sorted(ld.sinks),
-                         [np.zeros_like(m) for m in masks], masks,
-                         [np.zeros(u) for u in units] + [np.zeros(output_dim)])
+    return _from_blocks(input_dim, output_dim, units, layers, sorted(ld.sinks),
+                       [np.zeros_like(m) for m in masks], masks,
+                       [np.zeros(u) for u in units] + [np.zeros(output_dim)])
 
 
 def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
@@ -143,7 +176,8 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
     U (uniform on [-0.1, 0.1]). Each (source layer, target layer) block that
     carries a connection is drawn whole, with the block's own fans, in the
     order input block, hidden blocks by (source, target), output blocks by
-    source; masked entries are then zeroed. Biases stay zero.
+    source; the live columns are kept and masked entries zeroed. Biases stay
+    zero.
     """
     if method not in INIT_METHODS:
         raise NetworkError(f"unknown init method {method!r}; expected one of {INIT_METHODS}")
@@ -155,28 +189,30 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
     pairs = ([(-1, 0)] + [(s, l) for s in range(L) for l in range(s + 1, L)]
              + [(t, L) for t in range(L)])
     for s, t in pairs:
-        cols = _columns(offsets, s)
-        m = out.masks[t][:, cols]
+        block = _columns(offsets, out.input_dim, s)
+        lo, hi = np.searchsorted(out.sources[t], (block.start, block.stop))
+        m = out.masks[t][:, lo:hi]
         if not m.any():
             continue
-        fan_out, fan_in = m.shape
+        shape = (m.shape[0], block.stop - block.start)
+        fan_out, fan_in = shape
         if method == "G_N":
             std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-            w = rng.normal(0.0, std, size=m.shape)
+            w = rng.normal(0.0, std, size=shape)
         elif method == "G_U":
             bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=m.shape)
+            w = rng.uniform(-bound, bound, size=shape)
         elif method == "He_N":
             std = gain / np.sqrt(fan_in)
-            w = rng.normal(0.0, std, size=m.shape)
+            w = rng.normal(0.0, std, size=shape)
         elif method == "He_U":
             bound = gain * np.sqrt(3.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=m.shape)
+            w = rng.uniform(-bound, bound, size=shape)
         elif method == "N":
-            w = rng.normal(0.0, 0.1, size=m.shape)
+            w = rng.normal(0.0, 0.1, size=shape)
         else:  # "U"
-            w = rng.uniform(-0.1, 0.1, size=m.shape)
-        out.weights[t][:, cols] = w * m
+            w = rng.uniform(-0.1, 0.1, size=shape)
+        out.weights[t][:, lo:hi] = w[:, out.sources[t][lo:hi] - block.start] * m
     out.biases = [np.zeros_like(b) for b in out.biases]
     out.init_method = method
     out.mark_mutated()
@@ -192,20 +228,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def propagate(net: MaskedNetwork, pre0: np.ndarray
               ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Run the network from the layer-0 pre-activations pre0, a
-    (batch, layer_units[0]) array, through hidden layers >= 1 and the output.
+    (layer_units[0], batch) array, through hidden layers >= 1 and the output.
 
     Returns (pre-activations per hidden layer, pre0 first; the
-    (batch, offsets[-1]) post-ReLU activation buffer; logits).
+    (offsets[-1], batch) post-ReLU activation buffer; (batch, output_dim)
+    logits).
     """
     offsets = net.offsets
-    acts = np.empty((pre0.shape[0], offsets[-1]))
+    acts = np.empty((offsets[-1], pre0.shape[1]))
     pre = [pre0]
-    np.maximum(pre0, 0.0, out=acts[:, :offsets[1]])
+    np.maximum(pre0, 0.0, out=acts[:offsets[1]])
     for l in range(1, net.n_layers):
-        z = acts[:, :offsets[l]] @ net.weights[l].T + net.biases[l]
+        z = net.weights[l] @ acts[net.sources[l]] + net.biases[l][:, None]
         pre.append(z)
-        np.maximum(z, 0.0, out=acts[:, offsets[l]:offsets[l + 1]])
-    logits = acts @ net.weights[-1].T + net.biases[-1]
+        np.maximum(z, 0.0, out=acts[offsets[l]:offsets[l + 1]])
+    logits = acts[net.sources[-1]].T @ net.weights[-1].T + net.biases[-1]
     return pre, acts, logits
 
 
@@ -220,7 +257,7 @@ def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise NetworkError(f"input must have {net.input_dim} features, got shape {x.shape}")
 
-    pre, acts, logits = propagate(net, X @ net.weights[0].T + net.biases[0])
+    pre, acts, logits = propagate(net, net.weights[0] @ X.T + net.biases[0][:, None])
     probs = softmax(logits)
 
     cache = ForwardCache(x=X, pre=pre, acts=acts, logits=logits, probs=probs,
@@ -259,24 +296,21 @@ def backward(
     L, offsets = net.n_layers, net.offsets
     onehot = np.zeros_like(cache.probs)
     onehot[np.arange(B), labels] = 1.0
-    dlogits = (cache.probs - onehot) / B
+    dz = ((cache.probs - onehot) / B).T  # (output_dim, batch)
+    d_acts = np.zeros_like(cache.acts)
 
     weight_grads: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
-    weight_grads[L] = (dlogits.T @ cache.acts) * net.masks[L]
-    bias_grads[L] = dlogits.sum(axis=0)
-    d_acts = dlogits @ net.weights[L]
+    for l in range(L, -1, -1):
+        if l < L:
+            dz = d_acts[offsets[l]:offsets[l + 1]] * (cache.pre[l] > 0.0)
+        bias_grads[l] = dz.sum(axis=1)
+        src = cache.x.T if l == 0 else cache.acts[net.sources[l]]
+        weight_grads[l] = (dz @ src.T) * net.masks[l]
+        if l > 0:
+            d_acts[net.sources[l]] += net.weights[l].T @ dz
 
-    for l in range(L - 1, -1, -1):
-        dz = d_acts[:, offsets[l]:offsets[l + 1]] * (cache.pre[l] > 0.0)
-        bias_grads[l] = dz.sum(axis=0)
-        src = cache.x if l == 0 else cache.acts[:, :offsets[l]]
-        weight_grads[l] = (dz.T @ src) * net.masks[l]
-        if l == 0:
-            dx = dz @ net.weights[0]
-        else:
-            d_acts[:, :offsets[l]] += dz @ net.weights[l]
-
+    dx = dz.T @ net.weights[0]
     input_grad = dx[0] if cache.single else dx
     return weight_grads, bias_grads, input_grad
 
@@ -290,8 +324,10 @@ def prune_random(net: MaskedNetwork, alpha: float, seed: int) -> MaskedNetwork:
     """Zero floor(alpha * nonzero) hidden-to-hidden mask entries uniformly.
 
     Hidden edges are enumerated by target layer, then row-major within the
-    layer's mask. Input and output masks are untouched; pruned positions
-    have both mask and weight set to zero in the returned copy.
+    layer's mask (its columns are sorted, so this is the order over the
+    full-width block too). Input and output masks are untouched; pruned
+    positions have both mask and weight set to zero in the returned copy,
+    and a column left without an unmasked entry is dropped.
     """
     if not (0.0 <= alpha <= 1.0):
         raise NetworkError(f"alpha must be in [0,1], got {alpha}")
@@ -310,6 +346,7 @@ def prune_random(net: MaskedNetwork, alpha: float, seed: int) -> MaskedNetwork:
         start += rows.size
         out.masks[l][rows[hit], cols[hit]] = 0.0
         out.weights[l][rows[hit], cols[hit]] = 0.0
+    _keep_live_columns(out)
     out.mark_mutated()
     return out
 
@@ -322,13 +359,14 @@ def network_to_graph(net: MaskedNetwork) -> Dag:
     for l in range(1, net.n_layers):
         targets = net.layer_vertices[l]
         for j, i in zip(*np.nonzero(net.masks[l])):
-            edges.add((order[i], targets[j]))
+            edges.add((order[net.sources[l][i]], targets[j]))
     return Dag(len(order), frozenset(edges))
 
 
 def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None:
     """Write a checkpoint atomically: magic, JSON header, then per layer the
-    float32 weights and bit-packed mask, then float32 biases."""
+    float32 weights and bit-packed mask of its full-width block, then
+    float32 biases."""
     header = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "input_dim": net.input_dim,
@@ -345,16 +383,22 @@ def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for w, m in zip(net.weights, net.masks):
-            f.write(w.astype("<f4").tobytes())
-            f.write(np.packbits(m.astype(np.uint8)).tobytes())
+        shapes = _layer_shapes(net.input_dim, net.output_dim, net.layer_units)
+        for shape, w, m, cols in zip(shapes, net.weights, net.masks, net.sources):
+            block = np.zeros(shape, dtype="<f4")
+            block[:, cols] = w
+            f.write(block.tobytes())
+            block_mask = np.zeros(shape, dtype=np.uint8)
+            block_mask[:, cols] = m
+            f.write(np.packbits(block_mask).tobytes())
         for b in net.biases:
             f.write(b.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
     """Read a checkpoint of schema 2, or of schema 1, whose per-(source
-    layer, target layer) groups are placed into their blocks. Raises
+    layer, target layer) groups are placed into their full-width blocks;
+    each block is then narrowed to its live columns. Raises
     NetworkError on a bad magic, an unknown schema, a truncated file or a
     nonzero weight at a masked position."""
     with open(path, "rb") as f:
@@ -382,7 +426,8 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
         blocks = [(l, slice(None), shape) for l, shape in enumerate(shapes)]
     elif version == 1:
         offsets = [0, *accumulate(units)]
-        blocks = [(g["target_layer"], _columns(offsets, g["source_layer"]),
+        blocks = [(g["target_layer"],
+                   _columns(offsets, header["input_dim"], g["source_layer"]),
                    tuple(g["shape"])) for g in header["groups"]]
     else:
         raise NetworkError(f"unsupported checkpoint schema version {version!r}")
@@ -395,9 +440,8 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
         masks[l][:, cols] = np.unpackbits(packed, count=size).reshape(shape)
     biases = [np.frombuffer(take(4 * n), dtype="<f4").astype(np.float64)
               for n in units + [header["output_dim"]]]
-    net = MaskedNetwork(header["input_dim"], header["output_dim"], units,
-                        [list(v) for v in header["layer_vertices"]],
-                        list(header["sinks"]), weights, masks, biases,
-                        init_method=header.get("init_method"))
-    net.assert_mask_invariant()
+    net = _from_blocks(header["input_dim"], header["output_dim"], units,
+                       [list(v) for v in header["layer_vertices"]],
+                       list(header["sinks"]), weights, masks, biases,
+                       init_method=header.get("init_method"))
     return net, header

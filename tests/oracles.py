@@ -160,12 +160,13 @@ def finite_diff_input_grad(net: MaskedNetwork, x: np.ndarray, y: int,
 
 def keyed_weights(net: MaskedNetwork) -> dict[tuple[str, str], float]:
     """Every unmasked weight keyed by (source, target): a source is "p<pixel>"
-    or "v<vertex>", a target "v<vertex>" or "c<class>"."""
+    or "v<vertex>", a target "v<vertex>" or "c<class>". Matrix column i of
+    layer l reads input feature (layer 0) or buffer column sources[l][i]."""
     order = [v for layer in net.layer_vertices for v in layer]
     keyed = {}
-    for l, (w, m) in enumerate(zip(net.weights, net.masks)):
+    for l, (w, m, cols) in enumerate(zip(net.weights, net.masks, net.sources)):
         for j, i in zip(*np.nonzero(m)):
-            src = f"p{i}" if l == 0 else f"v{order[i]}"
+            src = f"p{cols[i]}" if l == 0 else f"v{order[cols[i]]}"
             tgt = f"c{j}" if l == net.n_layers else f"v{net.layer_vertices[l][j]}"
             keyed[(src, tgt)] = float(w[j, i])
     return keyed
@@ -173,7 +174,8 @@ def keyed_weights(net: MaskedNetwork) -> dict[tuple[str, str], float]:
 
 def vertex_forward_logits(net: MaskedNetwork, ld: LayeredDag, x: np.ndarray) -> np.ndarray:
     """Logits of one input, one vertex at a time in layer order: sources read
-    every pixel, other vertices their DAG predecessors, classes the sinks."""
+    every pixel, other vertices their DAG predecessors, classes the sinks.
+    A DAG edge without an unmasked weight (pruned) counts as weight 0."""
     w = keyed_weights(net)
     preds: dict[int, list[int]] = {v: [] for v in range(ld.dag.vertex_count)}
     for u, v in ld.dag.directed_edges:
@@ -184,7 +186,7 @@ def vertex_forward_logits(net: MaskedNetwork, ld: LayeredDag, x: np.ndarray) -> 
             z = net.biases[l][j]
             if l == 0:
                 z += sum(w[(f"p{i}", f"v{v}")] * x[i] for i in range(net.input_dim))
-            z += sum(w[(f"v{u}", f"v{v}")] * act[u] for u in preds[v])
+            z += sum(w.get((f"v{u}", f"v{v}"), 0.0) * act[u] for u in preds[v])
             act[v] = max(z, 0.0)
     return np.array([net.biases[-1][c] + sum(w[(f"v{s}", f"c{c}")] * act[s]
                                              for s in ld.sinks)

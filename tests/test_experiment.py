@@ -22,6 +22,8 @@ from snnrobust.network import (build_network, init_weights, param_count,
                                save_checkpoint)
 from snnrobust.store import ResultsStore
 
+from tests.conftest import random_small_graph
+
 
 def tiny_manifest(**overrides) -> ExperimentManifest:
     """Smallest worthwhile end-to-end configuration for unit tests."""
@@ -120,11 +122,15 @@ class TestBuildGraphDataset:
         assert len(entries) == 1
         assert 50_000 <= entries[0].param_count <= 91_000
 
-    def test_candidate_count_matches_build(self):
-        from snnrobust.graph import to_dag
-        g = generate_ws(250, 2, 0.7, seed=0)
-        net = build_network(layer_dag(to_dag(g)), 784, 10)
-        assert candidate_param_count(g) == param_count(net)
+    def test_candidate_count_matches_build(self, rng):
+        from snnrobust.graph import make_graph, to_dag
+        dense = dense_stack_dag([50, 100, 50])
+        graphs = ([generate_ws(250, 2, 0.7, seed=0),
+                   make_graph(dense.vertex_count, dense.directed_edges)]
+                  + [random_small_graph(rng, max_vertices=12) for _ in range(30)])
+        for g in graphs:
+            net = build_network(layer_dag(to_dag(g)), 784, 10)
+            assert candidate_param_count(g) == param_count(net)
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +267,20 @@ class TestCorrelate:
         loaded = store.load_robustness()
         assert loaded == [rec]
 
+    def test_report_counts_censored_searches_and_failed_tasks(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        for model, censored in (("g0", 2), ("g1", 3)):
+            store.save_robustness(model, "U", [
+                RobustnessRecord(model, "U", "fgsm", 0.5, 0.9, None, 10, 5, 0),
+                RobustnessRecord(model, "U", "fgsm_search", 0.6, 0.8, 0.1, 5,
+                                 5 - censored, censored)])
+            store.mark_pair_done(model, "U", "h")
+        store.append_provenance("task-failed", graph_id="g2", init_method="U",
+                                error="injected failure")
+        text = render_report(tiny_manifest(), store)
+        assert "epsilon search: 5 of 10 searched images censored" in text
+        assert "failed tasks: 1\n  g2 / U: injected failure\n" in text
+
 
 def run_records(runs_by_model: dict[str, list[float]]) -> list[RobustnessRecord]:
     """One fgsm record per run, the run's value as its error rate."""
@@ -392,6 +412,30 @@ class TestPruningBaseline:
         with open(tmp_path / "pruning" / "correlations.csv") as f:
             rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == manifest.properties
+
+    def test_reuses_the_sweep_data(self, tmp_path, monkeypatch):
+        # a sweep then a pruning baseline in one process build each split once
+        from snnrobust import data
+        from snnrobust import experiment as exp_mod
+        splits = []
+        real = data.synthetic_dataset
+
+        def counting(n, seed, split="train", **kwargs):
+            splits.append(split)
+            return real(n, seed, split, **kwargs)
+
+        monkeypatch.setattr(data, "synthetic_dataset", counting)
+        monkeypatch.setattr(exp_mod, "_WORKER_DATA", None)
+        manifest = tiny_manifest(target_graph_count=1)
+        manifest.pruning.hidden_layers = [4, 6, 4]
+        manifest.pruning.steps = 1
+        manifest.pruning.retrain_epochs = 1
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        source = resolve_data_source(manifest, None)
+        run_sweep(manifest, store, source, workers=1)
+        run_pruning_baseline(manifest, store, source)
+        assert sorted(splits) == ["test", "train"]
 
     def test_dense_stack_dag_layers(self):
         ld = layer_dag(dense_stack_dag([3, 4, 2]))

@@ -45,6 +45,21 @@ class TestGenerateWS:
         b = generate_ws(40, 2, 0.5, seed=9)
         assert a.edges == b.edges
 
+    # SHA-256 of repr(sorted(edges)), recorded from the generator that drew
+    # each rewired endpoint with rng.choice over a candidate array
+    GOLDEN_WS = {
+        (400, 2, 0.9, 1): "681dbe76bdfb9ce78a01bd88c1708462c4ab8985520631333506f69157b71e8d",
+        (500, 5, 0.5, 2): "6f759323ad543b91e1427db8f3cdc15005da534e67663796bccb58ac8e7b06b2",
+        (40, 3, 0.7, 3): "31f47876a443964bcc5f11cb9e508ea96cee328b45efbe61363b027e838ca0c2",
+        (30, 14, 0.9, 4): "11a1cc86562f0e98f9a3c2e8bad3cf071cb88c6f3ca9885ccb02b56678ba4fa7",
+        (400, 1, 1.0, 5): "7eef8a1d0c4ed7b2dc33fc45726b4fa8bdba93e1cc21c978de9e5c7cbb196ee2",
+    }
+
+    @pytest.mark.parametrize("args", list(GOLDEN_WS), ids=str)
+    def test_golden_edges(self, args):
+        edges = sorted(generate_ws(*args).edges)
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == self.GOLDEN_WS[args]
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(GraphError):
             generate_ws(4, 2, 0.5, seed=0)  # size < 2*nei+1

@@ -30,18 +30,20 @@ def tiny_skip_net():
 
 class TestBuildNetwork:
     def test_group_structure_of_skip_example(self):
-        # one matrix per target layer; layer 2 reads layers 0 (skip) and 1
+        # one matrix per target layer; layer 2 reads layers 0 (skip) and 1,
+        # the output reads the one sink
         net = tiny_skip_net()
         assert [m.tolist() for m in net.masks] == [
-            [[1, 1]], [[1]], [[1, 1]], [[0, 0, 1], [0, 0, 1]]]
+            [[1, 1]], [[1]], [[1, 1]], [[1], [1]]]
+        assert [s.tolist() for s in net.sources] == [[0, 1], [0], [0, 1], [2]]
         assert net.offsets == [0, 1, 2, 3]
         assert param_count(net) == 12
 
     def test_chain_has_no_skip_groups(self):
         ld = layer_dag(Dag(3, frozenset({(0, 1), (1, 2)})))
         net = build_network(ld, 3, 2)
-        assert [m.shape for m in net.masks] == [(1, 3), (1, 1), (1, 2), (2, 3)]
-        assert net.masks[2].tolist() == [[0, 1]]  # no skip from layer 0
+        assert [m.shape for m in net.masks] == [(1, 3), (1, 1), (1, 1), (2, 1)]
+        assert net.sources[2].tolist() == [1]  # no skip column for layer 0
 
     def test_isolated_vertex_wired_both_ways(self):
         ld = layer_dag(Dag(3, frozenset({(0, 1)})))  # vertex 2 isolated
@@ -50,9 +52,23 @@ class TestBuildNetwork:
         assert net.layer_vertices[0] == [0, 2]
         assert net.masks[0].shape == (2, 4)
         assert np.all(net.masks[0] == 1)
-        # vertex 2 is a sink: the output mask selects its column
-        assert np.all(net.masks[-1][:, 1] == 1)  # vertex 2 at column 1
-        assert np.all(net.masks[-1][:, 0] == 0)
+        # the sinks are vertex 2 (column 1) and vertex 1 (column 2); the
+        # output does not read vertex 0 (column 0)
+        assert net.sources[-1].tolist() == [1, 2]
+        assert np.all(net.masks[-1] == 1)
+
+    def test_sources_are_the_predecessor_columns(self, rng):
+        for _ in range(20):
+            ld = layer_dag(to_dag(random_small_graph(rng, max_vertices=12)))
+            net = build_network(ld, 6, 4)
+            column = {v: i for i, v in enumerate(v for layer in ld.layers for v in layer)}
+            assert net.sources[0].tolist() == list(range(6))
+            for l in range(1, net.n_layers):
+                preds = {column[u] for u, v in ld.dag.directed_edges
+                         if ld.layer_index[v] == l}
+                assert net.sources[l].tolist() == sorted(preds)
+                assert net.masks[l].shape == (len(ld.layers[l]), len(preds))
+            assert net.sources[-1].tolist() == sorted(column[v] for v in ld.sinks)
 
     def test_param_count_formula(self, rng):
         for _ in range(20):
@@ -154,14 +170,24 @@ class TestForward:
         net = build_network(ld, 1, 1)
         net.weights = [m.copy() for m in net.masks]
         _, _, cache = forward(net, np.array([1.0]))
-        assert cache.acts.tolist() == [[1.0, 1.0]]
+        assert cache.acts.tolist() == [[1.0], [1.0]]  # unit-major
         assert cache.logits[0, 0] == 1.0
 
     def test_matches_vertex_oracle(self, rng):
+        from snnrobust.experiment import dense_stack_dag
+        cases = []
         for _ in range(20):
             ld = layer_dag(to_dag(random_small_graph(rng, max_vertices=12)))
-            net = init_weights(build_network(ld, 6, 4), "He_N",
-                               seed=int(rng.integers(2**31)))
+            cases.append((ld, init_weights(build_network(ld, 6, 4), "He_N",
+                                           seed=int(rng.integers(2**31)))))
+        # a pruned dense stack, where some hidden unit lost its last
+        # outgoing edge and so its column
+        ld = layer_dag(dense_stack_dag([3, 4, 3]))
+        dense = init_weights(build_network(ld, 6, 4), "He_N", seed=1)
+        pruned = prune_random(dense, 0.7, seed=2)
+        assert sum(map(len, pruned.sources)) < sum(map(len, dense.sources))
+        cases.append((ld, pruned))
+        for ld, net in cases:
             for b in net.biases:
                 b += rng.uniform(-0.1, 0.1, b.shape)
             x = rng.uniform(0, 1, 6)
@@ -279,6 +305,44 @@ class TestPruneRandom:
         for ma, mb in zip(a.masks, b.masks):
             assert np.array_equal(ma, mb)
 
+    def test_sources_stay_the_live_columns(self, rng):
+        for seed in range(10):
+            net = random_layered_net(rng)
+            pruned = prune_random(net, 0.6, seed=seed)
+            before, after = keyed_weights(net), keyed_weights(pruned)
+            # pruning removes edges and moves no surviving weight
+            assert after.items() <= before.items()
+            order = [v for layer in net.layer_vertices for v in layer]
+            column = {v: i for i, v in enumerate(order)}
+            layer_of = {v: l for l, layer in enumerate(net.layer_vertices) for v in layer}
+            live = [set() for _ in range(net.n_layers)]
+            for src, tgt in after:
+                if src[0] == "v" and tgt[0] == "v":
+                    live[layer_of[int(tgt[1:])]].add(column[int(src[1:])])
+            for l in range(1, net.n_layers):
+                assert pruned.sources[l].tolist() == sorted(live[l])
+            assert np.array_equal(pruned.sources[-1], net.sources[-1])
+
+    # SHA-256 of repr(sorted(edges)) after two prunes at alpha 0.4, seeds 13
+    # and 14, recorded from the network whose hidden matrices spanned every
+    # earlier hidden unit
+    GOLDEN_PRUNED = {
+        "ws": (65, "fb85188e79d965be66b2b0b596d2fd56f7497186ac68a28340f7eb5e27130ba9"),
+        "dense": (32, "cc94c6fa5210b79a8ee713028a7fc8603cd743fecd96f4565c3a9b88e6cff068"),
+    }
+
+    @pytest.mark.parametrize("kind", GOLDEN_PRUNED)
+    def test_golden_pruned_edges(self, kind):
+        from snnrobust.experiment import dense_stack_dag
+        d = (to_dag(generate_ws(60, 3, 0.7, seed=8)) if kind == "ws"
+             else dense_stack_dag([5, 8, 6]))
+        net = build_network(layer_dag(d), 784, 10)
+        for step in range(2):
+            net = prune_random(net, 0.4, seed=13 + step)
+        edges = sorted(network_to_graph(net).directed_edges)
+        digest = hashlib.sha256(repr(edges).encode()).hexdigest()
+        assert (len(edges), digest) == self.GOLDEN_PRUNED[kind]
+
     def test_pruned_weights_zeroed(self, rng):
         net = random_layered_net(rng)
         pruned = prune_random(net, 0.7, seed=5)
@@ -339,6 +403,29 @@ class TestCheckpoint:
         _, probs, _ = forward(net, np.array(recorded["input"]))
         assert np.abs(probs - recorded["probs"]).max() < 1e-12
 
+    def test_schema_2_fixture_reproduces_probabilities(self, tmp_path):
+        # written by the network whose hidden matrices spanned every earlier
+        # hidden unit; pruned, with one layer left without an incoming edge
+        net, header = load_checkpoint(FIXTURES / "v2_checkpoint.bin")
+        assert header["schema_version"] == 2
+        assert min(map(len, net.sources)) == 0
+        recorded = json.loads((FIXTURES / "v2_checkpoint_probs.json").read_text())
+        _, probs, _ = forward(net, np.array(recorded["input"]))
+        assert np.abs(probs - recorded["probs"]).max() < 1e-12
+        # saved again, it loads to the same matrices
+        save_checkpoint(net, tmp_path / "again.bin", extra=header["extra"])
+        again, _ = load_checkpoint(tmp_path / "again.bin")
+        for a, b in zip(net.weights + net.masks + net.sources,
+                        again.weights + again.masks + again.sources):
+            assert np.array_equal(a, b)
+
+    def test_resave_reproduces_bytes(self, rng, tmp_path):
+        net = prune_random(random_layered_net(rng), 0.6, seed=4)
+        save_checkpoint(net, tmp_path / "a.bin", extra={"note": "x"})
+        loaded, header = load_checkpoint(tmp_path / "a.bin")
+        save_checkpoint(loaded, tmp_path / "b.bin", extra=header["extra"])
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
     @pytest.mark.parametrize("keep", [6, 20, -40, -1])
     def test_truncated_file_rejected(self, rng, tmp_path, keep):
         path = tmp_path / "model.bin"
@@ -354,11 +441,12 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         (blob_len,) = struct.unpack_from("<I", raw, 8)
         offset = 12 + blob_len
-        # the output matrix's weights start after every hidden layer's
-        # float32 weights and packed mask
-        for m in net.masks[:-1]:
-            offset += 4 * m.size + (m.size + 7) // 8
-        masked = int(np.flatnonzero(net.masks[-1] == 0)[0])
+        # the output block's weights start after every hidden layer's
+        # full-width float32 block and packed mask
+        for units, width in zip(net.layer_units, [net.input_dim, *net.offsets[1:-1]]):
+            offset += 4 * units * width + (units * width + 7) // 8
+        # a column the output does not read: all of it is masked
+        masked = int(np.setdiff1d(np.arange(net.offsets[-1]), net.sources[-1])[0])
         struct.pack_into("<f", raw, offset + 4 * masked, 0.5)
         path.write_bytes(bytes(raw))
         with pytest.raises(NetworkError, match="masked position"):

@@ -78,28 +78,19 @@ def _outcome_from_probs(probs: np.ndarray, y: int, index: int, **extra) -> Adver
 
 def fgsm(net: MaskedNetwork, x: np.ndarray, y: int, eps: float,
          index: int = 0, keep_image: bool = True) -> AdversarialExample:
-    """Single-step sign attack: x + eps * sign(d loss / d x), clipped to [0, 1].
-
-    sign(0) is 0, so untouched-gradient pixels stay put.
-    """
-    if eps < 0:
-        raise AttackError("eps must be >= 0")
-    _, _, cache = forward(net, x)
-    _, _, input_grad = backward(net, cache, y)
-    x_adv = np.clip(x + eps * np.sign(input_grad), 0.0, 1.0)
-    _, probs, _ = forward(net, x_adv)
-    return _outcome_from_probs(probs, y, index,
-                               perturbed_image=x_adv if keep_image else None,
-                               epsilon_used=None)
+    """Single-step sign attack on one image: fgsm_many on a batch of one."""
+    return fgsm_many(net, x[None, :], np.array([y]), eps, np.array([index]),
+                     keep_images=keep_image)[0]
 
 
 def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
               eps: float, indices: np.ndarray | None = None,
               keep_images: bool = False) -> list[AdversarialExample]:
-    """Batched fixed-epsilon FGSM over many images.
+    """Fixed-epsilon FGSM: x + eps * sign(d loss / d x), clipped to [0, 1].
 
-    The mean-loss input gradient of a batch scales each per-image gradient by
-    a positive constant, so its sign equals the per-image sign.
+    sign(0) is 0, so untouched-gradient pixels stay put. The mean-loss input
+    gradient of a batch scales each per-image gradient by a positive
+    constant, so its sign equals the per-image sign.
     """
     if eps < 0:
         raise AttackError("eps must be >= 0")
@@ -109,18 +100,9 @@ def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
     _, _, input_grads = backward(net, cache, labels)
     adv = np.clip(images + eps * np.sign(input_grads), 0.0, 1.0)
     _, probs, _ = forward(net, adv)
-    preds = probs.argmax(axis=1)
-    out = []
-    for i in range(images.shape[0]):
-        out.append(AdversarialExample(
-            original_index=int(indices[i]),
-            original_label=int(labels[i]),
-            predicted_label=int(preds[i]),
-            success=bool(preds[i] != labels[i]),
-            confidence=float(probs[i, preds[i]]),
-            perturbed_image=adv[i] if keep_images else None,
-        ))
-    return out
+    return [_outcome_from_probs(probs[i], labels[i], int(indices[i]),
+                                perturbed_image=adv[i] if keep_images else None)
+            for i in range(images.shape[0])]
 
 
 def fgsm_eps_search(net: MaskedNetwork, x: np.ndarray, y: int,
@@ -131,34 +113,25 @@ def fgsm_eps_search(net: MaskedNetwork, x: np.ndarray, y: int,
 
     The input gradient is computed once at x; only the scale varies. Requires
     x to be correctly classified. If no grid point flips, the record is
-    censored: success False, epsilon_used None.
+    censored: success False, epsilon_used None, and the probabilities and
+    image of the last grid point (the clean ones for an empty grid).
     """
-    _, probs0, cache = forward(net, x)
-    if int(probs0.argmax()) != int(y):
+    _, probs, cache = forward(net, x)
+    if int(probs.argmax()) != int(y):
         raise AttackError("eps search requires a correctly classified input")
     _, _, input_grad = backward(net, cache, y)
     direction = np.sign(input_grad)
 
-    eps = start
-    last = None
+    eps, x_adv = start, x.copy()
     while eps <= cap + 1e-12:
         x_adv = np.clip(x + eps * direction, 0.0, 1.0)
         _, probs, _ = forward(net, x_adv)
-        pred = int(probs.argmax())
-        if pred != int(y):
-            return AdversarialExample(
-                original_index=index, original_label=int(y), predicted_label=pred,
-                success=True, confidence=float(probs[pred]),
-                perturbed_image=x_adv if keep_image else None, epsilon_used=float(eps),
-            )
-        last = (pred, float(probs[pred]), x_adv)
+        if int(probs.argmax()) != int(y):
+            return _outcome_from_probs(probs, y, index, epsilon_used=float(eps),
+                                       perturbed_image=x_adv if keep_image else None)
         eps += step
-    pred, conf, x_adv = last if last is not None else (int(y), float(probs0[int(probs0.argmax())]), x.copy())
-    return AdversarialExample(
-        original_index=index, original_label=int(y), predicted_label=pred,
-        success=False, confidence=conf,
-        perturbed_image=x_adv if keep_image else None, epsilon_used=None,
-    )
+    return _outcome_from_probs(probs, y, index,
+                               perturbed_image=x_adv if keep_image else None)
 
 
 def init_population(cfg: DEConfig, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
@@ -255,12 +255,7 @@ class ExperimentManifest:
         }
 
     def train_config(self, epochs: int, seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.train.learning_rate,
-            beta1=self.train.beta1, beta2=self.train.beta2,
-            adam_eps=self.train.adam_eps, epochs=epochs,
-            batch_size=self.train.batch_size, seed=seed,
-        )
+        return replace(self.train, epochs=epochs, seed=seed)
 
 
 # --- dataset resolution ------------------------------------------------
@@ -423,6 +418,17 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset,
     return outcomes, info
 
 
+def _save_attacks(store: ResultsStore, graph_id: str, init_method: str,
+                  outcomes: dict[str, list]) -> None:
+    """Write one model's per-kind attack CSVs and its robustness records."""
+    for kind, outs in outcomes.items():
+        store.save_attack_rows(graph_id, init_method, kind, ATTACK_CSV_HEADER,
+                               [o.csv_row() for o in outs])
+    store.save_robustness(graph_id, init_method,
+                          [robustness_record(graph_id, init_method, kind, outs)
+                           for kind, outs in outcomes.items() if outs])
+
+
 def _sweep_task(payload: dict) -> dict:
     """Train and attack one (graph, init) pair; writes per-model files."""
     manifest = ExperimentManifest.from_dict(payload["manifest"])
@@ -448,8 +454,6 @@ def _sweep_task(payload: dict) -> dict:
 
     outcomes, attack_info = run_attacks(net, test_set, manifest,
                                         (graph_id, init_method))
-    records = [robustness_record(graph_id, init_method, kind, outs)
-               for kind, outs in outcomes.items() if outs]
 
     save_checkpoint(net, store.checkpoint_path(graph_id, init_method),
                     extra={"graph_id": graph_id, "train_seed": cfg.seed,
@@ -457,10 +461,7 @@ def _sweep_task(payload: dict) -> dict:
                            "manifest_hash": manifest.manifest_hash})
     store.save_history(graph_id, init_method, history.rows())
     store.save_eval(graph_id, init_method, report.to_dict())
-    for kind, outs in outcomes.items():
-        store.save_attack_rows(graph_id, init_method, kind, ATTACK_CSV_HEADER,
-                               [o.csv_row() for o in outs])
-    store.save_robustness(graph_id, init_method, records)
+    _save_attacks(store, graph_id, init_method, outcomes)
     return {
         "graph_id": graph_id,
         "init_method": init_method,
@@ -545,12 +546,7 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
     for graph_id, init_method in store.completed_pairs(None):
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
         outcomes, _ = run_attacks(net, test_set, manifest, (graph_id, init_method))
-        records = [robustness_record(graph_id, init_method, kind, outs)
-                   for kind, outs in outcomes.items() if outs]
-        for kind, outs in outcomes.items():
-            store.save_attack_rows(graph_id, init_method, kind, ATTACK_CSV_HEADER,
-                                   [o.csv_row() for o in outs])
-        store.save_robustness(graph_id, init_method, records)
+        _save_attacks(store, graph_id, init_method, outcomes)
         count += 1
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
                             models=count, dataset=data_source[0],
@@ -614,18 +610,13 @@ def _aggregate_column(records: list[RobustnessRecord], attack: str, measure: str
     return means, info
 
 
-def correlate(manifest: ExperimentManifest, store: ResultsStore,
-              records: list[RobustnessRecord] | None = None,
-              entries: list[GraphEntry] | None = None,
-              subdir: str = "") -> CorrelationTable:
+def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationTable:
     """Correlate every configured graph property against every measure column."""
-    if records is None:
-        records = store.load_robustness()
-    if entries is None:
-        entries = store.load_graph_entries()
+    records = store.load_robustness()
     if not records:
         raise CorrelationWithheldError("no robustness records in store")
-    props = {e.graph_id: graph_properties(e.metrics, e.param_count) for e in entries}
+    props = {e.graph_id: graph_properties(e.metrics, e.param_count)
+             for e in store.load_graph_entries()}
     models_with_records = {r.model_id for r in records}
     if len(models_with_records) < 3:
         raise CorrelationWithheldError(
@@ -643,10 +634,9 @@ def correlate(manifest: ExperimentManifest, store: ResultsStore,
             ys = [means[m] for m in model_ids]
             cells.append(correlation_cell(prop, attack, measure, xs, ys))
     table = CorrelationTable(cells=cells, properties=list(manifest.properties))
-    store.save_correlations(table, subdir=subdir)
+    store.save_correlations(table)
     store.save_correlation_log({"columns": logs,
-                                "outlier_mode": manifest.outlier_mode},
-                               subdir=subdir)
+                                "outlier_mode": manifest.outlier_mode})
     return table
 
 
@@ -760,19 +750,25 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
 
 
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
-    """Human-readable summary: run mode, the dataset the latest stage ran on,
-    counts, censored epsilon searches, failed tasks, and the two strongest
-    graph properties per robustness measure."""
+    """Human-readable summary: the manifest the models were trained under
+    (the one the last sweep stored, else the given one), the dataset the
+    latest stage ran on, counts, censored epsilon searches, failed tasks, and
+    the two strongest graph properties per robustness measure."""
     prov_path = store.root / "provenance.json"
     events = json.loads(prov_path.read_text()) if prov_path.exists() else []
     used = [e["dataset"] for e in events if "dataset" in e]
-    lines = [
-        "Sparse network robustness study",
-        "=" * 34,
-        f"manifest_hash: {manifest.manifest_hash}",
-        f"mode: {manifest.mode} (scale factors {asdict(manifest.scale)})",
+    stored = store.load_manifest()
+    run = ExperimentManifest.from_dict(stored["manifest"]) if stored else manifest
+    run_hash = stored["manifest_hash"] if stored else manifest.manifest_hash
+    lines = ["Sparse network robustness study", "=" * 34,
+             f"manifest_hash: {run_hash}"]
+    if run_hash != manifest.manifest_hash:
+        lines.append(f"note: the given manifest ({manifest.manifest_hash}) differs "
+                     "from the one the models were trained under")
+    lines += [
+        f"mode: {run.mode} (scale factors {asdict(run.scale)})",
         f"dataset: {used[-1] if used else 'none recorded'} "
-        f"(manifest requests {manifest.dataset})",
+        f"(manifest requests {run.dataset})",
         "note: parameter counts include biases",
         "",
     ]

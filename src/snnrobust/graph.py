@@ -9,8 +9,6 @@ the directed density of the derived DAG is recorded alongside.
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
@@ -92,14 +90,6 @@ class Dag:
             lst.sort()
         return preds
 
-    def successor_lists(self) -> list[list[int]]:
-        succs: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.directed_edges:
-            succs[u].append(v)
-        for lst in succs:
-            lst.sort()
-        return succs
-
 
 @dataclass(frozen=True)
 class LayeredDag:
@@ -115,10 +105,6 @@ class LayeredDag:
     layers: tuple[tuple[int, ...], ...]
     sources: tuple[int, ...]
     sinks: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
 
 def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
@@ -183,37 +169,25 @@ def to_dag(g: UndirectedGraph) -> Dag:
 
 
 def layer_dag(d: Dag) -> LayeredDag:
-    """Assign each vertex the layer 1 + max(layer of predecessors).
+    """Assign each vertex the layer 1 + max(layer of predecessors); vertices
+    with in-degree zero get layer 0.
 
-    Vertices with in-degree zero get layer 0. A vertex is processed only
-    once all its predecessors have been assigned; a cycle (impossible for a
-    valid Dag, still guarded) raises GraphError.
+    Every Dag edge (u, v) has u < v, so vertex order is a topological order:
+    one pass in that order meets each vertex after all its predecessors.
     """
     n = d.vertex_count
     preds = d.predecessor_lists()
-    succs = d.successor_lists()
-    in_deg = [len(preds[v]) for v in range(n)]
-
     index: dict[int, int] = {}
-    ready = deque(v for v in range(n) if in_deg[v] == 0)
-    remaining = [len(preds[v]) for v in range(n)]
-    while ready:
-        v = ready.popleft()
-        index[v] = 0 if not preds[v] else 1 + max(index[u] for u in preds[v])
-        for w in succs[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                ready.append(w)
-    if len(index) != n:
-        raise GraphError("cycle detected: layering requires an acyclic graph")
+    for v in range(n):
+        index[v] = 1 + max((index[u] for u in preds[v]), default=-1)
 
-    depth = max(index.values()) + 1
-    layers_mut: list[list[int]] = [[] for _ in range(depth)]
+    layers_mut: list[list[int]] = [[] for _ in range(max(index.values()) + 1)]
     for v in range(n):
         layers_mut[index[v]].append(v)
-    layers = tuple(tuple(sorted(layer)) for layer in layers_mut)
-    sources = tuple(v for v in range(n) if in_deg[v] == 0)
-    sinks = tuple(v for v in range(n) if not succs[v])
+    layers = tuple(tuple(layer) for layer in layers_mut)
+    sources = tuple(v for v in range(n) if not preds[v])
+    tails = {u for u, _ in d.directed_edges}
+    sinks = tuple(v for v in range(n) if v not in tails)
     return LayeredDag(dag=d, layer_index=index, layers=layers, sources=sources, sinks=sinks)
 
 
@@ -296,13 +270,13 @@ def compute_metrics(g: UndirectedGraph) -> GraphMetrics:
     )
 
 
-def graph_to_json(
+def graph_to_doc(
     g: UndirectedGraph,
     generator: dict | None = None,
     metrics: GraphMetrics | None = None,
-) -> str:
-    """Serialize a graph (plus optional generator params and metrics) to JSON."""
-    doc = {
+) -> dict:
+    """A graph (plus optional generator params and metrics) as a JSON-ready dict."""
+    return {
         "schema_version": GRAPH_SCHEMA_VERSION,
         "generator": generator,
         "vertex_count": g.vertex_count,
@@ -310,11 +284,9 @@ def graph_to_json(
         "metrics": metrics.to_dict() if metrics is not None else None,
         "disconnected_flag": metrics.disconnected if metrics is not None else None,
     }
-    return json.dumps(doc, sort_keys=True)
 
 
-def graph_from_json(text: str) -> tuple[UndirectedGraph, dict | None, GraphMetrics | None]:
-    doc = json.loads(text)
+def graph_from_doc(doc: dict) -> tuple[UndirectedGraph, dict | None, GraphMetrics | None]:
     if doc.get("schema_version") != GRAPH_SCHEMA_VERSION:
         raise GraphError(f"unsupported graph schema version {doc.get('schema_version')!r}")
     g = make_graph(doc["vertex_count"], [tuple(e) for e in doc["edges"]])

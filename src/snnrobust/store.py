@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import GraphMetrics, UndirectedGraph, graph_from_json, graph_to_json
+from .graph import GraphMetrics, UndirectedGraph, graph_from_doc, graph_to_doc
 from .measure import CorrelationTable, RobustnessRecord
 
 
@@ -78,6 +78,11 @@ class ResultsStore:
         self._write_json(self.root / "manifest.json",
                          {"manifest": manifest_dict, "manifest_hash": manifest_hash})
 
+    def load_manifest(self) -> dict | None:
+        """The manifest document the last sweep saved; None before any sweep."""
+        path = self.root / "manifest.json"
+        return json.loads(path.read_text()) if path.exists() else None
+
     def append_provenance(self, event: str, **fields) -> None:
         path = self.root / "provenance.json"
         log = json.loads(path.read_text()) if path.exists() else []
@@ -87,13 +92,13 @@ class ResultsStore:
     # --- graphs -------------------------------------------------------
 
     def save_graph_entry(self, entry: GraphEntry) -> None:
-        doc = json.loads(graph_to_json(entry.graph, entry.generator, entry.metrics))
+        doc = graph_to_doc(entry.graph, entry.generator, entry.metrics)
         doc["graph_id"] = entry.graph_id
         doc["param_count"] = entry.param_count
         self._write_json(self.root / "graphs" / f"{entry.graph_id}.json", doc)
 
     def _entry_from_doc(self, doc: dict) -> GraphEntry:
-        g, generator, metrics = graph_from_json(json.dumps(doc))
+        g, generator, metrics = graph_from_doc(doc)
         return GraphEntry(
             graph_id=doc["graph_id"],
             graph=g,
@@ -178,9 +183,8 @@ class ResultsStore:
         self._write_csv(base / "correlations.csv", table.layout_rows())
         self._write_csv(base / "correlations_long.csv", table.long_rows())
 
-    def save_correlation_log(self, log: dict, subdir: str = "") -> None:
-        base = self.root / subdir if subdir else self.root
-        self._write_json(base / "correlate_log.json", log)
+    def save_correlation_log(self, log: dict) -> None:
+        self._write_json(self.root / "correlate_log.json", log)
 
     def save_pruning_steps(self, rows) -> None:
         self._write_csv(self.root / "pruning" / "steps.csv", rows)

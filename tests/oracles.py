@@ -5,8 +5,9 @@ Floyd-Warshall instead of scipy's shortest paths, betweenness from naive
 per-pair path counting instead of the identity sum_v bc(v) =
 sum_{s<t} (d(s,t) - 1) that `compute_metrics` uses, gradients from
 central finite differences, network outputs vertex by vertex along the DAG
-edges instead of one matmul per layer, and rank statistics from exhaustive
-pair counting.
+edges instead of one matmul per layer, layers from relaxing every edge to a
+longest-path fixed point instead of one pass in vertex order, and rank
+statistics from exhaustive pair counting.
 """
 
 from __future__ import annotations
@@ -101,6 +102,30 @@ def naive_metrics(g: UndirectedGraph) -> dict:
         "avg_betweenness": float(np.mean(bc_norm)),
         "avg_closeness": float(closeness.mean()),
         "disconnected": len(comps) > 1,
+    }
+
+
+def longest_path_layering(vertex_count: int, edges) -> dict:
+    """Layer of each vertex as the edge count of the longest path ending at
+    it, by relaxing layer[v] >= layer[u] + 1 over the edges, taken in
+    descending order, until nothing changes."""
+    layer = [0] * vertex_count
+    edges = sorted(edges, reverse=True)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in edges:
+            if layer[v] < layer[u] + 1:
+                layer[v] = layer[u] + 1
+                changed = True
+    heads = {v for _, v in edges}
+    tails = {u for u, _ in edges}
+    return {
+        "layer_index": dict(enumerate(layer)),
+        "layers": tuple(tuple(v for v in range(vertex_count) if layer[v] == k)
+                        for k in range(max(layer) + 1)),
+        "sources": tuple(v for v in range(vertex_count) if v not in heads),
+        "sinks": tuple(v for v in range(vertex_count) if v not in tails),
     }
 
 

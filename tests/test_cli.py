@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -91,3 +92,22 @@ def test_scale_flag_shrinks_run(desk_manifest_path, tmp_path):
     m = ExperimentManifest.from_file(desk_manifest_path)
     scaled = m.scale.scaled_by(0.5)
     assert scaled.epochs == pytest.approx(m.scale.epochs * 0.5)
+
+
+def test_report_shows_the_settings_the_sweep_ran_under(desk_manifest_path, tmp_path):
+    out = tmp_path / "results"
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, "--data-dir", str(tmp_path / "nodata"),
+                 "--scale", "0.5"]) == 0
+    assert main(["report", *args]) == 0
+
+    given = ExperimentManifest.from_file(desk_manifest_path)
+    stored = json.loads((out / "manifest.json").read_text())
+    ran = ExperimentManifest.from_dict(stored["manifest"])
+    assert ran.scale == given.scale.scaled_by(0.5)
+    lines = (out / "report.txt").read_text().splitlines()
+    assert f"manifest_hash: {stored['manifest_hash']}" in lines
+    assert f"mode: desk (scale factors {asdict(ran.scale)})" in lines
+    assert (f"note: the given manifest ({given.manifest_hash}) differs from the "
+            "one the models were trained under") in lines

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -497,6 +498,45 @@ class TestDeterminism:
                 (tmp_path / sub / "models" / "g0000__He_N" / "robustness.json")
                 .read_text())
         assert outputs[0] == outputs[1]
+
+
+class TestGoldenFingerprint:
+    # the outputs that fix a run's results, as perfbench/validate.py lists them
+    FINGERPRINT_GLOBS = ("graphs/*.json", "gen/graphs/*.json",
+                         "models/*/robustness.json", "models/*/checkpoint.bin",
+                         "correlations_long.csv", "pruning/correlations_long.csv",
+                         "pruning/steps.csv")
+    # recorded on an Intel Xeon x86-64 VM (2 cores; Python 3.11, numpy 2.4
+    # with OpenBLAS, scipy 1.17) at 1 and 2 BLAS threads; a change of outputs
+    # updates it and says why in CHANGES.md
+    GOLDEN = "d14b092f820677e2ba54979d3fc5625a37173e7bb6e72c62b1f201e97fc8895e"
+
+    @classmethod
+    def fingerprint(cls, root) -> str:
+        """SHA-256 over the fingerprinted files, each framed by its
+        relative path and length."""
+        h = hashlib.sha256()
+        paths = sorted({p for pattern in cls.FINGERPRINT_GLOBS
+                        for p in root.glob(pattern)})
+        for path in paths:
+            rel = path.relative_to(root).as_posix().encode()
+            data = path.read_bytes()
+            h.update(len(rel).to_bytes(4, "little") + rel)
+            h.update(len(data).to_bytes(8, "little") + data)
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_desk_pipeline_digest(self, tmp_path, workers):
+        manifest = tiny_manifest(init_methods=["He_N", "U"], target_graph_count=3)
+        manifest.pruning.hidden_layers = [6, 8]
+        manifest.pruning.steps = 2
+        store = ResultsStore(tmp_path)
+        source = resolve_data_source(manifest, None)
+        build_graph_dataset(manifest, store)
+        run_sweep(manifest, store, source, workers=workers)
+        correlate(manifest, store)
+        run_pruning_baseline(manifest, store, source)
+        assert self.fingerprint(tmp_path) == self.GOLDEN
 
 
 class TestDataResolution:

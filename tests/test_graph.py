@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from snnrobust.experiment import derive_seed
 from snnrobust.graph import (Dag, GraphError, UndirectedGraph, compute_metrics,
-                             generate_ws, graph_from_json, graph_to_json,
+                             generate_ws, graph_from_doc, graph_to_doc,
                              layer_dag, make_graph, to_dag)
 
 from tests.conftest import random_small_graph
-from tests.oracles import naive_metrics
+from tests.oracles import longest_path_layering, naive_metrics
 
 
 class TestGenerateWS:
@@ -106,11 +106,20 @@ class TestLayerDag:
         assert ld.layer_index[2] == 0
         assert 2 in ld.sources and 2 in ld.sinks
 
+    @staticmethod
+    def assert_matches_oracle(ld):
+        want = longest_path_layering(ld.dag.vertex_count, ld.dag.directed_edges)
+        assert ld.layer_index == want["layer_index"]
+        assert ld.layers == want["layers"]
+        assert ld.sources == want["sources"]
+        assert ld.sinks == want["sinks"]
+
     def test_layer_zero_equals_sources(self, rng):
         for _ in range(25):
             g = random_small_graph(rng)
             ld = layer_dag(to_dag(g))
             assert set(ld.layers[0]) == set(ld.sources)
+            self.assert_matches_oracle(ld)
 
     def test_edges_go_strictly_forward(self, rng):
         for _ in range(25):
@@ -118,6 +127,12 @@ class TestLayerDag:
             ld = layer_dag(to_dag(g))
             for u, v in ld.dag.directed_edges:
                 assert ld.layer_index[u] < ld.layer_index[v]
+            self.assert_matches_oracle(ld)
+
+    def test_benchmark_scale_graph_matches_oracle(self):
+        ld = layer_dag(to_dag(generate_ws(400, 2, 0.9, seed=3)))
+        assert len(ld.layers) > 2
+        self.assert_matches_oracle(ld)
 
 
 class TestComputeMetrics:
@@ -223,15 +238,17 @@ class TestPersistence:
     def test_round_trip(self):
         g = generate_ws(12, 2, 0.4, seed=2)
         m = compute_metrics(g)
-        text = graph_to_json(g, generator={"size": 12, "nei": 2, "p": 0.4, "seed": 2},
-                             metrics=m)
-        g2, gen, m2 = graph_from_json(text)
+        doc = graph_to_doc(g, generator={"size": 12, "nei": 2, "p": 0.4, "seed": 2},
+                           metrics=m)
+        g2, gen, m2 = graph_from_doc(json.loads(json.dumps(doc)))
         assert g2.edges == g.edges
         assert gen["nei"] == 2
         assert m2.to_dict() == m.to_dict()
 
     def test_schema_fields_present(self):
         g = generate_ws(8, 1, 0.0, seed=0)
-        doc = json.loads(graph_to_json(g))
+        doc = graph_to_doc(g)
         assert {"schema_version", "generator", "vertex_count", "edges",
                 "metrics", "disconnected_flag"} <= set(doc)
+        with pytest.raises(GraphError):
+            graph_from_doc({**doc, "schema_version": 99})

@@ -97,7 +97,7 @@ def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
     if indices is None:
         indices = np.arange(images.shape[0])
     _, _, cache = forward(net, images)
-    _, _, input_grads = backward(net, cache, labels)
+    _, _, input_grads = backward(net, cache, labels, params=False)
     adv = np.clip(images + eps * np.sign(input_grads), 0.0, 1.0)
     _, probs, _ = forward(net, adv)
     return [_outcome_from_probs(probs[i], labels[i], int(indices[i]),
@@ -119,7 +119,7 @@ def fgsm_eps_search(net: MaskedNetwork, x: np.ndarray, y: int,
     _, probs, cache = forward(net, x)
     if int(probs.argmax()) != int(y):
         raise AttackError("eps search requires a correctly classified input")
-    _, _, input_grad = backward(net, cache, y)
+    _, _, input_grad = backward(net, cache, y, params=False)
     direction = np.sign(input_grad)
 
     eps, x_adv = start, x.copy()

@@ -181,13 +181,20 @@ def _rasterize(segments, size: int = _STENCIL_SIZE, sigma: float = 0.85) -> np.n
     return canvas
 
 
-_STENCILS: list[np.ndarray] | None = None
+_SHEARS = 2  # a sheared glyph shifts row r by shear * r // _STENCIL_SIZE, |shear| <= 2
+_STENCILS: np.ndarray | None = None
 
 
-def _stencils() -> list[np.ndarray]:
+def _stencils() -> np.ndarray:
+    """(10, 2 * _SHEARS + 1, size, size) glyphs: digit d sheared by s at
+    [d, s + _SHEARS], each row rolled by s * r // size."""
     global _STENCILS
     if _STENCILS is None:
-        _STENCILS = [_rasterize(_GLYPH_SEGMENTS[d]) for d in range(10)]
+        glyphs = [_rasterize(_GLYPH_SEGMENTS[d]) for d in range(10)]
+        _STENCILS = np.array([[[np.roll(row, shear * r // _STENCIL_SIZE)
+                                for r, row in enumerate(glyph)]
+                               for shear in range(-_SHEARS, _SHEARS + 1)]
+                              for glyph in glyphs])
     return _STENCILS
 
 
@@ -198,25 +205,24 @@ def synthetic_dataset(n: int, seed: int, split: str = "train",
     A labeled stand-in with MNIST's shape: each sample is a digit glyph with
     random placement, shear, intensity, and additive noise. Not MNIST; meant
     for tests and for running the pipeline where the IDX files are absent.
+    Per image the generator draws, in order: intensity, the shear coin, the
+    shear (only on heads), the row and column offsets, then the noise.
     """
     rng = np.random.default_rng(seed)
     stencils = _stencils()
     images = np.zeros((n, _CANVAS, _CANVAS))
     labels = rng.integers(0, 10, size=n)
     margin = _CANVAS - _STENCIL_SIZE
+    center = margin // 2
+    lo = max(0, center - max_shift)
+    hi = min(margin, center + max_shift)
     for i in range(n):
-        glyph = stencils[labels[i]] * rng.uniform(0.65, 1.0)
-        if rng.random() < 0.5:
-            shear = rng.integers(-2, 3)
-            if shear:
-                glyph = np.array([np.roll(row, shear * r // _STENCIL_SIZE)
-                                  for r, row in enumerate(glyph)])
-        center = margin // 2
-        lo = max(0, center - max_shift)
-        hi = min(margin, center + max_shift)
+        intensity = rng.uniform(0.65, 1.0)
+        shear = int(rng.integers(-_SHEARS, _SHEARS + 1)) if rng.random() < 0.5 else 0
         dy = int(rng.integers(lo, hi + 1))
         dx = int(rng.integers(lo, hi + 1))
-        images[i, dy:dy + _STENCIL_SIZE, dx:dx + _STENCIL_SIZE] = glyph
+        images[i, dy:dy + _STENCIL_SIZE, dx:dx + _STENCIL_SIZE] = (
+            stencils[labels[i], shear + _SHEARS] * intensity)
         images[i] += rng.normal(0.0, noise, size=(_CANVAS, _CANVAS))
     images = np.clip(images, 0.0, 1.0)
     return Dataset(images.reshape(n, -1), labels.astype(np.int64), split)

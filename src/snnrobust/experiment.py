@@ -751,9 +751,10 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
 
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     """Human-readable summary: the manifest the models were trained under
-    (the one the last sweep stored, else the given one), the dataset the
-    latest stage ran on, counts, censored epsilon searches, failed tasks, and
-    the two strongest graph properties per robustness measure."""
+    (the one the last sweep stored, else the given one), the settings of an
+    `attack` run after the last sweep, the dataset the latest stage ran on,
+    counts, censored epsilon searches, failed tasks, and the two strongest
+    graph properties per robustness measure."""
     prov_path = store.root / "provenance.json"
     events = json.loads(prov_path.read_text()) if prov_path.exists() else []
     used = [e["dataset"] for e in events if "dataset" in e]
@@ -770,8 +771,15 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
         f"dataset: {used[-1] if used else 'none recorded'} "
         f"(manifest requests {run.dataset})",
         "note: parameter counts include biases",
-        "",
     ]
+    last_sweep = max((i for i, e in enumerate(events) if e["event"] == "sweep"),
+                     default=-1)
+    attacks = [e for e in events[last_sweep + 1:] if e["event"] == "attack"]
+    if attacks:
+        lines += [f"note: the attack records were re-attacked after the last sweep, "
+                  f"under manifest {attacks[-1]['manifest_hash']} with settings:",
+                  f"  {json.dumps(attacks[-1]['settings'], sort_keys=True)}"]
+    lines.append("")
     gen_path = store.root / "generation.json"
     if gen_path.exists():
         gen = json.loads(gen_path.read_text())

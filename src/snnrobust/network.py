@@ -24,6 +24,15 @@ Weights are zero wherever the mask is: construction, initialization and
 pruning write zeros there, and backward() masks the weight gradients, so
 Adam's moments and updates stay zero at masked positions too.
 
+Every weight and mask matrix is C-ordered, whichever function made it:
+dropping columns (`_keep_live_columns`) copies to C order, and
+`init_weights` allocates fresh C arrays. The layout is part of the result:
+BLAS rounds a product differently for a C-ordered and a Fortran-ordered
+matrix, in every single-image product (gemv) and in batched ones (GEMM) of
+some shapes, so a trained, a loaded and a pruned net agree to the bit only
+in one layout. `train` moves the weights and biases into one flat buffer
+(`flatten_params`); they stay C-ordered views into it.
+
 Hidden layers apply ReLU; the output layer is affine followed by softmax.
 """
 
@@ -126,8 +135,8 @@ def _keep_live_columns(net: MaskedNetwork) -> None:
         live = m.any(axis=0)
         if not live.all():
             net.sources[l] = net.sources[l][live]
-            net.masks[l] = m[:, live]
-            net.weights[l] = net.weights[l][:, live]
+            net.masks[l] = np.ascontiguousarray(m[:, live])
+            net.weights[l] = np.ascontiguousarray(net.weights[l][:, live])
 
 
 def _from_blocks(input_dim: int, output_dim: int, layer_units: list[int],
@@ -184,7 +193,7 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
     rng = np.random.default_rng(seed)
     gain = np.sqrt(2.0)
     out = net.copy()
-    out.weights = [np.zeros_like(m) for m in out.masks]
+    out.weights = [np.zeros(m.shape) for m in out.masks]
     L, offsets = out.n_layers, out.offsets
     pairs = ([(-1, 0)] + [(s, l) for s in range(L) for l in range(s + 1, L)]
              + [(t, L) for t in range(L)])
@@ -277,14 +286,22 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray | int) -> float:
 
 
 def backward(
-    net: MaskedNetwork, cache: ForwardCache, label: np.ndarray | int
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    net: MaskedNetwork, cache: ForwardCache, label: np.ndarray | int,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None, *,
+    params: bool = True, input_grad: bool = True,
+) -> tuple[list[np.ndarray] | None, list[np.ndarray] | None, np.ndarray | None]:
     """Gradients of the mean cross-entropy loss for the cached forward pass.
 
     Returns (weight gradients aligned with net.weights, bias gradients
     aligned with net.biases, gradient with respect to the input). Weight
     gradients are multiplied by the masks, so they are zero at masked
     positions. ReLU takes derivative 0 at exactly 0.
+
+    `out`, a (weight gradients, bias gradients) pair of C-ordered arrays
+    shaped like net.weights and net.biases, receives the parameter gradients
+    in place and is returned; without it they are freshly allocated.
+    params=False skips the parameter gradients and input_grad=False the
+    input gradient; a skipped part is returned as None.
     """
     if cache.version != net.version:
         raise StaleCacheError("forward cache predates a parameter mutation")
@@ -299,20 +316,47 @@ def backward(
     dz = ((cache.probs - onehot) / B).T  # (output_dim, batch)
     d_acts = np.zeros_like(cache.acts)
 
-    weight_grads: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * (L + 1)  # type: ignore[list-item]
+    weight_grads = bias_grads = None
+    if params:
+        weight_grads, bias_grads = out if out is not None else param_views(
+            net, np.empty(sum(p.size for p in net.weights + net.biases)))
     for l in range(L, -1, -1):
         if l < L:
             dz = d_acts[offsets[l]:offsets[l + 1]] * (cache.pre[l] > 0.0)
-        bias_grads[l] = dz.sum(axis=1)
-        src = cache.x.T if l == 0 else cache.acts[net.sources[l]]
-        weight_grads[l] = (dz @ src.T) * net.masks[l]
+        if params:
+            np.sum(dz, axis=1, out=bias_grads[l])
+            src = cache.x.T if l == 0 else cache.acts[net.sources[l]]
+            np.matmul(dz, src.T, out=weight_grads[l])
+            weight_grads[l] *= net.masks[l]
         if l > 0:
             d_acts[net.sources[l]] += net.weights[l].T @ dz
 
-    dx = dz.T @ net.weights[0]
-    input_grad = dx[0] if cache.single else dx
-    return weight_grads, bias_grads, input_grad
+    dx = None
+    if input_grad:
+        dx = dz.T @ net.weights[0]
+        if cache.single:
+            dx = dx[0]
+    return weight_grads, bias_grads, dx
+
+
+def param_views(net: MaskedNetwork, flat: np.ndarray
+                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """C-ordered views of a flat buffer shaped like net.weights and
+    net.biases, laid out weights first, then biases, each row-major."""
+    views, start = [], 0
+    for p in net.weights + net.biases:
+        views.append(flat[start:start + p.size].reshape(p.shape))
+        start += p.size
+    return views[:len(net.weights)], views[len(net.weights):]
+
+
+def flatten_params(net: MaskedNetwork) -> np.ndarray:
+    """Move every weight and bias of `net` into one flat float64 buffer, in
+    the layout of param_views, and make net.weights and net.biases views
+    into it. Values are unchanged; returns the buffer."""
+    flat = np.concatenate([p.ravel() for p in net.weights + net.biases])
+    net.weights, net.biases = param_views(net, flat)
+    return flat
 
 
 def param_count(net: MaskedNetwork) -> int:

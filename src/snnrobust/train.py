@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, batches
-from .network import MaskedNetwork, backward, cross_entropy, forward
+from .network import (MaskedNetwork, backward, cross_entropy, flatten_params,
+                      forward, param_views)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -35,37 +36,55 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    # two scratch arrays shaped like the parameters, reused by every step
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     cfg: TrainConfig,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update with bias correction, applied in place.
+) -> tuple[np.ndarray, AdamState]:
+    """One Adam update with bias correction, applied in place to `params`
+    (train passes its flat parameter buffer) and the state's moments.
 
-    A position whose gradient has always been zero keeps zero moments and
-    is left unchanged, so masked weights stay zero under masked gradients.
+    In-place ufuncs evaluate m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g)
+    and p -= (lr * (m/bc1)) / (sqrt(v/bc2) + eps) in this operation order,
+    so the update is bit-identical to the expressions as written. A position
+    whose gradient has always been zero keeps zero moments and is left
+    unchanged, so masked weights stay zero under masked gradients.
     """
     state.t += 1
     t = state.t
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = cfg.beta1 * state.m[i] + (1.0 - cfg.beta1) * g
-        state.v[i] = cfg.beta2 * state.v[i] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    m, v = state.m, state.v
+    step, denom = state.scratch
+    m *= cfg.beta1
+    np.multiply(grads, 1.0 - cfg.beta1, out=step)
+    m += step
+    v *= cfg.beta2
+    np.multiply(grads, grads, out=step)
+    step *= 1.0 - cfg.beta2
+    v += step
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_eps
+    np.divide(m, bc1, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    params -= step
     return params, state
 
 
@@ -87,11 +106,15 @@ class TrainHistory:
 def train(net: MaskedNetwork, train_set: Dataset, cfg: TrainConfig) -> TrainHistory:
     """Mini-batch Adam on cross-entropy for cfg.epochs passes.
 
-    Mutates `net` in place and returns the per-epoch loss/accuracy history.
-    Deterministic for a fixed cfg.seed. Raises TrainingDivergedError if the
-    loss goes non-finite; the mask invariant is asserted every epoch.
+    Mutates `net` in place and returns the per-epoch loss/accuracy history:
+    its weights and biases become views of one flat buffer, which backward
+    fills through a gradient buffer of the same layout and adam_step updates
+    whole. Deterministic for a fixed cfg.seed. Raises TrainingDivergedError
+    if the loss goes non-finite; the mask invariant is asserted every epoch.
     """
-    params = net.weights + net.biases
+    params = flatten_params(net)
+    grads = np.empty_like(params)
+    grad_views = param_views(net, grads)
     state = AdamState.for_params(params)
 
     history = TrainHistory()
@@ -108,8 +131,8 @@ def train(net: MaskedNetwork, train_set: Dataset, cfg: TrainConfig) -> TrainHist
                     f"non-finite loss {loss} at epoch {epoch}, t={state.t}")
             epoch_loss += loss * len(batch_idx)
             correct += int((probs.argmax(axis=1) == yb).sum())
-            w_grads, b_grads, _ = backward(net, cache, yb)
-            adam_step(params, w_grads + b_grads, state, cfg)
+            backward(net, cache, yb, grad_views, input_grad=False)
+            adam_step(params, grads, state, cfg)
             net.mark_mutated()
         net.assert_mask_invariant()
         history.records.append(EpochRecord(

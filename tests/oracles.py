@@ -6,8 +6,9 @@ per-pair path counting instead of the identity sum_v bc(v) =
 sum_{s<t} (d(s,t) - 1) that `compute_metrics` uses, gradients from
 central finite differences, network outputs vertex by vertex along the DAG
 edges instead of one matmul per layer, layers from relaxing every edge to a
-longest-path fixed point instead of one pass in vertex order, and rank
-statistics from exhaustive pair counting.
+longest-path fixed point instead of one pass in vertex order, Adam from
+one expression per parameter array instead of in-place ufuncs over one flat
+buffer, and rank statistics from exhaustive pair counting.
 """
 
 from __future__ import annotations
@@ -216,6 +217,21 @@ def vertex_forward_logits(net: MaskedNetwork, ld: LayeredDag, x: np.ndarray) -> 
     return np.array([net.biases[-1][c] + sum(w[(f"v{s}", f"c{c}")] * act[s]
                                              for s in ld.sinks)
                      for c in range(net.output_dim)])
+
+
+def per_array_adam_step(params: list[np.ndarray], grads: list[np.ndarray],
+                        m: list[np.ndarray], v: list[np.ndarray], t: int,
+                        cfg) -> None:
+    """Adam step t (1-based) with bias correction, one array at a time:
+    params are updated in place, the moment lists get new arrays."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+        v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m[i] / bc1
+        v_hat = v[i] / bc2
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
 def spearman_rank_diff(xs, ys) -> float:

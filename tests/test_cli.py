@@ -111,3 +111,24 @@ def test_report_shows_the_settings_the_sweep_ran_under(desk_manifest_path, tmp_p
     assert f"mode: desk (scale factors {asdict(ran.scale)})" in lines
     assert (f"note: the given manifest ({given.manifest_hash}) differs from the "
             "one the models were trained under") in lines
+
+
+def test_report_shows_the_settings_of_a_later_attack(desk_manifest_path, tmp_path):
+    out = tmp_path / "results"
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    data = ["--data-dir", str(tmp_path / "nodata")]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, *data]) == 0
+    assert main(["attack", *args, *data, "--scale", "4"]) == 0
+    assert main(["report", *args]) == 0
+
+    events = json.loads((out / "provenance.json").read_text())
+    attack = events[-1]
+    assert attack["event"] == "attack"
+    given = ExperimentManifest.from_file(desk_manifest_path)
+    swept = given.attack_settings(given.synthetic_test_n)
+    assert attack["settings"]["images"]["fgsm_search"] > swept["images"]["fgsm_search"]
+    lines = (out / "report.txt").read_text().splitlines()
+    at = lines.index("note: the attack records were re-attacked after the last "
+                     f"sweep, under manifest {attack['manifest_hash']} with settings:")
+    assert json.loads(lines[at + 1]) == attack["settings"]

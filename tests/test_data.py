@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -104,6 +105,31 @@ class TestSynthetic:
         b = synthetic_dataset(20, seed=3)
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
+
+    # SHA-256 of the images' then the labels' bytes
+    @pytest.mark.parametrize("n, seed, digest", [
+        (200, 0, "d1e2c07e877ab1ca8ea40ade353f54941cc76c549ad2d56c64755c3e35b302bc"),
+        (200, 1, "3ac34cd6bba348214c42ebed1666062a386c0306b9922d4f85f28e879a687c5f"),
+    ])
+    def test_golden_digest(self, n, seed, digest):
+        ds = synthetic_dataset(n, seed)
+        assert hashlib.sha256(ds.images.tobytes() + ds.labels.tobytes()).hexdigest() == digest
+
+    def test_golden_corpora_draw_every_sheared_glyph(self):
+        # replays the documented draw order: labels, then per image the
+        # intensity, the shear coin, the shear on heads, two offsets, noise
+        drawn = set()
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            labels = rng.integers(0, 10, size=200)
+            for label in labels:
+                rng.uniform(0.65, 1.0)
+                if rng.random() < 0.5:
+                    drawn.add((int(label), int(rng.integers(-2, 3))))
+                rng.integers(2, 9)
+                rng.integers(2, 9)
+                rng.normal(0.0, 0.1, size=(28, 28))
+        assert drawn >= {(d, s) for d in range(10) for s in (-2, -1, 1, 2)}
 
     def test_classes_are_separable_hint(self):
         # with shifts disabled, a nearest-centroid rule separates the glyphs

@@ -12,7 +12,8 @@ from snnrobust.graph import Dag, generate_ws, layer_dag, to_dag
 from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
                                backward, build_network, cross_entropy, forward,
                                init_weights, load_checkpoint, network_to_graph,
-                               param_count, prune_random, save_checkpoint)
+                               param_count, param_views, prune_random,
+                               save_checkpoint)
 
 from tests.conftest import kink_free_case, random_layered_net, random_small_graph
 from tests.oracles import (finite_diff_bias_grads, finite_diff_input_grad,
@@ -256,6 +257,22 @@ class TestBackward:
                 assert (err / scale).max() < 1e-4
             scale = np.maximum(np.abs(fd_x), 1e-6)
             assert (np.abs(input_grad - fd_x) / scale).max() < 1e-4
+
+    def test_out_buffers_and_skipped_parts(self, rng):
+        net = random_layered_net(rng)
+        x = rng.uniform(0, 1, (5, net.input_dim))
+        y = rng.integers(0, net.output_dim, 5)
+        _, _, cache = forward(net, x)
+        w_grads, b_grads, input_grad = backward(net, cache, y)
+        size = sum(p.size for p in net.weights + net.biases)
+        out = param_views(net, np.full(size, np.nan))
+        w_out, b_out, none = backward(net, cache, y, out, input_grad=False)
+        assert none is None and w_out is out[0] and b_out is out[1]
+        for a, b in zip(w_grads + b_grads, w_out + b_out):
+            assert np.array_equal(a, b)
+        no_w, no_b, input_only = backward(net, cache, y, params=False)
+        assert no_w is None and no_b is None
+        assert np.array_equal(input_only, input_grad)
 
     def test_stale_cache_rejected(self, rng):
         net = random_layered_net(rng)

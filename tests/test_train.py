@@ -1,47 +1,85 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import snnrobust
 from snnrobust.data import Dataset, synthetic_dataset
-from snnrobust.graph import Dag, layer_dag
-from snnrobust.network import build_network, forward, init_weights
+from snnrobust.graph import Dag, generate_ws, layer_dag, to_dag
+from snnrobust.network import (backward, build_network, cross_entropy,
+                               flatten_params, forward, init_weights,
+                               load_checkpoint, param_views, prune_random,
+                               save_checkpoint)
 from snnrobust.train import (AdamState, TrainConfig, TrainingDivergedError,
                              adam_step, classification_report, evaluate_f1,
                              train)
 
 from tests.conftest import random_layered_net
+from tests.oracles import per_array_adam_step
 
 
 class TestAdamStep:
     def test_single_step_hand_computed(self):
         cfg = TrainConfig(seed=0)
-        theta = [np.array([0.0])]
+        theta = np.array([0.0])
         state = AdamState.for_params(theta)
-        adam_step(theta, [np.array([1.0])], state, cfg)
+        adam_step(theta, np.array([1.0]), state, cfg)
         # m_hat = v_hat = 1 after bias correction, so the step is
         # -lr * 1 / (1 + eps)
         expected = -1e-3 / (1.0 + 1e-8)
-        assert theta[0][0] == pytest.approx(expected, abs=1e-11)
+        assert theta[0] == pytest.approx(expected, abs=1e-11)
         assert state.t == 1
 
     def test_zero_grad_zero_state_is_identity(self):
         cfg = TrainConfig()
-        theta = [np.array([0.7, -0.2])]
+        theta = np.array([0.7, -0.2])
         state = AdamState.for_params(theta)
-        adam_step(theta, [np.zeros(2)], state, cfg)
-        assert np.array_equal(theta[0], [0.7, -0.2])
+        adam_step(theta, np.zeros(2), state, cfg)
+        assert np.array_equal(theta, [0.7, -0.2])
 
     def test_masked_position_stays_zero(self):
         # backward masks the gradient, so a masked weight only ever sees 0
         cfg = TrainConfig()
-        theta = [np.array([[0.5, 0.0]])]
+        theta = np.array([0.5, 0.0])
         state = AdamState.for_params(theta)
         for _ in range(3):
-            adam_step(theta, [np.array([[0.1, 0.0]])], state, cfg)
-        assert theta[0][0, 1] == 0.0
-        assert state.m[0][0, 1] == 0.0 and state.v[0][0, 1] == 0.0
-        assert theta[0][0, 0] != 0.5
+            adam_step(theta, np.array([0.1, 0.0]), state, cfg)
+        assert theta[1] == 0.0
+        assert state.m[1] == 0.0 and state.v[1] == 0.0
+        assert theta[0] != 0.5
+
+    def test_flat_step_equals_per_array_oracle(self, rng):
+        # the flat in-place step against one expression per array, over 5
+        # steps of real gradients on a fixed batch
+        cfg = TrainConfig()
+        flat_net = random_layered_net(rng)
+        net = flat_net.copy()
+        x = rng.uniform(0, 1, (16, net.input_dim))
+        y = rng.integers(0, net.output_dim, 16)
+        params = flatten_params(flat_net)
+        grads = np.empty_like(params)
+        state = AdamState.for_params(params)
+        m = [np.zeros_like(p) for p in net.weights + net.biases]
+        v = [np.zeros_like(p) for p in net.weights + net.biases]
+        for t in range(1, 6):
+            backward(flat_net, forward(flat_net, x)[2], y,
+                     param_views(flat_net, grads), input_grad=False)
+            adam_step(params, grads, state, cfg)
+            flat_net.mark_mutated()
+            w_grads, b_grads, _ = backward(net, forward(net, x)[2], y)
+            per_array_adam_step(net.weights + net.biases, w_grads + b_grads,
+                                m, v, t, cfg)
+            net.mark_mutated()
+            for a, b in zip(flat_net.weights + flat_net.biases,
+                            net.weights + net.biases):
+                assert np.array_equal(a, b)
+            assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m]))
+            assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v]))
 
 
 def two_class_toy(n=200, seed=0):
@@ -92,21 +130,20 @@ class TestTrain:
 
     def test_loss_decreases_over_first_five_steps(self):
         # fixed batch, 5 Adam steps; median verdict over 20 seeds
-        from snnrobust.network import backward, cross_entropy, forward
-        from snnrobust.train import AdamState, adam_step
         ds = two_class_toy(64)
         drops = []
         for seed in range(20):
             ld = layer_dag(Dag(6, frozenset({(0, 3), (1, 4), (2, 5)})))
             net = init_weights(build_network(ld, 8, 2), "He_N", seed=seed)
-            params = net.weights + net.biases
+            params = flatten_params(net)
+            grads = np.empty_like(params)
             state = AdamState.for_params(params)
             losses = []
             for _ in range(5):
                 logits, _, cache = forward(net, ds.images)
                 losses.append(cross_entropy(logits, ds.labels))
-                w_grads, b_grads, _ = backward(net, cache, ds.labels)
-                adam_step(params, w_grads + b_grads, state, TrainConfig(seed=0))
+                backward(net, cache, ds.labels, param_views(net, grads))
+                adam_step(params, grads, state, TrainConfig(seed=0))
                 net.mark_mutated()
             logits, _, _ = forward(net, ds.images)
             losses.append(cross_entropy(logits, ds.labels))
@@ -119,8 +156,61 @@ class TestTrain:
         net = init_weights(build_network(ld, 8, 2), "He_N", seed=0)
         net.weights[0] += 1e308  # overflow: inf logits, nan loss
         net.mark_mutated()
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError), pytest.warns(RuntimeWarning):
             train(net, ds, TrainConfig(epochs=1, batch_size=16, seed=0))
+
+
+# The benchmark's WS(400, 2, 0.9) net (perfbench/workloads.py REATTACK_GRAPHS),
+# G_N, trained 2 epochs; 15 of its 16 matrices have dropped columns. The
+# digest of its weights and biases was recorded with the per-array Adam on an
+# Intel Xeon x86-64 VM (numpy 2.4 with OpenBLAS). Run in a child with one
+# BLAS thread: a threaded GEMM splits its sums differently.
+GOLDEN_TRAIN = """
+import hashlib
+from snnrobust.data import synthetic_dataset
+from snnrobust.experiment import derive_seed
+from snnrobust.graph import generate_ws, layer_dag, to_dag
+from snnrobust.network import build_network, init_weights
+from snnrobust.train import TrainConfig, train
+
+g = generate_ws(400, 2, 0.9, derive_seed(2107_06158, "bench-graph", 0))
+net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "G_N", seed=5)
+train(net, synthetic_dataset(1024, 11), TrainConfig(epochs=2, batch_size=128, seed=12))
+h = hashlib.sha256()
+for p in net.weights + net.biases:
+    h.update(p.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_golden_trained_weights():
+    src = str(Path(snnrobust.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", GOLDEN_TRAIN], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == (
+        "cb12623e18ca490f9aa3038641b9d48f4ab90be7e63818d5a1221f7875203036")
+
+
+def test_one_c_ordered_layout(tmp_path):
+    g = generate_ws(60, 2, 0.9, seed=4)
+    net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "G_N", seed=1)
+    # columns were dropped, which is what once left matrices in Fortran order
+    assert any(len(net.sources[l]) < net.offsets[l] for l in range(1, net.n_layers + 1))
+    save_checkpoint(net, tmp_path / "net.bin")
+    trained = net.copy()
+    train(trained, synthetic_dataset(64, 0), TrainConfig(epochs=1, batch_size=32))
+    nets = [build_network(layer_dag(to_dag(g)), 784, 10), net,
+            prune_random(net, 0.5, seed=2), load_checkpoint(tmp_path / "net.bin")[0],
+            trained]
+    for n in nets:
+        for w, m in zip(n.weights, n.masks):
+            assert w.flags.c_contiguous and m.flags.c_contiguous
+    buffer = trained.weights[0].base
+    assert buffer is not None and buffer.ndim == 1
+    assert all(p.base is buffer for p in trained.weights + trained.biases)
 
 
 class TestEvaluateF1:

@@ -1,5 +1,18 @@
 """Sparse neural networks from random-graph structural priors: generation,
-training, adversarial attacks, and graph-property correlation analysis."""
+training, adversarial attacks, and graph-property correlation analysis.
+
+Importing the package pins BLAS to one thread per process: a threaded GEMM
+splits its sums differently, so trained weights, and every result after
+them, would depend on the thread count. Parallelism comes from sweep
+workers instead. The pin works only when snnrobust is imported before
+numpy, since BLAS reads these variables when numpy loads it; the
+`snnrobust` command always imports it first.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 from .attack import AdversarialExample, DEConfig, de_evolve, fgsm, fgsm_eps_search, one_pixel
 from .data import Dataset, batches, load_idx, synthetic_dataset

@@ -249,7 +249,7 @@ def candidate_probs(net: MaskedNetwork, x: np.ndarray):
     def probs(cands: np.ndarray) -> np.ndarray:
         flat = _pixel_index(cands)
         delta = cands[:, 2] / INTENSITY_MAX - x[flat]
-        _, _, logits = propagate(net, (pre0 + w0_rows[flat] * delta[:, None]).T)
+        _, logits = propagate(net, (pre0 + w0_rows[flat] * delta[:, None]).T)
         return softmax(logits)
 
     return probs

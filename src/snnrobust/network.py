@@ -104,7 +104,6 @@ class MaskedNetwork:
 @dataclass
 class ForwardCache:
     x: np.ndarray            # (batch, input_dim)
-    pre: list[np.ndarray]    # (layer_units[l], batch) pre-activations per hidden layer
     acts: np.ndarray         # (offsets[-1], batch) post-ReLU activation buffer
     logits: np.ndarray
     probs: np.ndarray
@@ -234,25 +233,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def propagate(net: MaskedNetwork, pre0: np.ndarray
-              ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+def propagate(net: MaskedNetwork, pre0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run the network from the layer-0 pre-activations pre0, a
     (layer_units[0], batch) array, through hidden layers >= 1 and the output.
 
-    Returns (pre-activations per hidden layer, pre0 first; the
-    (offsets[-1], batch) post-ReLU activation buffer; (batch, output_dim)
-    logits).
+    Returns (the (offsets[-1], batch) post-ReLU activation buffer;
+    (batch, output_dim) logits). Each hidden layer's product is written
+    straight into its rows of the buffer, then biased and rectified there.
     """
     offsets = net.offsets
     acts = np.empty((offsets[-1], pre0.shape[1]))
-    pre = [pre0]
     np.maximum(pre0, 0.0, out=acts[:offsets[1]])
     for l in range(1, net.n_layers):
-        z = net.weights[l] @ acts[net.sources[l]] + net.biases[l][:, None]
-        pre.append(z)
-        np.maximum(z, 0.0, out=acts[offsets[l]:offsets[l + 1]])
+        z = acts[offsets[l]:offsets[l + 1]]
+        np.matmul(net.weights[l], acts[net.sources[l]], out=z)
+        z += net.biases[l][:, None]
+        np.maximum(z, 0.0, out=z)
     logits = acts[net.sources[-1]].T @ net.weights[-1].T + net.biases[-1]
-    return pre, acts, logits
+    return acts, logits
 
 
 def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
@@ -266,10 +264,10 @@ def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise NetworkError(f"input must have {net.input_dim} features, got shape {x.shape}")
 
-    pre, acts, logits = propagate(net, net.weights[0] @ X.T + net.biases[0][:, None])
+    acts, logits = propagate(net, net.weights[0] @ X.T + net.biases[0][:, None])
     probs = softmax(logits)
 
-    cache = ForwardCache(x=X, pre=pre, acts=acts, logits=logits, probs=probs,
+    cache = ForwardCache(x=X, acts=acts, logits=logits, probs=probs,
                          single=single, version=net.version)
     if single:
         return logits[0], probs[0], cache
@@ -295,7 +293,8 @@ def backward(
     Returns (weight gradients aligned with net.weights, bias gradients
     aligned with net.biases, gradient with respect to the input). Weight
     gradients are multiplied by the masks, so they are zero at masked
-    positions. ReLU takes derivative 0 at exactly 0.
+    positions. ReLU takes derivative 0 at exactly 0; the gate reads the
+    post-ReLU buffer, since max(z, 0) > 0 exactly when z > 0.
 
     `out`, a (weight gradients, bias gradients) pair of C-ordered arrays
     shaped like net.weights and net.biases, receives the parameter gradients
@@ -322,7 +321,8 @@ def backward(
             net, np.empty(sum(p.size for p in net.weights + net.biases)))
     for l in range(L, -1, -1):
         if l < L:
-            dz = d_acts[offsets[l]:offsets[l + 1]] * (cache.pre[l] > 0.0)
+            rows = slice(offsets[l], offsets[l + 1])
+            dz = d_acts[rows] * (cache.acts[rows] > 0.0)
         if params:
             np.sum(dz, axis=1, out=bias_grads[l])
             src = cache.x.T if l == 0 else cache.acts[net.sources[l]]

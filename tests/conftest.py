@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import snnrobust
 from snnrobust.graph import generate_ws, layer_dag, to_dag
 from snnrobust.network import build_network, init_weights
 
@@ -53,10 +59,23 @@ def kink_free_case(rng: np.random.Generator, margin: float = 1e-3, **net_kwargs)
         net = random_layered_net(rng, bias_scale=0.05, **net_kwargs)
         x = rng.uniform(0.05, 0.95, net.input_dim)
         _, _, cache = forward(net, x)
-        if min(np.abs(p).min() for p in cache.pre) > margin:
+        pre = [net.weights[l] @ (cache.x.T if l == 0 else cache.acts[net.sources[l]])
+               + net.biases[l][:, None] for l in range(net.n_layers)]
+        if min(np.abs(p).min() for p in pre) > margin:
             y = int(rng.integers(net.output_dim))
             return net, x, y
     raise AssertionError("could not sample a kink-free gradient check case")
+
+
+def run_child(code: str, **env: str) -> str:
+    """Run `code` in a fresh interpreter that imports snnrobust from this
+    checkout, with `env` added to the environment; returns its stdout."""
+    src = str(Path(snnrobust.__file__).resolve().parents[1])
+    full_env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=full_env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from snnrobust.attack import AdversarialExample
 from snnrobust.measure import (DegenerateDataError, MeasureError,
@@ -13,6 +14,7 @@ from snnrobust.measure import (DegenerateDataError, MeasureError,
                                error_rate, kendall, robustness_record,
                                spearman)
 
+from tests.conftest import run_child
 from tests.oracles import kendall_pair_count, spearman_rank_diff
 
 
@@ -139,6 +141,64 @@ class TestKendall:
                 checked += 1
                 assert np.sign(rho) == np.sign(tau)
         assert checked > 100
+
+
+def random_pairs(seed: int, count: int):
+    """Seeded (xs, ys) pairs of lengths 3-59: half integer-valued draws from
+    one to five levels, so with heavy ties, half continuous and tie-free."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(3, 60))
+        if k % 2:
+            yield rng.normal(size=n), rng.normal(size=n)
+        else:
+            yield (rng.integers(0, rng.integers(1, 6), n).astype(float),
+                   rng.integers(0, rng.integers(1, 6), n).astype(float))
+
+
+def outcome_or_flag(f, xs, ys):
+    try:
+        return f(xs, ys)
+    except DegenerateDataError as exc:
+        return str(exc)
+
+
+class TestEqualsScipyBitForBit:
+    """The numpy rank statistics against scipy.stats, the reference."""
+
+    def test_spearman_equals_rankdata_corrcoef(self):
+        defined = 0
+        for xs, ys in random_pairs(1, 1500):
+            rx = stats.rankdata(xs, method="average")
+            ry = stats.rankdata(ys, method="average")
+            if np.ptp(rx) == 0 or np.ptp(ry) == 0:
+                assert outcome_or_flag(spearman, xs, ys) == "zero rank variance"
+                continue
+            defined += 1
+            assert spearman(xs, ys) == float(np.corrcoef(rx, ry)[0, 1])
+        assert defined > 1200
+
+    def test_kendall_equals_kendalltau_b(self):
+        defined = 0
+        for xs, ys in random_pairs(2, 1500):
+            if np.ptp(xs) == 0 or np.ptp(ys) == 0:
+                assert outcome_or_flag(kendall, xs, ys) == "all-tied input"
+                continue
+            defined += 1
+            assert kendall(xs, ys) == float(
+                stats.kendalltau(xs, ys, variant="b").statistic)
+        assert defined > 1200
+
+    def test_nan_as_in_scipy(self):
+        xs, ys = [1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]
+        assert np.isnan(spearman(xs, ys))
+        assert outcome_or_flag(kendall, xs, ys) == "tau undefined for this input"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs every process about 0.4 s and 27 MiB to import
+    assert run_child("import sys, snnrobust.cli; "
+                     "print('scipy.stats' in sys.modules)") == "False"
 
 
 class TestCohenLabel:

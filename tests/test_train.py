@@ -1,14 +1,8 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import snnrobust
 from snnrobust.data import Dataset, synthetic_dataset
 from snnrobust.graph import Dag, generate_ws, layer_dag, to_dag
 from snnrobust.network import (backward, build_network, cross_entropy,
@@ -19,7 +13,7 @@ from snnrobust.train import (AdamState, TrainConfig, TrainingDivergedError,
                              adam_step, classification_report, evaluate_f1,
                              train)
 
-from tests.conftest import random_layered_net
+from tests.conftest import random_layered_net, run_child
 from tests.oracles import per_array_adam_step
 
 
@@ -163,8 +157,11 @@ class TestTrain:
 # The benchmark's WS(400, 2, 0.9) net (perfbench/workloads.py REATTACK_GRAPHS),
 # G_N, trained 2 epochs; 15 of its 16 matrices have dropped columns. The
 # digest of its weights and biases was recorded with the per-array Adam on an
-# Intel Xeon x86-64 VM (numpy 2.4 with OpenBLAS). Run in a child with one
-# BLAS thread: a threaded GEMM splits its sums differently.
+# Intel Xeon x86-64 VM (numpy 2.4 with OpenBLAS), with one BLAS thread. Run in
+# a child that imports snnrobust before numpy: importing it pins BLAS to one
+# thread, so the digest holds whatever OPENBLAS_NUM_THREADS the caller sets
+# (a threaded GEMM splits its sums differently; two threads once gave
+# da8e7c35...).
 GOLDEN_TRAIN = """
 import hashlib
 from snnrobust.data import synthetic_dataset
@@ -183,15 +180,20 @@ print(h.hexdigest())
 """
 
 
+GOLDEN_TRAIN_DIGEST = "cb12623e18ca490f9aa3038641b9d48f4ab90be7e63818d5a1221f7875203036"
+
+
+def golden_train_digest(threads: str) -> str:
+    return run_child(GOLDEN_TRAIN, OPENBLAS_NUM_THREADS=threads,
+                     OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+
+
 def test_golden_trained_weights():
-    src = str(Path(snnrobust.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", GOLDEN_TRAIN], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == (
-        "cb12623e18ca490f9aa3038641b9d48f4ab90be7e63818d5a1221f7875203036")
+    assert golden_train_digest("1") == GOLDEN_TRAIN_DIGEST
+
+
+def test_golden_trained_weights_ignore_the_callers_blas_threads():
+    assert golden_train_digest("2") == GOLDEN_TRAIN_DIGEST
 
 
 def test_one_c_ordered_layout(tmp_path):

@@ -30,7 +30,7 @@ from .measure import (MEASURE_COLUMNS, CorrelationTable, RobustnessRecord,
                       correlation_cell, robustness_record, tukey_fences)
 from .network import (MaskedNetwork, build_network, init_weights,
                       load_checkpoint, network_to_graph, param_count,
-                      prune_random, save_checkpoint)
+                      prune_random, round_to_checkpoint, save_checkpoint)
 from .store import GraphEntry, ResultsStore
 from .train import TrainConfig, evaluate_f1, predict, train
 
@@ -449,6 +449,9 @@ def _sweep_task(payload: dict) -> dict:
     )
     subset = train_set.subset(np.arange(manifest.train_subset_n(train_set.n)))
     history = train(net, subset, cfg)
+    # evaluate and attack the model the checkpoint stores, so that
+    # rerun_attacks on the checkpoint reproduces these records
+    round_to_checkpoint(net)
     report = evaluate_f1(net, test_set.subset(
         np.arange(manifest.test_subset_n(test_set.n))))
 

@@ -51,6 +51,8 @@ from .store import atomic_open
 
 CHECKPOINT_MAGIC = b"SNNCKPT1"
 CHECKPOINT_SCHEMA_VERSION = 2
+# the precision of every stored weight and bias
+CHECKPOINT_DTYPE = np.dtype("<f4")
 
 INIT_METHODS = ("G_N", "G_U", "He_N", "He_U", "N", "U")
 
@@ -407,10 +409,18 @@ def network_to_graph(net: MaskedNetwork) -> Dag:
     return Dag(len(order), frozenset(edges))
 
 
+def round_to_checkpoint(net: MaskedNetwork) -> None:
+    """Round every weight and bias in place to CHECKPOINT_DTYPE, so that
+    `net` equals what load_checkpoint returns after save_checkpoint."""
+    for p in net.weights + net.biases:
+        p[...] = p.astype(CHECKPOINT_DTYPE)
+    net.mark_mutated()
+
+
 def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None:
     """Write a checkpoint atomically: magic, JSON header, then per layer the
-    float32 weights and bit-packed mask of its full-width block, then
-    float32 biases."""
+    weights (CHECKPOINT_DTYPE, float32) and bit-packed mask of its
+    full-width block, then the biases (CHECKPOINT_DTYPE)."""
     header = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "input_dim": net.input_dim,
@@ -429,14 +439,14 @@ def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None
         f.write(blob)
         shapes = _layer_shapes(net.input_dim, net.output_dim, net.layer_units)
         for shape, w, m, cols in zip(shapes, net.weights, net.masks, net.sources):
-            block = np.zeros(shape, dtype="<f4")
+            block = np.zeros(shape, dtype=CHECKPOINT_DTYPE)
             block[:, cols] = w
             f.write(block.tobytes())
             block_mask = np.zeros(shape, dtype=np.uint8)
             block_mask[:, cols] = m
             f.write(np.packbits(block_mask).tobytes())
         for b in net.biases:
-            f.write(b.astype("<f4").tobytes())
+            f.write(b.astype(CHECKPOINT_DTYPE).tobytes())
 
 
 def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
@@ -479,10 +489,12 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
         if weights[l][:, cols].shape != shape:
             raise NetworkError(f"checkpoint block of shape {shape} does not fit layer {l}")
         size = shape[0] * shape[1]
-        weights[l][:, cols] = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
+        weights[l][:, cols] = np.frombuffer(
+            take(CHECKPOINT_DTYPE.itemsize * size), dtype=CHECKPOINT_DTYPE).reshape(shape)
         packed = np.frombuffer(take((size + 7) // 8), dtype=np.uint8)
         masks[l][:, cols] = np.unpackbits(packed, count=size).reshape(shape)
-    biases = [np.frombuffer(take(4 * n), dtype="<f4").astype(np.float64)
+    biases = [np.frombuffer(take(CHECKPOINT_DTYPE.itemsize * n),
+                            dtype=CHECKPOINT_DTYPE).astype(np.float64)
               for n in units + [header["output_dim"]]]
     net = _from_blocks(header["input_dim"], header["output_dim"], units,
                        [list(v) for v in header["layer_vertices"]],

@@ -499,6 +499,22 @@ class TestDeterminism:
                 .read_text())
         assert outputs[0] == outputs[1]
 
+    def test_reattack_under_the_same_manifest_rewrites_the_same_bytes(self, tmp_path):
+        # the sweep attacks the model it stores, so attacking the reloaded
+        # checkpoint again reproduces every attack record
+        manifest = tiny_manifest(init_methods=["He_N", "U"])
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        source = resolve_data_source(manifest, None)
+        run_sweep(manifest, store, source)
+        files = [store.model_dir(g, init) / name
+                 for g, init in store.completed_pairs(None)
+                 for name in ("fgsm.csv", "fgsm_search.csv", "one_pixel.csv",
+                              "robustness.json")]
+        before = [f.read_bytes() for f in files]
+        assert rerun_attacks(manifest, store, source) == 4
+        assert [f.read_bytes() for f in files] == before
+
 
 class TestGoldenFingerprint:
     # the outputs that fix a run's results, as perfbench/validate.py lists them
@@ -509,7 +525,7 @@ class TestGoldenFingerprint:
     # recorded on an Intel Xeon x86-64 VM (2 cores; Python 3.11, numpy 2.4
     # with OpenBLAS, scipy 1.17) at 1 and 2 BLAS threads; a change of outputs
     # updates it and says why in CHANGES.md
-    GOLDEN = "d14b092f820677e2ba54979d3fc5625a37173e7bb6e72c62b1f201e97fc8895e"
+    GOLDEN = "0b1d7f3321efe0874a60950fa7f2ddf82ee6ea42d9d72ce2c9b36aea41db6fea"
 
     @classmethod
     def fingerprint(cls, root) -> str:

@@ -11,8 +11,8 @@ numpy, since BLAS reads these variables when numpy loads it; the
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .attack import AdversarialExample, DEConfig, de_evolve, fgsm, fgsm_eps_search, one_pixel
 from .data import Dataset, batches, load_idx, synthetic_dataset

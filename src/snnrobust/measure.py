@@ -141,16 +141,13 @@ def kendall(xs, ys) -> float:
     xs, ys = _validate_pair(xs, ys)
     if np.ptp(xs) == 0 or np.ptp(ys) == 0:
         raise DegenerateDataError("all-tied input")
-    undefined = DegenerateDataError("tau undefined for this input")
-    if np.isnan(xs).any() or np.isnan(ys).any():
-        raise undefined
     i, j = np.triu_indices(xs.size, 1)
     dx, dy = (np.sign(r[j] - r[i]) for r in (_tie_runs(xs)[0], _tie_runs(ys)[0]))
     tot = i.size
     xtie = int(np.count_nonzero(dx == 0))
     ytie = int(np.count_nonzero(dy == 0))
-    if xtie == tot or ytie == tot:
-        raise undefined
+    if xtie == tot or ytie == tot or np.isnan(xs).any() or np.isnan(ys).any():
+        raise DegenerateDataError("tau undefined for this input")
     ntie = int(np.count_nonzero((dx == 0) & (dy == 0)))
     dis = int(np.count_nonzero(dx * dy < 0))
     tau = (tot - xtie - ytie + ntie - 2 * dis) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+# snnrobust before numpy: importing it pins BLAS to one thread, which
+# works only before numpy loads BLAS
+import snnrobust
+
 import numpy as np
 import pytest
 
-import snnrobust
 from snnrobust.graph import generate_ws, layer_dag, to_dag
 from snnrobust.network import build_network, init_weights
 

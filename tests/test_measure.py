@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -106,6 +107,13 @@ class TestKendall:
         with pytest.raises(DegenerateDataError):
             kendall([2, 2, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("v", [np.inf, -np.inf])
+    def test_all_infinite_is_all_tied_without_warnings(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="all-tied input"):
+                kendall([v] * 3, [1, 2, 3])
+
     def test_matches_pair_count_oracle_on_permutations(self):
         base = list(range(5))
         for perm in permutations(base):
@@ -143,12 +151,13 @@ class TestKendall:
         assert checked > 100
 
 
-def random_pairs(seed: int, count: int):
-    """Seeded (xs, ys) pairs of lengths 3-59: half integer-valued draws from
-    one to five levels, so with heavy ties, half continuous and tie-free."""
+def random_pairs(seed: int, count: int, lengths: tuple[int, int] = (3, 60)):
+    """Seeded (xs, ys) pairs with lengths in [lengths[0], lengths[1]): half
+    integer-valued draws from one to five levels, so with heavy ties, half
+    continuous and tie-free."""
     rng = np.random.default_rng(seed)
     for k in range(count):
-        n = int(rng.integers(3, 60))
+        n = int(rng.integers(*lengths))
         if k % 2:
             yield rng.normal(size=n), rng.normal(size=n)
         else:
@@ -188,6 +197,17 @@ class TestEqualsScipyBitForBit:
             assert kendall(xs, ys) == float(
                 stats.kendalltau(xs, ys, variant="b").statistic)
         assert defined > 1200
+
+    def test_kendall_equals_kendalltau_b_at_model_counts(self):
+        # up to 700 models: ten merge levels in the discordant-pair count
+        defined = 0
+        for xs, ys in random_pairs(3, 200, lengths=(60, 700)):
+            if np.ptp(xs) == 0 or np.ptp(ys) == 0:
+                continue
+            defined += 1
+            assert kendall(xs, ys) == float(
+                stats.kendalltau(xs, ys, variant="b").statistic)
+        assert defined > 150
 
     def test_nan_as_in_scipy(self):
         xs, ys = [1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]

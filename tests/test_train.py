@@ -196,6 +196,23 @@ def test_golden_trained_weights_ignore_the_callers_blas_threads():
     assert golden_train_digest("2") == GOLDEN_TRAIN_DIGEST
 
 
+PIN_WARNINGS = """
+import warnings
+{first}
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    import snnrobust
+print(sum("not pinned" in str(w.message) for w in caught))
+"""
+
+
+def test_import_after_numpy_warns_that_the_pin_came_too_late():
+    late = PIN_WARNINGS.format(first="import numpy")
+    assert run_child(late, OPENBLAS_NUM_THREADS="2") == "1"
+    assert run_child(late, OPENBLAS_NUM_THREADS="1") == "0"
+    assert run_child(PIN_WARNINGS.format(first=""), OPENBLAS_NUM_THREADS="2") == "0"
+
+
 def test_one_c_ordered_layout(tmp_path):
     g = generate_ws(60, 2, 0.9, seed=4)
     net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "G_N", seed=1)

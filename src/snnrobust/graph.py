@@ -4,7 +4,9 @@ Undirected graphs are generated from a ring lattice with random rewiring,
 oriented into DAGs by directing every edge from its lower-indexed endpoint
 to its higher-indexed one, and layered by the max-predecessor rule. Metric
 computation (density, distances, centralities) runs on the undirected graph;
-the directed density of the derived DAG is recorded alongside.
+the directed density of the derived DAG is recorded alongside. Distances
+come from a breadth-first search from every vertex at once, one bit per
+source, so no distance matrix is built and scipy is not needed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 GRAPH_SCHEMA_VERSION = 1
 
@@ -46,12 +47,12 @@ class UndirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (edge_count, 2) int64 array, in set order."""
+        return np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array().ravel(), minlength=self.vertex_count)
 
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
@@ -222,17 +223,54 @@ class GraphMetrics:
         return cls(**d)
 
 
+def _bfs_levels(g: UndirectedGraph) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Breadth-first search from every vertex at once, on bitsets.
+
+    Vertex v holds the set of sources that have reached it, one bit per
+    source in ceil(n/64) uint64 words. A level ORs each vertex's neighbours'
+    frontier bits and keeps those it has not seen. Returns the final seen
+    bitsets, in which row v is the vertex set of v's component, and for each
+    distance k >= 1 the number of sources that first reach each vertex at k:
+    the vertices at distance k from it.
+    """
+    n = g.vertex_count
+    edges = g.edge_array()
+    order = np.argsort(edges.ravel(), kind="stable")
+    neighbours = edges[:, ::-1].ravel()[order]
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    # reduceat runs over the vertices with neighbours; an isolated vertex
+    # would read one element of the next run
+    active = np.flatnonzero(degrees)
+    starts = (np.cumsum(degrees) - degrees)[active]
+
+    v = np.arange(n)
+    seen = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    seen[v, v >> 6] = np.uint64(1) << (v & 63).astype(np.uint64)
+    front, counts = seen, []
+    while len(neighbours):
+        reached = np.zeros_like(seen)
+        reached[active] = np.bitwise_or.reduceat(front[neighbours], starts, axis=0)
+        reached &= ~seen
+        new = np.bitwise_count(reached).sum(axis=1, dtype=np.int64)
+        if not new.any():
+            break
+        seen |= reached
+        front = reached
+        counts.append(new)
+    return seen, counts
+
+
 def compute_metrics(g: UndirectedGraph) -> GraphMetrics:
     """Compute the full metric set for an undirected graph.
 
     Densities: undirected |E| / (n(n-1)/2); directed density of the derived
-    DAG is half that (same edge set). Path metrics are read off one
-    unweighted shortest-path matrix of the largest component (on a size tie,
-    the one holding the lowest vertex), with n its size: closeness is
-    (n-1) / sum of distances, and betweenness is normalized by (n-1)(n-2)/2.
-    Every shortest s-t path has d(s,t) - 1 interior vertices, so the
-    betweenness summed over vertices is sum over pairs of (d(s,t) - 1), and
-    its mean is (avg_path_length - 1) / (n - 2).
+    DAG is half that (same edge set). Path metrics come from exact per-vertex
+    counts of the vertices at each distance (`_bfs_levels`), taken over the
+    largest component (on a size tie, the one holding the lowest vertex),
+    with n its size: closeness is (n-1) / sum of distances, and betweenness
+    is normalized by (n-1)(n-2)/2. Every shortest s-t path has d(s,t) - 1
+    interior vertices, so the betweenness summed over vertices is sum over
+    pairs of (d(s,t) - 1), and its mean is (avg_path_length - 1) / (n - 2).
     """
     n = g.vertex_count
     m = g.edge_count
@@ -240,18 +278,21 @@ def compute_metrics(g: UndirectedGraph) -> GraphMetrics:
     degrees = g.degrees()
     degree_hist = np.bincount(degrees, minlength=int(degrees.max()) + 1).tolist()
 
-    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-    adj = csr_matrix((np.ones(m), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    n_comps, labels = csgraph.connected_components(adj, directed=False)
+    seen, counts = _bfs_levels(g)
+    sizes = np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
     # argmax takes the lowest vertex among those in a largest component
-    comp = np.flatnonzero(labels == labels[np.argmax(np.bincount(labels)[labels])])
-    nc = len(comp)
-    dist = csgraph.shortest_path(adj[comp][:, comp], directed=False,
-                                 unweighted=True).astype(np.int64)
+    v0 = int(np.argmax(sizes))
+    comp = (seen[:, v0 >> 6] >> np.uint64(v0 & 63)) & np.uint64(1) == 1
+    nc = int(sizes[v0])
+    levels = [c[comp] for c in counts]
+    pair_counts = [0] + [int(c.sum()) // 2 for c in levels if c.any()]
+    diameter = len(pair_counts) - 1
+    ecc = np.zeros(nc, dtype=np.int64)
+    row_sums = np.zeros(nc, dtype=np.int64)
+    for k, c in enumerate(levels[:diameter], start=1):
+        ecc[c > 0] = k
+        row_sums += k * c
 
-    ecc = dist.max(axis=1)
-    diameter = int(ecc.max())
-    row_sums = dist.sum(axis=1)
     avg_path_length = int(row_sums.sum()) / float(nc * (nc - 1)) if nc > 1 else 0.0
     return GraphMetrics(
         vertex_count=n,
@@ -264,9 +305,8 @@ def compute_metrics(g: UndirectedGraph) -> GraphMetrics:
         avg_betweenness=(avg_path_length - 1.0) / (nc - 2) if nc > 2 else 0.0,
         avg_closeness=float(np.mean((nc - 1) / row_sums)) if nc > 1 else 0.0,
         degree_distribution=degree_hist,
-        path_length_distribution=np.bincount(
-            dist[np.triu_indices(nc, 1)], minlength=diameter + 1).tolist(),
-        disconnected=n_comps > 1,
+        path_length_distribution=pair_counts,
+        disconnected=nc < n,
     )
 
 

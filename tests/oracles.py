@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to verify the implementation.
 
 These deliberately avoid the code paths they check: distances come from
-Floyd-Warshall instead of scipy's shortest paths, betweenness from naive
+Floyd-Warshall or scipy's shortest paths instead of the bit-parallel
+breadth-first search of `compute_metrics`, betweenness from naive
 per-pair path counting instead of the identity sum_v bc(v) =
 sum_{s<t} (d(s,t) - 1) that `compute_metrics` uses, gradients from
 central finite differences, network outputs vertex by vertex along the DAG
@@ -16,8 +17,9 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
-from snnrobust.graph import LayeredDag, UndirectedGraph
+from snnrobust.graph import GraphMetrics, LayeredDag, UndirectedGraph
 from snnrobust.network import MaskedNetwork, cross_entropy, forward
 
 INF = float("inf")
@@ -104,6 +106,49 @@ def naive_metrics(g: UndirectedGraph) -> dict:
         "avg_closeness": float(closeness.mean()),
         "disconnected": len(comps) > 1,
     }
+
+
+def shortest_path_metrics(g: UndirectedGraph) -> GraphMetrics:
+    """compute_metrics as it was before the bitset BFS: every path metric
+    read off one scipy shortest-path matrix of the largest component, and
+    degrees counted edge by edge."""
+    n = g.vertex_count
+    m = g.edge_count
+    density_u = 0.0 if n < 2 else m / (n * (n - 1) / 2.0)
+    degrees = np.zeros(n, dtype=np.int64)
+    for u, v in g.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    degree_hist = np.bincount(degrees, minlength=int(degrees.max()) + 1).tolist()
+
+    edges = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    adj = csr_matrix((np.ones(m), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    n_comps, labels = csgraph.connected_components(adj, directed=False)
+    # argmax takes the lowest vertex among those in a largest component
+    comp = np.flatnonzero(labels == labels[np.argmax(np.bincount(labels)[labels])])
+    nc = len(comp)
+    dist = csgraph.shortest_path(adj[comp][:, comp], directed=False,
+                                 unweighted=True).astype(np.int64)
+
+    ecc = dist.max(axis=1)
+    diameter = int(ecc.max())
+    row_sums = dist.sum(axis=1)
+    avg_path_length = int(row_sums.sum()) / float(nc * (nc - 1)) if nc > 1 else 0.0
+    return GraphMetrics(
+        vertex_count=n,
+        edge_count=m,
+        density_undirected=density_u,
+        density_directed=density_u / 2.0,
+        diameter=diameter,
+        avg_path_length=avg_path_length,
+        avg_eccentricity=float(ecc.mean()),
+        avg_betweenness=(avg_path_length - 1.0) / (nc - 2) if nc > 2 else 0.0,
+        avg_closeness=float(np.mean((nc - 1) / row_sums)) if nc > 1 else 0.0,
+        degree_distribution=degree_hist,
+        path_length_distribution=np.bincount(
+            dist[np.triu_indices(nc, 1)], minlength=diameter + 1).tolist(),
+        disconnected=n_comps > 1,
+    )
 
 
 def longest_path_layering(vertex_count: int, edges) -> dict:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnrobust.experiment import derive_seed
+from snnrobust.experiment import dense_stack_dag, derive_seed
 from snnrobust.graph import (Dag, GraphError, UndirectedGraph, compute_metrics,
                              generate_ws, graph_from_doc, graph_to_doc,
                              layer_dag, make_graph, to_dag)
 
-from tests.conftest import random_small_graph
-from tests.oracles import longest_path_layering, naive_metrics
+from tests.conftest import random_small_graph, run_child
+from tests.oracles import (longest_path_layering, naive_metrics,
+                           shortest_path_metrics)
 
 
 class TestGenerateWS:
@@ -226,6 +227,61 @@ class TestComputeMetrics:
         d = compute_metrics(g).to_dict()
         assert d.pop("avg_betweenness") == pytest.approx(betweenness, abs=1e-15)
         assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
+
+    @staticmethod
+    def multiword_graph(n: int, kind: str, seed: int):
+        """A graph on n vertices, labelled in random order: one chorded ring
+        ("connected"); a large and a small chorded ring and an isolated
+        vertex ("disconnected"); or a path and a chorded ring of equal size
+        plus one or two leftover vertices ("tie")."""
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        half = (n - 1) // 2
+        parts = {"connected": [n], "disconnected": [n - n // 3 - 1, n // 3, 1],
+                 "tie": [half, half, n - 2 * half]}[kind]
+        edges, start = [], 0
+        for i, size in enumerate(parts):
+            vs = perm[start:start + size]
+            start += size
+            edges += zip(vs[:-1], vs[1:])
+            if size < 3 or (kind == "tie" and i == 0):
+                continue
+            edges.append((vs[-1], vs[0]))
+            edges += (tuple(rng.choice(vs, 2, replace=False)) for _ in range(size // 4))
+        return make_graph(n, [(int(u), int(v)) for u, v in edges])
+
+    @pytest.mark.parametrize("kind", ["connected", "disconnected", "tie"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 500])
+    def test_multiword_bitsets_equal_shortest_paths(self, n, kind):
+        # above 64 vertices a source bitset spans several uint64 words
+        g = self.multiword_graph(n, kind, seed=n)
+        want = shortest_path_metrics(g).to_dict()
+        assert want["disconnected"] == (kind != "connected")
+        assert compute_metrics(g).to_dict() == want
+
+    @pytest.mark.parametrize("g", [
+        UndirectedGraph(1, frozenset()), UndirectedGraph(2, frozenset()),
+        make_graph(2, [(0, 1)]),
+        make_graph(5, [(0, 1), (0, 2), (1, 2)]), make_graph(5, [(2, 3), (2, 4), (3, 4)]),
+        make_graph(200, dense_stack_dag([50, 100, 50]).directed_edges),
+    ], ids=["1-vertex", "2-isolated", "2-edge", "isolated-last", "isolated-first",
+            "dense-50-100-50"])
+    def test_small_and_dense_equal_shortest_paths(self, g):
+        assert compute_metrics(g).to_dict() == shortest_path_metrics(g).to_dict()
+
+    def test_sparse_random_graphs_equal_shortest_paths(self):
+        # many components and isolated vertices, at any position
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            pairs = rng.integers(0, n, (int(rng.integers(0, n + 1)), 2))
+            g = make_graph(n, [(int(u), int(v)) for u, v in pairs if u != v])
+            assert compute_metrics(g).to_dict() == shortest_path_metrics(g).to_dict()
+
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy.sparse.csgraph costs every process about 0.35 s to import
+        assert run_child("import sys, snnrobust.cli; "
+                         "print('scipy' in sys.modules)") == "False"
 
     def test_directed_density_is_half_undirected(self, rng):
         for _ in range(20):

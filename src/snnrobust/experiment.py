@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
@@ -27,7 +28,8 @@ from .data import Dataset
 from .graph import (Dag, GraphMetrics, compute_metrics, generate_ws, layer_dag,
                     make_graph, to_dag)
 from .measure import (MEASURE_COLUMNS, CorrelationTable, RobustnessRecord,
-                      correlation_cell, robustness_record, tukey_fences)
+                      correlation_cell, rank_groups, robustness_record,
+                      tukey_fences)
 from .network import (MaskedNetwork, build_network, init_weights,
                       load_checkpoint, network_to_graph, param_count,
                       prune_random, round_to_checkpoint, save_checkpoint)
@@ -141,6 +143,12 @@ def graph_properties(metrics: GraphMetrics, num_parameters: int) -> dict:
     props = {"num_parameters": num_parameters}
     props.update((name, getattr(metrics, f)) for name, f in METRIC_PROPERTIES.items())
     return props
+
+
+def stored_properties(store: ResultsStore) -> dict[str, dict]:
+    """graph_properties of every stored graph, by graph id."""
+    return {e.graph_id: graph_properties(e.metrics, e.param_count)
+            for e in store.load_graph_entries()}
 
 
 @dataclass
@@ -310,31 +318,45 @@ def candidate_param_count(g) -> int:
 def build_graph_dataset(manifest: ExperimentManifest,
                         store: ResultsStore | None = None) -> list[GraphEntry]:
     """Grid-search WS generator parameters, keeping graphs whose induced
-    network lands inside the parameter range, until the target count."""
+    network lands inside the parameter range, until the target count.
+
+    generation.json records the accepted and rejected candidates of every
+    combo tried (in grid order, zeros included) and the seconds spent in
+    generate_ws and compute_metrics."""
     combos = list(product(manifest.grid.size, manifest.grid.nei, manifest.grid.p))
     lo, hi = manifest.param_range
     accepted: list[GraphEntry] = []
     rejected = 0
+    accepted_by_combo: dict[str, int] = {}
     rejected_by_combo: dict[str, int] = {}
+    seconds = {"generate_ws": 0.0, "compute_metrics": 0.0}
 
     for round_i in range(manifest.max_generation_rounds):
         for size, nei, p in combos:
             if len(accepted) >= manifest.target_graph_count:
                 break
+            key = f"size={size},nei={nei},p={p}"
+            accepted_by_combo.setdefault(key, 0)
+            rejected_by_combo.setdefault(key, 0)
             seed = derive_seed(manifest.master_seed, "gen", round_i, size, nei, p)
+            t0 = time.perf_counter()
             g = generate_ws(size, nei, p, seed)
+            seconds["generate_ws"] += time.perf_counter() - t0
             n_params = candidate_param_count(g)
             if not (lo <= n_params <= hi):
                 rejected += 1
-                key = f"size={size},nei={nei},p={p}"
-                rejected_by_combo[key] = rejected_by_combo.get(key, 0) + 1
+                rejected_by_combo[key] += 1
                 continue
+            t0 = time.perf_counter()
+            metrics = compute_metrics(g)
+            seconds["compute_metrics"] += time.perf_counter() - t0
+            accepted_by_combo[key] += 1
             graph_id = f"g{len(accepted):04d}"
             entry = GraphEntry(
                 graph_id=graph_id,
                 graph=g,
                 generator={"size": size, "nei": nei, "p": p, "seed": seed},
-                metrics=compute_metrics(g),
+                metrics=metrics,
                 param_count=n_params,
             )
             accepted.append(entry)
@@ -351,7 +373,9 @@ def build_graph_dataset(manifest: ExperimentManifest,
         store.save_generation_log({
             "accepted": len(accepted),
             "rejected": rejected,
+            "accepted_by_combo": accepted_by_combo,
             "rejected_by_combo": rejected_by_combo,
+            "seconds": seconds,
             "target": manifest.target_graph_count,
             "exhausted": len(accepted) < manifest.target_graph_count,
         })
@@ -618,8 +642,7 @@ def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationT
     records = store.load_robustness()
     if not records:
         raise CorrelationWithheldError("no robustness records in store")
-    props = {e.graph_id: graph_properties(e.metrics, e.param_count)
-             for e in store.load_graph_entries()}
+    props = stored_properties(store)
     models_with_records = {r.model_id for r in records}
     if len(models_with_records) < 3:
         raise CorrelationWithheldError(
@@ -752,12 +775,36 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
 # --- report ----------------------------------------------------------------
 
 
+def _property_confounds(properties: list[str], models: list[str],
+                        props: dict[str, dict]) -> list[str]:
+    """Report lines: each property's distinct-value count and range over
+    the models with records, and the groups of properties that rank those
+    models identically (so their correlation cells coincide up to sign)."""
+    models = [m for m in models if m in props]
+    if not models:
+        return []
+    columns = {name: [props[m][name] for m in models] for name in properties}
+    lines = [f"graph properties over the {len(models)} correlated models:"]
+    for name, values in columns.items():
+        lines.append(f"  {name}: {len(set(values))} distinct, "
+                     f"[{min(values):g}, {max(values):g}]")
+    groups = rank_groups(columns)
+    lines.append("properties that rank the models identically (- marks a "
+                 f"reversed ranking): {'none' if not groups else ''}".rstrip())
+    for group in groups:
+        lines.append("  " + " = ".join(("-" if sign < 0 else "") + name
+                                       for name, sign in group))
+    return lines
+
+
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     """Human-readable summary: the manifest the models were trained under
     (the one the last sweep stored, else the given one), the settings of an
     `attack` run after the last sweep, the dataset the latest stage ran on,
-    counts, censored epsilon searches, failed tasks, and the two strongest
-    graph properties per robustness measure."""
+    counts (per generator combo, with gen-graphs' time), censored epsilon
+    searches, failed tasks, the spread of each correlated property and the
+    properties that rank the models alike, and the two strongest graph
+    properties per robustness measure."""
     prov_path = store.root / "provenance.json"
     events = json.loads(prov_path.read_text()) if prov_path.exists() else []
     used = [e["dataset"] for e in events if "dataset" in e]
@@ -788,6 +835,12 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
         gen = json.loads(gen_path.read_text())
         lines.append(f"graphs: {gen['accepted']} accepted, "
                      f"{gen['rejected']} rejected by the parameter filter")
+        for key, n in gen.get("accepted_by_combo", {}).items():
+            lines.append(f"  {key}: {n} accepted, "
+                         f"{gen['rejected_by_combo'][key]} rejected")
+        if "seconds" in gen:
+            lines.append("  time: " + ", ".join(f"{name} {s:.3f} s"
+                                                for name, s in gen["seconds"].items()))
     records = store.load_robustness()
     models = sorted({r.model_id for r in records})
     inits = sorted({r.init_method for r in records})
@@ -800,6 +853,7 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     lines.append(f"failed tasks: {len(failed)}")
     for e in failed:
         lines.append(f"  {e['graph_id']} / {e['init_method']}: {e['error']}")
+    lines += _property_confounds(manifest.properties, models, stored_properties(store))
     lines.append("")
 
     corr_path = store.root / "correlations_long.csv"

@@ -1,8 +1,10 @@
 """Watts-Strogatz graph generation, acyclic orientation, layering, and metrics.
 
-Undirected graphs are generated from a ring lattice with random rewiring,
-oriented into DAGs by directing every edge from its lower-indexed endpoint
-to its higher-indexed one, and layered by the max-predecessor rule. Metric
+Undirected graphs are generated from a ring lattice with random rewiring
+(all coins drawn in one call, each new endpoint by rejection from batched
+integer draws), oriented into DAGs by directing every edge from its
+lower-indexed endpoint to its higher-indexed one, and layered by the
+max-predecessor rule. Metric
 computation (density, distances, centralities) runs on the undirected graph;
 the directed density of the derived DAG is recorded alongside. Distances
 come from a breadth-first search from every vertex at once, one bit per
@@ -113,9 +115,16 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
 
     Starts from a ring lattice where each vertex connects to its `nei`
     nearest neighbors on each side (degree 2*nei), then visits every lattice
-    edge (u, u+k) and, with probability `p`, replaces its far endpoint with
-    a uniformly chosen vertex that is neither u nor already adjacent to u.
-    Rewiring preserves the edge count (size * nei) exactly.
+    edge (u, u+k), k-major, and with probability `p` replaces its far
+    endpoint with a uniformly chosen vertex that is neither u nor already
+    adjacent to u. Rewiring preserves the edge count (size * nei) exactly.
+
+    All coins come from one `rng.random((nei, size))` call. Each new endpoint
+    is the first of a run of `rng.integers(size)` draws, taken in batches of
+    one per rewired edge, that is neither u nor a neighbour of u: rejection
+    makes it uniform over the allowed vertices. A lattice edge {u, u+k} is
+    only ever removed by its own visit, because k + k' < size for any two
+    offsets, so it is still present when visited.
     """
     if nei < 1:
         raise GraphError("nei must be >= 1")
@@ -125,39 +134,30 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
         raise GraphError(f"rewiring probability must be in [0,1], got {p}")
 
     rng = np.random.default_rng(seed)
-    adj: list[set[int]] = [set() for _ in range(size)]
-    for k in range(1, nei + 1):
-        for u in range(size):
-            v = (u + k) % size
-            adj[u].add(v)
-            adj[v].add(u)
-
-    for k in range(1, nei + 1):
-        for u in range(size):
-            if rng.random() >= p:
-                continue
-            v = (u + k) % size
-            if v not in adj[u]:
-                # lattice slot already rewired away by an earlier own-edge pass
-                continue
-            if len(adj[u]) >= size - 1:
-                continue
-            # draw w's rank among the vertices outside adj[u] | {u} (one
-            # integers() draw, the stream use of rng.choice over them), then
-            # step past each taken vertex at or below it
-            taken = sorted(adj[u] | {u})
-            w = int(rng.integers(size - len(taken)))
-            for t in taken:
-                if t > w:
-                    break
-                w += 1
-            adj[u].discard(v)
-            adj[v].discard(u)
-            adj[u].add(w)
-            adj[w].add(u)
+    adj = [{(u + k) % size for k in range(-nei, nei + 1) if k} for u in range(size)]
+    ks, us = np.nonzero(rng.random((nei, size)) < p)
+    draws = _batched_integers(rng, size, max(len(us), 1))
+    for k, u in zip(ks.tolist(), us.tolist()):
+        nbrs = adj[u]
+        if len(nbrs) >= size - 1:
+            continue
+        w = next(draws)
+        while w == u or w in nbrs:
+            w = next(draws)
+        v = (u + k + 1) % size
+        nbrs.discard(v)
+        adj[v].discard(u)
+        nbrs.add(w)
+        adj[w].add(u)
 
     edges = frozenset((u, v) for u in range(size) for v in adj[u] if u < v)
     return UndirectedGraph(size, edges)
+
+
+def _batched_integers(rng: np.random.Generator, high: int, batch: int):
+    """Endless uniform draws from [0, high), fetched `batch` at a time."""
+    while True:
+        yield from rng.integers(high, size=batch).tolist()
 
 
 def to_dag(g: UndirectedGraph) -> Dag:

@@ -127,6 +127,24 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return 0.5 * (bounds[dense] + bounds[dense - 1] + 1)
 
 
+def rank_groups(columns: dict[str, list]) -> list[list[tuple[str, int]]]:
+    """Groups of two or more non-constant columns whose average ranks are
+    identical, or identical once a column is negated: such columns give the
+    same rho and tau against any measure, up to sign. Each member is
+    (name, sign), sign -1 for a reversed ranking; the first has sign +1."""
+    groups: dict[tuple, list[tuple[str, int]]] = {}
+    for name, values in columns.items():
+        v = np.asarray(values, dtype=np.float64)
+        if np.ptp(v) == 0:
+            continue
+        up, down = tuple(_average_ranks(v)), tuple(_average_ranks(-v))
+        if up not in groups and down in groups:
+            groups[down].append((name, -1))
+        else:
+            groups.setdefault(up, []).append((name, 1))
+    return [g for g in groups.values() if len(g) > 1]
+
+
 def spearman(xs, ys) -> float:
     """Spearman rho: Pearson correlation of average ranks."""
     xs, ys = _validate_pair(xs, ys)

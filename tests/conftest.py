@@ -71,11 +71,13 @@ def kink_free_case(rng: np.random.Generator, margin: float = 1e-3, **net_kwargs)
 
 
 def run_child(code: str, **env: str) -> str:
-    """Run `code` in a fresh interpreter that imports snnrobust from this
-    checkout, with `env` added to the environment; returns its stdout."""
+    """Run `code` in a fresh interpreter that imports snnrobust and the
+    tests package from this checkout, with `env` added to the environment;
+    returns its stdout."""
     src = str(Path(snnrobust.__file__).resolve().parents[1])
+    root = str(Path(__file__).resolve().parents[1])
     full_env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        filter(None, [src, root, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=full_env,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()

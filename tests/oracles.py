@@ -10,6 +10,13 @@ edges instead of one matmul per layer, layers from relaxing every edge to a
 longest-path fixed point instead of one pass in vertex order, Adam from
 one expression per parameter array instead of in-place ufuncs over one flat
 buffer, and rank statistics from exhaustive pair counting.
+
+`sequential_ws` is the Watts-Strogatz generator as it was before its coins
+and endpoints were drawn in batches: one scalar coin per lattice edge and
+one integer draw per rewired edge. It draws from the same distribution
+with another RNG stream, so it is the reference for that distribution and
+the source of the graphs that goldens of other layers (initialization,
+pruning, training, metrics) were recorded on.
 """
 
 from __future__ import annotations
@@ -19,10 +26,63 @@ from itertools import combinations
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from snnrobust.graph import GraphMetrics, LayeredDag, UndirectedGraph
+from snnrobust.graph import (GraphError, GraphMetrics, LayeredDag,
+                             UndirectedGraph)
 from snnrobust.network import MaskedNetwork, cross_entropy, forward
 
 INF = float("inf")
+
+
+def sequential_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
+    """Generate a Watts-Strogatz graph.
+
+    Starts from a ring lattice where each vertex connects to its `nei`
+    nearest neighbors on each side (degree 2*nei), then visits every lattice
+    edge (u, u+k) and, with probability `p`, replaces its far endpoint with
+    a uniformly chosen vertex that is neither u nor already adjacent to u.
+    Rewiring preserves the edge count (size * nei) exactly.
+    """
+    if nei < 1:
+        raise GraphError("nei must be >= 1")
+    if size < 2 * nei + 1:
+        raise GraphError(f"size must be >= 2*nei+1, got size={size}, nei={nei}")
+    if not (0.0 <= p <= 1.0):
+        raise GraphError(f"rewiring probability must be in [0,1], got {p}")
+
+    rng = np.random.default_rng(seed)
+    adj: list[set[int]] = [set() for _ in range(size)]
+    for k in range(1, nei + 1):
+        for u in range(size):
+            v = (u + k) % size
+            adj[u].add(v)
+            adj[v].add(u)
+
+    for k in range(1, nei + 1):
+        for u in range(size):
+            if rng.random() >= p:
+                continue
+            v = (u + k) % size
+            if v not in adj[u]:
+                # lattice slot already rewired away by an earlier own-edge pass
+                continue
+            if len(adj[u]) >= size - 1:
+                continue
+            # draw w's rank among the vertices outside adj[u] | {u} (one
+            # integers() draw, the stream use of rng.choice over them), then
+            # step past each taken vertex at or below it
+            taken = sorted(adj[u] | {u})
+            w = int(rng.integers(size - len(taken)))
+            for t in taken:
+                if t > w:
+                    break
+                w += 1
+            adj[u].discard(v)
+            adj[v].discard(u)
+            adj[u].add(w)
+            adj[w].add(u)
+
+    edges = frozenset((u, v) for u in range(size) for v in adj[u] if u < v)
+    return UndirectedGraph(size, edges)
 
 
 def floyd_warshall(g: UndirectedGraph) -> np.ndarray:

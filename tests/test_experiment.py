@@ -116,6 +116,28 @@ class TestBuildGraphDataset:
         assert log["exhausted"] is True
         assert log["rejected"] == 2 * 2  # combos x rounds
 
+    def test_generation_log_counts_every_combo_tried(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(tiny_manifest(target_graph_count=3), store)
+        build_graph_dataset(tiny_manifest(param_range=(1, 2), max_generation_rounds=2),
+                            ResultsStore(tmp_path / "none"))
+        ok = json.loads((tmp_path / "generation.json").read_text())
+        none = json.loads((tmp_path / "none" / "generation.json").read_text())
+        keys = ["size=250,nei=2,p=0.5", "size=250,nei=2,p=0.9"]
+        assert ok["accepted_by_combo"] == dict(zip(keys, [2, 1]))
+        assert ok["rejected_by_combo"] == dict(zip(keys, [0, 0]))
+        assert none["accepted_by_combo"] == dict(zip(keys, [0, 0]))
+        assert none["rejected_by_combo"] == dict(zip(keys, [2, 2]))
+        assert set(ok["seconds"]) == {"generate_ws", "compute_metrics"}
+        assert ok["seconds"]["generate_ws"] > 0 < ok["seconds"]["compute_metrics"]
+        assert none["seconds"]["compute_metrics"] == 0.0  # nothing accepted
+        lines = render_report(tiny_manifest(), store).splitlines()
+        at = lines.index("graphs: 3 accepted, 0 rejected by the parameter filter")
+        assert lines[at + 1:at + 3] == ["  size=250,nei=2,p=0.5: 2 accepted, 0 rejected",
+                                        "  size=250,nei=2,p=0.9: 1 accepted, 0 rejected"]
+        assert lines[at + 3].startswith("  time: compute_metrics ")
+        assert ", generate_ws " in lines[at + 3]
+
     def test_full_scale_filter_bounds(self):
         m = ExperimentManifest(grid=GridSpec(size=[500], nei=[2], p=[0.9]),
                                target_graph_count=1)
@@ -281,6 +303,28 @@ class TestCorrelate:
         text = render_report(tiny_manifest(), store)
         assert "epsilon search: 5 of 10 searched images censored" in text
         assert "failed tasks: 1\n  g2 / U: injected failure\n" in text
+
+
+def test_report_names_property_confounds(tmp_path):
+    # sizes 250, 300, 250 with nei = 2: every size-only property ranks the
+    # three models alike, density in reverse
+    manifest = tiny_manifest(
+        grid=GridSpec(size=[250, 300], nei=[2], p=[0.5]), target_graph_count=3,
+        properties=["vertex_count", "edge_count", "density", "density_directed",
+                    "avg_path_length"])
+    store = ResultsStore(tmp_path)
+    build_graph_dataset(manifest, store)
+    run_sweep(manifest, store, resolve_data_source(manifest, None))
+    lines = render_report(manifest, store).splitlines()
+    at = lines.index("graph properties over the 3 correlated models:")
+    assert lines[at + 1:at + 5] == ["  vertex_count: 2 distinct, [250, 300]",
+                                    "  edge_count: 2 distinct, [500, 600]",
+                                    "  density: 2 distinct, [0.0133779, 0.0160643]",
+                                    "  density_directed: 2 distinct, [0.00668896, 0.00803213]"]
+    assert lines[at + 5].startswith("  avg_path_length: 3 distinct, [")
+    assert lines[at + 6:at + 8] == [
+        "properties that rank the models identically (- marks a reversed ranking):",
+        "  vertex_count = edge_count = -density = -density_directed"]
 
 
 def run_records(runs_by_model: dict[str, list[float]]) -> list[RobustnessRecord]:
@@ -525,7 +569,7 @@ class TestGoldenFingerprint:
     # recorded on an Intel Xeon x86-64 VM (2 cores; Python 3.11, numpy 2.4
     # with OpenBLAS, scipy 1.17) at 1 and 2 BLAS threads; a change of outputs
     # updates it and says why in CHANGES.md
-    GOLDEN = "0b1d7f3321efe0874a60950fa7f2ddf82ee6ea42d9d72ce2c9b36aea41db6fea"
+    GOLDEN = "6f76bd3ee643661e305f42ed0cb1498c1670cb3108e0128a78a41b376db5603f"
 
     @classmethod
     def fingerprint(cls, root) -> str:

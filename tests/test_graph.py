@@ -15,7 +15,7 @@ from snnrobust.graph import (Dag, GraphError, UndirectedGraph, compute_metrics,
 
 from tests.conftest import random_small_graph, run_child
 from tests.oracles import (longest_path_layering, naive_metrics,
-                           shortest_path_metrics)
+                           sequential_ws, shortest_path_metrics)
 
 
 class TestGenerateWS:
@@ -46,9 +46,18 @@ class TestGenerateWS:
         b = generate_ws(40, 2, 0.5, seed=9)
         assert a.edges == b.edges
 
-    # SHA-256 of repr(sorted(edges)), recorded from the generator that drew
-    # each rewired endpoint with rng.choice over a candidate array
+    # SHA-256 of repr(sorted(edges)), recorded from the generator that draws
+    # every coin in one call and each rewired endpoint by batched rejection
     GOLDEN_WS = {
+        (400, 2, 0.9, 1): "2f19b9c4b9126e5379293a29957f25ef5832731fd52c6da7724d81e83a52260c",
+        (500, 5, 0.5, 2): "6135ff9a498e67a725ac2e4108850fec5bc0718d2a5c5ae5b4824e76832a7d3d",
+        (40, 3, 0.7, 3): "4955f2cc7a9cedf37b16aea9f677e668c52e51ed7e9e858110b3fb4090db61a5",
+        (30, 14, 0.9, 4): "504d48d39c674adaed653734f229c284a1c1f688ba2dc299b679cd7a7c8558ff",
+        (400, 1, 1.0, 5): "a1f888da9d75b84df10f3ba630972176323c6c73c44c753682f896b08182fff1",
+    }
+    # the same, recorded from the generator that drew one scalar coin per
+    # lattice edge and each endpoint with rng.choice over a candidate array
+    SEQUENTIAL_GOLDEN_WS = {
         (400, 2, 0.9, 1): "681dbe76bdfb9ce78a01bd88c1708462c4ab8985520631333506f69157b71e8d",
         (500, 5, 0.5, 2): "6f759323ad543b91e1427db8f3cdc15005da534e67663796bccb58ac8e7b06b2",
         (40, 3, 0.7, 3): "31f47876a443964bcc5f11cb9e508ea96cee328b45efbe61363b027e838ca0c2",
@@ -60,6 +69,39 @@ class TestGenerateWS:
     def test_golden_edges(self, args):
         edges = sorted(generate_ws(*args).edges)
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == self.GOLDEN_WS[args]
+
+    def test_sequential_reference_keeps_its_digests(self):
+        for args, digest in self.SEQUENTIAL_GOLDEN_WS.items():
+            edges = sorted(sequential_ws(*args).edges)
+            assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size, nei", [(5, 2), (20, 2), (31, 15), (64, 3)])
+    def test_no_rewiring_gives_the_ring_lattice(self, size, nei):
+        lattice = make_graph(size, [(u, (u + k) % size) for u in range(size)
+                                    for k in range(1, nei + 1)]).edges
+        assert generate_ws(size, nei, 0.0, seed=1).edges == lattice
+        assert sequential_ws(size, nei, 0.0, seed=1).edges == lattice
+
+    @staticmethod
+    def ensemble(gen, seeds: int = 500) -> np.ndarray:
+        """Per graph of WS(20, 2, 0.5): the vertex count of each degree
+        0..19, then the source and sink counts of its DAG."""
+        rows = []
+        for seed in range(seeds):
+            g = gen(20, 2, 0.5, seed)
+            heads = {v for _, v in g.edges}
+            tails = {u for u, _ in g.edges}
+            rows.append([*np.bincount(g.degrees(), minlength=20),
+                         20 - len(heads), 20 - len(tails)])
+        return np.array(rows, dtype=float)
+
+    def test_same_distribution_as_the_sequential_reference(self):
+        # each ensemble mean within 4 standard errors of the reference's
+        new, ref = self.ensemble(generate_ws), self.ensemble(sequential_ws)
+        se = np.sqrt(new.var(axis=0, ddof=1) / len(new) + ref.var(axis=0, ddof=1) / len(ref))
+        gap = np.abs(new.mean(axis=0) - ref.mean(axis=0))
+        assert np.all(gap <= 4 * se), (gap, se)
+        assert ref[:, 4].mean() > 5  # degree 4 (the lattice degree) is common
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(GraphError):
@@ -211,9 +253,9 @@ class TestComputeMetrics:
                     "avg_closeness"):
             assert getattr(m, key) == pytest.approx(o[key], abs=1e-12), key
 
-    # The benchmark's stored WS(400, 2, p) graphs (perfbench/workloads.py):
-    # SHA-256 of every field but avg_betweenness, and avg_betweenness, as the
-    # BFS/Brandes implementation computed them.
+    # The benchmark's stored WS(400, 2, p) graphs (perfbench/workloads.py) as
+    # sequential_ws draws them: SHA-256 of every field but avg_betweenness,
+    # and avg_betweenness, as the BFS/Brandes implementation computed them.
     @pytest.mark.parametrize("index, p, digest, betweenness", [
         (0, 0.7, "3b783ba7f6dec7ebe3ec5bdb9c9811a775fceb946d06a79b4b275c3073dd51f5",
          0.009081119885139986),
@@ -223,7 +265,7 @@ class TestComputeMetrics:
          0.008981876802559161),
     ])
     def test_golden_benchmark_graphs(self, index, p, digest, betweenness):
-        g = generate_ws(400, 2, p, derive_seed(2107_06158, "bench-graph", index))
+        g = sequential_ws(400, 2, p, derive_seed(2107_06158, "bench-graph", index))
         d = compute_metrics(g).to_dict()
         assert d.pop("avg_betweenness") == pytest.approx(betweenness, abs=1e-15)
         assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest

@@ -12,8 +12,8 @@ from scipy import stats
 from snnrobust.attack import AdversarialExample
 from snnrobust.measure import (DegenerateDataError, MeasureError,
                                avg_confidence, avg_epsilon, cohen_label,
-                               error_rate, kendall, robustness_record,
-                               spearman)
+                               error_rate, kendall, rank_groups,
+                               robustness_record, spearman)
 
 from tests.conftest import run_child
 from tests.oracles import kendall_pair_count, spearman_rank_diff
@@ -219,6 +219,24 @@ def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs every process about 0.4 s and 27 MiB to import
     assert run_child("import sys, snnrobust.cli; "
                      "print('scipy.stats' in sys.modules)") == "False"
+
+
+class TestRankGroups:
+    def test_identical_and_reversed_rankings_group(self):
+        n = [250, 300, 250, 400]
+        groups = rank_groups({"n": n, "edges": [2 * v for v in n],
+                              "density": [4 / (v - 1) for v in n],
+                              "apl": [4.1, 4.6, 4.2, 5.0], "const": [7, 7, 7, 7]})
+        assert groups == [[("n", 1), ("edges", 1), ("density", -1)]]
+
+    def test_same_order_with_other_ties_is_not_identical(self):
+        assert rank_groups({"a": [1, 2, 2], "b": [1, 2, 3]}) == []
+
+    def test_groups_give_equal_correlations(self):
+        a, b, ys = [1, 5, 3, 9], [-2, -30, -4, -90], [0.3, 0.1, 0.4, 0.2]
+        assert rank_groups({"a": a, "b": b}) == [[("a", 1), ("b", -1)]]
+        assert spearman(a, ys) == -spearman(b, ys)
+        assert kendall(a, ys) == -kendall(b, ys)
 
 
 class TestCohenLabel:

@@ -18,7 +18,7 @@ from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
 from tests.conftest import kink_free_case, random_layered_net, random_small_graph
 from tests.oracles import (finite_diff_bias_grads, finite_diff_input_grad,
                            finite_diff_weight_grads, keyed_weights,
-                           vertex_forward_logits)
+                           sequential_ws, vertex_forward_logits)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -106,8 +106,9 @@ class TestInitWeights:
                 assert np.all(w[m == 0] == 0.0)
 
     # SHA-256 over the sorted "source>target=float.hex()" lines of the
-    # unmasked initial weights of WS(40, 2, 0.5, seed 7), 784 -> 10, seed 2024,
-    # recorded from the per-(source layer, target layer) group implementation
+    # unmasked initial weights of WS(40, 2, 0.5, seed 7) from sequential_ws,
+    # 784 -> 10, seed 2024, recorded from the per-(source layer, target layer)
+    # group implementation
     GOLDEN_INIT = {
         "G_N": "78d2cdd81737fb622db350f10bf9625e16463aa791a389fbfc0426935a46ffaf",
         "G_U": "722dda12f3e04c00e3a354cf7ce1d53f057f98c4820dac384662a312d2cdf2dd",
@@ -119,7 +120,7 @@ class TestInitWeights:
 
     @pytest.mark.parametrize("method", INIT_METHODS)
     def test_golden_digest(self, method):
-        ld = layer_dag(to_dag(generate_ws(40, 2, 0.5, seed=7)))
+        ld = layer_dag(to_dag(sequential_ws(40, 2, 0.5, seed=7)))
         net = init_weights(build_network(ld, 784, 10), method, seed=2024)
         keyed = keyed_weights(net)
         assert len(keyed) == 1668
@@ -341,8 +342,8 @@ class TestPruneRandom:
             assert np.array_equal(pruned.sources[-1], net.sources[-1])
 
     # SHA-256 of repr(sorted(edges)) after two prunes at alpha 0.4, seeds 13
-    # and 14, recorded from the network whose hidden matrices spanned every
-    # earlier hidden unit
+    # and 14 (the WS graph from sequential_ws), recorded from the network whose
+    # hidden matrices spanned every earlier hidden unit
     GOLDEN_PRUNED = {
         "ws": (65, "fb85188e79d965be66b2b0b596d2fd56f7497186ac68a28340f7eb5e27130ba9"),
         "dense": (32, "cc94c6fa5210b79a8ee713028a7fc8603cd743fecd96f4565c3a9b88e6cff068"),
@@ -351,7 +352,7 @@ class TestPruneRandom:
     @pytest.mark.parametrize("kind", GOLDEN_PRUNED)
     def test_golden_pruned_edges(self, kind):
         from snnrobust.experiment import dense_stack_dag
-        d = (to_dag(generate_ws(60, 3, 0.7, seed=8)) if kind == "ws"
+        d = (to_dag(sequential_ws(60, 3, 0.7, seed=8)) if kind == "ws"
              else dense_stack_dag([5, 8, 6]))
         net = build_network(layer_dag(d), 784, 10)
         for step in range(2):

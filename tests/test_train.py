@@ -154,8 +154,9 @@ class TestTrain:
             train(net, ds, TrainConfig(epochs=1, batch_size=16, seed=0))
 
 
-# The benchmark's WS(400, 2, 0.9) net (perfbench/workloads.py REATTACK_GRAPHS),
-# G_N, trained 2 epochs; 15 of its 16 matrices have dropped columns. The
+# The WS(400, 2, 0.9) net that the benchmark stored (perfbench/workloads.py
+# REATTACK_GRAPHS) when it was recorded, drawn by sequential_ws, G_N, trained
+# 2 epochs; 15 of its 16 matrices have dropped columns. The
 # digest of its weights and biases was recorded with the per-array Adam on an
 # Intel Xeon x86-64 VM (numpy 2.4 with OpenBLAS), with one BLAS thread. Run in
 # a child that imports snnrobust before numpy: importing it pins BLAS to one
@@ -166,11 +167,12 @@ GOLDEN_TRAIN = """
 import hashlib
 from snnrobust.data import synthetic_dataset
 from snnrobust.experiment import derive_seed
-from snnrobust.graph import generate_ws, layer_dag, to_dag
+from snnrobust.graph import layer_dag, to_dag
 from snnrobust.network import build_network, init_weights
 from snnrobust.train import TrainConfig, train
+from tests.oracles import sequential_ws
 
-g = generate_ws(400, 2, 0.9, derive_seed(2107_06158, "bench-graph", 0))
+g = sequential_ws(400, 2, 0.9, derive_seed(2107_06158, "bench-graph", 0))
 net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "G_N", seed=5)
 train(net, synthetic_dataset(1024, 11), TrainConfig(epochs=2, batch_size=128, seed=12))
 h = hashlib.sha256()

@@ -4,11 +4,11 @@ Undirected graphs are generated from a ring lattice with random rewiring
 (all coins drawn in one call, each new endpoint by rejection from batched
 integer draws), oriented into DAGs by directing every edge from its
 lower-indexed endpoint to its higher-indexed one, and layered by the
-max-predecessor rule. Metric
-computation (density, distances, centralities) runs on the undirected graph;
-the directed density of the derived DAG is recorded alongside. Distances
-come from a breadth-first search from every vertex at once, one bit per
-source, so no distance matrix is built and scipy is not needed.
+max-predecessor rule. Metric computation (density, distances, centralities)
+runs on the undirected graph; the directed density of the derived DAG is
+recorded alongside. Distances come from a breadth-first search from every
+vertex at once, one bit per source, so no distance matrix is built and
+scipy is not needed.
 """
 
 from __future__ import annotations
@@ -120,9 +120,9 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
     adjacent to u. Rewiring preserves the edge count (size * nei) exactly.
 
     All coins come from one `rng.random((nei, size))` call. Each new endpoint
-    is the first of a run of `rng.integers(size)` draws, taken in batches of
-    one per rewired edge, that is neither u nor a neighbour of u: rejection
-    makes it uniform over the allowed vertices. A lattice edge {u, u+k} is
+    is the next `rng.integers(size)` draw that is neither u nor a neighbour
+    of u, which makes it uniform over the allowed vertices; the draws are
+    fetched in batches as large as the number of coins below p. A lattice edge {u, u+k} is
     only ever removed by its own visit, because k + k' < size for any two
     offsets, so it is still present when visited.
     """
@@ -136,7 +136,7 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
     rng = np.random.default_rng(seed)
     adj = [{(u + k) % size for k in range(-nei, nei + 1) if k} for u in range(size)]
     ks, us = np.nonzero(rng.random((nei, size)) < p)
-    draws = _batched_integers(rng, size, max(len(us), 1))
+    draws = _batched_integers(rng, size, len(us))
     for k, u in zip(ks.tolist(), us.tolist()):
         nbrs = adj[u]
         if len(nbrs) >= size - 1:
@@ -282,14 +282,14 @@ def compute_metrics(g: UndirectedGraph) -> GraphMetrics:
     sizes = np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
     # argmax takes the lowest vertex among those in a largest component
     v0 = int(np.argmax(sizes))
-    comp = (seen[:, v0 >> 6] >> np.uint64(v0 & 63)) & np.uint64(1) == 1
+    comp = ((seen[:, v0 >> 6] >> np.uint64(v0 & 63)) & np.uint64(1)) == 1
     nc = int(sizes[v0])
     levels = [c[comp] for c in counts]
     pair_counts = [0] + [int(c.sum()) // 2 for c in levels if c.any()]
     diameter = len(pair_counts) - 1
     ecc = np.zeros(nc, dtype=np.int64)
     row_sums = np.zeros(nc, dtype=np.int64)
-    for k, c in enumerate(levels[:diameter], start=1):
+    for k, c in enumerate(levels, start=1):
         ecc[c > 0] = k
         row_sums += k * c
 

@@ -789,8 +789,9 @@ def _property_confounds(properties: list[str], models: list[str],
         lines.append(f"  {name}: {len(set(values))} distinct, "
                      f"[{min(values):g}, {max(values):g}]")
     groups = rank_groups(columns)
-    lines.append("properties that rank the models identically (- marks a "
-                 f"reversed ranking): {'none' if not groups else ''}".rstrip())
+    header = ("properties that rank the models identically "
+              "(- marks a reversed ranking):")
+    lines.append(header if groups else f"{header} none")
     for group in groups:
         lines.append("  " + " = ".join(("-" if sign < 0 else "") + name
                                        for name, sign in group))

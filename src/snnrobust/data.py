@@ -5,6 +5,12 @@ scaled by 1/255. The synthetic corpus renders ten distinct digit glyphs with
 random shifts, shears, intensity jitter, and noise; it exists so the full
 pipeline can run in environments where the MNIST files are not available,
 and is clearly labeled as such wherever it is used.
+
+Both loaders take a ``count`` and build only the first ``count`` images of
+a split: ``load_idx`` converts only that prefix of the file's bytes, and
+``synthetic_dataset`` stops its per-image loop there, so its prefix is bit
+for bit the first ``count`` images of the whole corpus. Each split is held
+once, as one float array.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ class Dataset:
         if self.images.shape[0] != self.labels.shape[0]:
             raise DataFormatError(
                 f"{self.images.shape[0]} images but {self.labels.shape[0]} labels")
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        # written so that NaN, which compares False, fails the check
+        if self.images.size and not (self.images.min() >= 0.0
+                                     and self.images.max() <= 1.0):
             raise DataFormatError("pixel values must lie in [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() > 9):
             raise DataFormatError("labels must lie in {0..9}")
@@ -64,35 +72,53 @@ def _open_maybe_gzip(path):
     return f
 
 
+def _read_idx_dims(f, path, expected_magic: int) -> tuple[int, ...]:
+    raw = f.read(4)
+    if len(raw) < 4:
+        raise DataFormatError(f"{path}: truncated header")
+    (magic,) = struct.unpack(">I", raw)
+    if magic != expected_magic:
+        raise DataFormatError(f"{path}: magic {magic}, expected {expected_magic}")
+    ndim = magic & 0xFF
+    return struct.unpack(f">{ndim}I", f.read(4 * ndim))
+
+
 def _read_idx(path, expected_magic: int) -> np.ndarray:
     with _open_maybe_gzip(path) as f:
-        raw = f.read(4)
-        if len(raw) < 4:
-            raise DataFormatError(f"{path}: truncated header")
-        (magic,) = struct.unpack(">I", raw)
-        if magic != expected_magic:
-            raise DataFormatError(f"{path}: magic {magic}, expected {expected_magic}")
-        ndim = magic & 0xFF
-        dims = struct.unpack(f">{ndim}I", f.read(4 * ndim))
+        dims = _read_idx_dims(f, path, expected_magic)
         data = f.read()
     count = int(np.prod(dims))
     if len(data) < count:
         raise DataFormatError(f"{path}: expected {count} bytes, found {len(data)}")
-    return np.frombuffer(data[:count], dtype=np.uint8).reshape(dims)
+    return np.frombuffer(data, dtype=np.uint8, count=count).reshape(dims)
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
-    """Load an IDX image/label file pair (plain or gzipped).
+def _prefix_count(n: int, count: int | None) -> int:
+    if count is None:
+        return n
+    if not 0 <= count <= n:
+        raise ValueError(f"count {count} outside [0, {n}]")
+    return count
 
-    Pixels are scaled by 1/255 and rows are flattened row-major.
+
+def load_idx(images_path, labels_path, split: str = "train",
+             count: int | None = None) -> Dataset:
+    """Load an IDX image/label file pair (plain or gzipped), or the first
+    ``count`` images of it.
+
+    Pixels are scaled by 1/255 and rows are flattened row-major. Only the
+    prefix is converted, and it is scaled in place, so the split is held
+    once as floats.
     """
     imgs = _read_idx(images_path, IMAGE_MAGIC)
     labels = _read_idx(labels_path, LABEL_MAGIC)
     if imgs.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"image count {imgs.shape[0]} != label count {labels.shape[0]}")
-    flat = imgs.reshape(imgs.shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(flat, labels.astype(np.int64), split)
+    count = _prefix_count(imgs.shape[0], count)
+    flat = imgs[:count].reshape(count, int(np.prod(imgs.shape[1:]))).astype(np.float64)
+    flat /= 255.0
+    return Dataset(flat, labels[:count].astype(np.int64), split)
 
 
 def write_idx_images(path, images_u8: np.ndarray) -> None:
@@ -128,12 +154,24 @@ def find_mnist(data_dir) -> dict[str, tuple[Path, Path]] | None:
     return found
 
 
-def load_mnist_split(data_dir, split: str) -> Dataset:
-    """Load one MNIST split ("train" or "test") from a directory."""
+def _mnist_paths(data_dir) -> dict[str, tuple[Path, Path]]:
     paths = find_mnist(data_dir)
     if paths is None:
         raise DataFormatError(f"MNIST IDX files not found under {data_dir}")
-    return load_idx(*paths[split], split=split)
+    return paths
+
+
+def load_mnist_split(data_dir, split: str, count: int | None = None) -> Dataset:
+    """Load one MNIST split ("train" or "test"), or its first ``count``
+    images, from a directory."""
+    return load_idx(*_mnist_paths(data_dir)[split], split=split, count=count)
+
+
+def mnist_split_size(data_dir, split: str) -> int:
+    """Image count of one MNIST split, read from its IDX header alone."""
+    path = _mnist_paths(data_dir)[split][0]
+    with _open_maybe_gzip(path) as f:
+        return _read_idx_dims(f, path, IMAGE_MAGIC)[0]
 
 
 def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
@@ -199,24 +237,29 @@ def _stencils() -> np.ndarray:
 
 
 def synthetic_dataset(n: int, seed: int, split: str = "train",
-                      noise: float = 0.10, max_shift: int = 3) -> Dataset:
-    """Deterministic 28x28 ten-class glyph corpus.
+                      noise: float = 0.10, max_shift: int = 3,
+                      count: int | None = None) -> Dataset:
+    """Deterministic 28x28 ten-class glyph corpus of n images, or its first
+    ``count`` images.
 
     A labeled stand-in with MNIST's shape: each sample is a digit glyph with
     random placement, shear, intensity, and additive noise. Not MNIST; meant
     for tests and for running the pipeline where the IDX files are absent.
-    Per image the generator draws, in order: intensity, the shear coin, the
-    shear (only on heads), the row and column offsets, then the noise.
+    The generator draws all n labels first, then per image, in order:
+    intensity, the shear coin, the shear (only on heads), the row and column
+    offsets, then the noise. It stops after image ``count``, so a prefix is
+    bit for bit the first ``count`` images of the n-image corpus.
     """
+    count = _prefix_count(n, count)
     rng = np.random.default_rng(seed)
     stencils = _stencils()
-    images = np.zeros((n, _CANVAS, _CANVAS))
-    labels = rng.integers(0, 10, size=n)
+    images = np.zeros((count, _CANVAS, _CANVAS))
+    labels = rng.integers(0, 10, size=n)[:count]
     margin = _CANVAS - _STENCIL_SIZE
     center = margin // 2
     lo = max(0, center - max_shift)
     hi = min(margin, center + max_shift)
-    for i in range(n):
+    for i in range(count):
         intensity = rng.uniform(0.65, 1.0)
         shear = int(rng.integers(-_SHEARS, _SHEARS + 1)) if rng.random() < 0.5 else 0
         dy = int(rng.integers(lo, hi + 1))
@@ -224,8 +267,8 @@ def synthetic_dataset(n: int, seed: int, split: str = "train",
         images[i, dy:dy + _STENCIL_SIZE, dx:dx + _STENCIL_SIZE] = (
             stencils[labels[i], shear + _SHEARS] * intensity)
         images[i] += rng.normal(0.0, noise, size=(_CANVAS, _CANVAS))
-    images = np.clip(images, 0.0, 1.0)
-    return Dataset(images.reshape(n, -1), labels.astype(np.int64), split)
+    np.clip(images, 0.0, 1.0, out=images)
+    return Dataset(images.reshape(count, -1), labels.astype(np.int64), split)
 
 
 def write_synthetic_idx(data_dir, train_n: int, test_n: int, seed: int) -> None:

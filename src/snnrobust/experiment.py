@@ -5,6 +5,11 @@ analysis, the random-pruning baseline, and report rendering.
 Every task derives its own seed from (master_seed, graph_id, init_method,
 stage), so results are independent of scheduling order and bit-reproducible
 for a fixed manifest.
+
+The manifest's train and test subsets are taken once, where a split is
+loaded (``subset_sizes``, then ``load_data_source``): the loaders build only
+that prefix, and every stage uses the loaded split whole, as a view of the
+one array a process holds per split.
 """
 
 from __future__ import annotations
@@ -265,6 +270,11 @@ class ExperimentManifest:
     def train_config(self, epochs: int, seed: int) -> TrainConfig:
         return replace(self.train, epochs=epochs, seed=seed)
 
+    def subset_sizes(self, source: tuple) -> tuple[int, int]:
+        """The (train, test) prefix sizes this manifest uses of a data source."""
+        full_train, full_test = split_sizes(source)
+        return self.train_subset_n(full_train), self.test_subset_n(full_test)
+
 
 # --- dataset resolution ------------------------------------------------
 
@@ -285,20 +295,33 @@ def resolve_data_source(manifest: ExperimentManifest, data_dir) -> tuple:
             derive_seed(manifest.master_seed, "synthetic-data"))
 
 
-def load_test_split(source: tuple) -> Dataset:
+def split_sizes(source: tuple) -> tuple[int, int]:
+    """The full (train, test) image counts of a data source, without loading it."""
     if source[0] == "mnist":
-        return data_mod.load_mnist_split(source[1], "test")
+        return (data_mod.mnist_split_size(source[1], "train"),
+                data_mod.mnist_split_size(source[1], "test"))
+    return source[1], source[2]
+
+
+def load_test_split(source: tuple, count: int | None = None) -> Dataset:
+    """The test split, or its first ``count`` images."""
+    if source[0] == "mnist":
+        return data_mod.load_mnist_split(source[1], "test", count=count)
     _, _, test_n, seed = source
-    return data_mod.synthetic_dataset(test_n, seed + 1, "test")
+    return data_mod.synthetic_dataset(test_n, seed + 1, "test", count=count)
 
 
-def load_data_source(source: tuple) -> tuple[Dataset, Dataset]:
+def load_data_source(source: tuple, counts: tuple[int | None, int | None] = (None, None),
+                     ) -> tuple[Dataset, Dataset]:
+    """The (train, test) splits, each cut to its prefix of counts; a count
+    of None keeps the whole split."""
+    train_count, test_count = counts
     if source[0] == "mnist":
-        train_set = data_mod.load_mnist_split(source[1], "train")
+        train_set = data_mod.load_mnist_split(source[1], "train", count=train_count)
     else:
         _, train_n, _, seed = source
-        train_set = data_mod.synthetic_dataset(train_n, seed, "train")
-    return train_set, load_test_split(source)
+        train_set = data_mod.synthetic_dataset(train_n, seed, "train", count=train_count)
+    return train_set, load_test_split(source, test_count)
 
 
 # --- graph dataset -------------------------------------------------------
@@ -386,20 +409,24 @@ def build_graph_dataset(manifest: ExperimentManifest,
 
 # --- sweep ---------------------------------------------------------------
 
+# the splits a process holds, cut to their prefixes, and (source, sizes)
 _WORKER_DATA: tuple[Dataset, Dataset] | None = None
-_WORKER_SOURCE: tuple | None = None
+_WORKER_KEY: tuple | None = None
 
 
-def _worker_init(source: tuple) -> None:
-    global _WORKER_DATA, _WORKER_SOURCE
-    _WORKER_DATA = load_data_source(source)
-    _WORKER_SOURCE = source
+def _worker_init(source: tuple, sizes: tuple[int, int]) -> None:
+    global _WORKER_DATA, _WORKER_KEY
+    _WORKER_DATA = load_data_source(source, sizes)
+    _WORKER_KEY = (source, sizes)
+    # every task of the process reads these arrays, so none may write them
+    for ds in _WORKER_DATA:
+        ds.images.setflags(write=False)
+        ds.labels.setflags(write=False)
 
 
-def _get_worker_data(source: tuple) -> tuple[Dataset, Dataset]:
-    global _WORKER_DATA, _WORKER_SOURCE
-    if _WORKER_DATA is None or _WORKER_SOURCE != source:
-        _worker_init(source)
+def _get_worker_data(source: tuple, sizes: tuple[int, int]) -> tuple[Dataset, Dataset]:
+    if _WORKER_DATA is None or _WORKER_KEY != (source, sizes):
+        _worker_init(source, sizes)
     return _WORKER_DATA
 
 
@@ -408,31 +435,31 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset,
                 ) -> tuple[dict[str, list], dict]:
     """Run the three attacks against one trained model.
 
-    Fixed-epsilon FGSM targets every correctly classified image of the
-    (scaled) test subset; epsilon search and the one-pixel attack target the
-    first correctly classified images in dataset order.
+    test_set is the manifest's test prefix, taken whole. Fixed-epsilon FGSM
+    targets every correctly classified image of it; epsilon search and the
+    one-pixel attack target the first correctly classified images in
+    dataset order.
     """
     atk = manifest.attacks
-    test_n = manifest.test_subset_n(test_set.n)
-    subset = test_set.subset(np.arange(test_n))
-    probs = predict(net, subset.images)
-    correct = np.flatnonzero(probs.argmax(axis=1) == subset.labels)
+    test_n = test_set.n
+    probs = predict(net, test_set.images)
+    correct = np.flatnonzero(probs.argmax(axis=1) == test_set.labels)
 
     outcomes: dict[str, list] = {"fgsm": [], "fgsm_search": [], "one_pixel": []}
     if correct.size:
-        outcomes["fgsm"] = fgsm_many(net, subset.images[correct],
-                                     subset.labels[correct], atk.fgsm_eps,
+        outcomes["fgsm"] = fgsm_many(net, test_set.images[correct],
+                                     test_set.labels[correct], atk.fgsm_eps,
                                      indices=correct)
         for i in correct[:manifest.search_subset_n(test_n)]:
             outcomes["fgsm_search"].append(fgsm_eps_search(
-                net, subset.images[i], int(subset.labels[i]),
+                net, test_set.images[i], int(test_set.labels[i]),
                 start=atk.search_start, step=atk.search_step, cap=atk.search_cap,
                 index=int(i)))
         for i in correct[:manifest.one_pixel_n()]:
             cfg = manifest.de_config(
                 derive_seed(manifest.master_seed, *seed_path, "one_pixel", int(i)))
             outcomes["one_pixel"].append(one_pixel(
-                net, subset.images[i], int(subset.labels[i]), cfg,
+                net, test_set.images[i], int(test_set.labels[i]), cfg,
                 index=int(i), keep_image=False))
     info = {
         "test_subset_n": int(test_n),
@@ -456,7 +483,8 @@ def _save_attacks(store: ResultsStore, graph_id: str, init_method: str,
 def _sweep_task(payload: dict) -> dict:
     """Train and attack one (graph, init) pair; writes per-model files."""
     manifest = ExperimentManifest.from_dict(payload["manifest"])
-    train_set, test_set = _get_worker_data(tuple(payload["data_source"]))
+    train_set, test_set = _get_worker_data(tuple(payload["data_source"]),
+                                           payload["subset_sizes"])
     store = ResultsStore(payload["out_dir"])
     graph_id = payload["graph_id"]
     init_method = payload["init_method"]
@@ -471,13 +499,11 @@ def _sweep_task(payload: dict) -> dict:
         epochs=manifest.effective_epochs(),
         seed=derive_seed(manifest.master_seed, graph_id, init_method, "train"),
     )
-    subset = train_set.subset(np.arange(manifest.train_subset_n(train_set.n)))
-    history = train(net, subset, cfg)
+    history = train(net, train_set, cfg)
     # evaluate and attack the model the checkpoint stores, so that
     # rerun_attacks on the checkpoint reproduces these records
     round_to_checkpoint(net)
-    report = evaluate_f1(net, test_set.subset(
-        np.arange(manifest.test_subset_n(test_set.n))))
+    report = evaluate_f1(net, test_set)
 
     outcomes, attack_info = run_attacks(net, test_set, manifest,
                                         (graph_id, init_method))
@@ -509,6 +535,7 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
         raise ExperimentError("no graphs in store; run gen-graphs first")
     mhash = manifest.manifest_hash
     store.save_manifest(manifest.to_dict(), mhash)
+    sizes = manifest.subset_sizes(data_source)
 
     pending = []
     for entry in entries:
@@ -520,6 +547,7 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
                 "init_method": init_method,
                 "manifest": manifest.to_dict(),
                 "data_source": list(data_source),
+                "subset_sizes": sizes,
                 "out_dir": str(store.root),
             })
     log.info("sweep: %d pairs pending (%d graphs x %d inits, resume=%s)",
@@ -548,7 +576,7 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
                 record_failure(payload, exc)
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(data_source,)) as pool:
+                                 initargs=(data_source, sizes)) as pool:
             futures = [(payload, pool.submit(_sweep_task, payload))
                        for payload in pending]
             for payload, fut in futures:
@@ -568,7 +596,8 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
 
     Pairs completed under any manifest hash qualify, so attack settings can
     change without retraining."""
-    test_set = load_test_split(data_source)
+    full_test_n = split_sizes(data_source)[1]
+    test_set = load_test_split(data_source, manifest.test_subset_n(full_test_n))
     count = 0
     for graph_id, init_method in store.completed_pairs(None):
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
@@ -577,7 +606,7 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
         count += 1
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
                             models=count, dataset=data_source[0],
-                            settings=manifest.attack_settings(test_set.n))
+                            settings=manifest.attack_settings(full_test_n))
     return count
 
 
@@ -696,8 +725,7 @@ PRUNING_STEP_HEADER = [
 
 def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
                          manifest: ExperimentManifest) -> dict:
-    report = evaluate_f1(net, test_set.subset(
-        np.arange(manifest.test_subset_n(test_set.n))))
+    report = evaluate_f1(net, test_set)
     outcomes, _ = run_attacks(net, test_set, manifest, ("prune", step))
     record = {
         "step": step,
@@ -724,18 +752,18 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
                          data_source: tuple) -> list[dict]:
     """Dense reference model pruned randomly for the configured number of
     steps, with retraining, attacks, and hidden-structure metrics per step."""
-    train_set, test_set = _get_worker_data(tuple(data_source))
+    train_set, test_set = _get_worker_data(tuple(data_source),
+                                           manifest.subset_sizes(data_source))
     p = manifest.pruning
     ld = layer_dag(dense_stack_dag(p.hidden_layers))
     net = build_network(ld, INPUT_DIM, OUTPUT_DIM)
     net = init_weights(net, p.init_method,
                        derive_seed(manifest.master_seed, "prune", "init"))
 
-    subset = train_set.subset(np.arange(manifest.train_subset_n(train_set.n)))
     base_cfg = manifest.train_config(
         epochs=manifest.effective_epochs(),
         seed=derive_seed(manifest.master_seed, "prune", "train", 0))
-    train(net, subset, base_cfg)
+    train(net, train_set, base_cfg)
 
     steps = [_pruning_step_record(0, net, test_set, manifest)]
     for step in range(1, p.steps + 1):
@@ -744,7 +772,7 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
         retrain_cfg = manifest.train_config(
             epochs=manifest.effective_retrain_epochs(),
             seed=derive_seed(manifest.master_seed, "prune", "train", step))
-        train(net, subset, retrain_cfg)
+        train(net, train_set, retrain_cfg)
         steps.append(_pruning_step_record(step, net, test_set, manifest))
         log.info("pruning step %d: %d hidden edges, f1=%.4f", step,
                  steps[-1]["hidden_edges"], steps[-1]["macro_f1"])

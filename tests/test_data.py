@@ -69,6 +69,35 @@ class TestLoadIdx:
         ds = load_idx(*write_pair(tmp_path, images, np.array([0], dtype=np.uint8)))
         assert len(np.unique(ds.images)) == 256
 
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("count", [None, 0, 1, 4, 9])
+    def test_in_place_scaling_is_bit_exact(self, tmp_path, rng, gz, count):
+        images = rng.integers(0, 256, size=(9, 28, 28)).astype(np.uint8)
+        images[0, 0, :3] = (0, 255, 1)
+        labels = rng.integers(0, 10, size=9).astype(np.uint8)
+        ds = load_idx(*write_pair(tmp_path, images, labels, gz=gz), count=count)
+        expected = images[:count].reshape(-1, 784).astype(np.float64) / 255.0
+        assert ds.n == len(expected)
+        assert ds.images.tobytes() == expected.tobytes()
+        assert np.array_equal(ds.labels, labels[:count])
+
+    def test_count_beyond_file_rejected(self, tmp_path, rng):
+        images = rng.integers(0, 256, size=(3, 28, 28)).astype(np.uint8)
+        with pytest.raises(ValueError):
+            load_idx(*write_pair(tmp_path, images, np.zeros(3, dtype=np.uint8)),
+                     count=4)
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("pixels", [[0.5, np.nan], [np.nan, np.nan],
+                                        [-0.1, 0.5], [0.5, 1.5]])
+    def test_pixels_outside_unit_interval_rejected(self, pixels):
+        with pytest.raises(DataFormatError):
+            Dataset(np.array([pixels]), np.array([3]), "x")
+
+    def test_unit_interval_endpoints_accepted(self):
+        assert Dataset(np.array([[0.0, 1.0]]), np.array([3]), "x").n == 1
+
 
 class TestBatches:
     def test_sizes(self):
@@ -105,6 +134,20 @@ class TestSynthetic:
         b = synthetic_dataset(20, seed=3)
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2024])
+    def test_prefix_equals_head_of_full_corpus(self, seed):
+        n = 60
+        full = synthetic_dataset(n, seed)
+        for k in (1, n // 5, n):
+            head = synthetic_dataset(n, seed, count=k)
+            assert head.n == k
+            assert (head.images == full.images[:k]).all()
+            assert (head.labels == full.labels[:k]).all()
+
+    def test_count_beyond_corpus_rejected(self):
+        with pytest.raises(ValueError):
+            synthetic_dataset(5, seed=0, count=6)
 
     # SHA-256 of the images' then the labels' bytes
     @pytest.mark.parametrize("n, seed, digest", [

@@ -471,6 +471,7 @@ class TestPruningBaseline:
 
         monkeypatch.setattr(data, "synthetic_dataset", counting)
         monkeypatch.setattr(exp_mod, "_WORKER_DATA", None)
+        monkeypatch.setattr(exp_mod, "_WORKER_KEY", None)
         manifest = tiny_manifest(target_graph_count=1)
         manifest.pruning.hidden_layers = [4, 6, 4]
         manifest.pruning.steps = 1
@@ -632,3 +633,91 @@ class TestDataResolution:
         assert source[0] == "mnist"
         train, test = load_data_source(source)
         assert train.n == 12 and test.n == 6
+
+    def test_idx_subset_sizes_from_headers(self, tmp_path):
+        from snnrobust.data import write_synthetic_idx
+        write_synthetic_idx(tmp_path, train_n=12, test_n=6, seed=0)
+        manifest = tiny_manifest(dataset="auto")
+        manifest.scale.train_subset = 0.5
+        manifest.scale.test_subset = 0.5
+        source = resolve_data_source(manifest, tmp_path)
+        assert manifest.subset_sizes(source) == (6, 3)
+        full_train, full_test = load_data_source(source)
+        train, test = load_data_source(source, manifest.subset_sizes(source))
+        assert np.array_equal(train.images, full_train.images[:6])
+        assert np.array_equal(test.labels, full_test.labels[:3])
+
+
+class TestSubsetsAtLoad:
+    """The manifest's subsets are taken once, where a split is loaded."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        from snnrobust import experiment as exp_mod
+        monkeypatch.setattr(exp_mod, "_WORKER_DATA", None)
+        monkeypatch.setattr(exp_mod, "_WORKER_KEY", None)
+
+    def test_sweep_task_uses_views_of_the_cached_arrays(self, tmp_path, monkeypatch):
+        from snnrobust import experiment as exp_mod
+        seen = {}
+        real_train, real_eval, real_predict = (exp_mod.train, exp_mod.evaluate_f1,
+                                               exp_mod.predict)
+
+        def spy_train(net, train_set, cfg):
+            seen["train"] = train_set.images
+            return real_train(net, train_set, cfg)
+
+        def spy_eval(net, test_set, *args):
+            seen["evaluated"] = test_set.images
+            return real_eval(net, test_set, *args)
+
+        def spy_predict(net, images, *args):
+            seen["attacked"] = images
+            return real_predict(net, images, *args)
+
+        monkeypatch.setattr(exp_mod, "train", spy_train)
+        monkeypatch.setattr(exp_mod, "evaluate_f1", spy_eval)
+        monkeypatch.setattr(exp_mod, "predict", spy_predict)
+        manifest = tiny_manifest(target_graph_count=1)
+        manifest.scale.train_subset = 0.5
+        manifest.scale.test_subset = 0.5
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        [summary] = run_sweep(manifest, store, resolve_data_source(manifest, None))
+        cached_train, cached_test = exp_mod._WORKER_DATA
+        assert (cached_train.n, cached_test.n) == (110, 45)
+        assert summary["attack_info"]["test_subset_n"] == 45
+        assert seen["train"].shape[0] == 110
+        assert np.shares_memory(seen["train"], cached_train.images)
+        assert np.shares_memory(seen["evaluated"], cached_test.images)
+        assert np.shares_memory(seen["attacked"], cached_test.images)
+        assert not any(a.flags.writeable for ds in exp_mod._WORKER_DATA
+                       for a in (ds.images, ds.labels))
+
+    def test_each_manifest_gets_its_own_prefix(self, tmp_path):
+        from snnrobust import experiment as exp_mod
+        full_test = load_data_source(resolve_data_source(tiny_manifest(), None))[1]
+        for i, (fraction, want) in enumerate(((1.0, 90), (0.5, 45), (1.0, 90))):
+            manifest = tiny_manifest(target_graph_count=1)
+            manifest.scale.test_subset = fraction
+            store = ResultsStore(tmp_path / str(i))
+            build_graph_dataset(manifest, store)
+            [summary] = run_sweep(manifest, store, resolve_data_source(manifest, None))
+            assert summary["attack_info"]["test_subset_n"] == want
+            test_set = exp_mod._WORKER_DATA[1]
+            assert test_set.n == want
+            assert np.array_equal(test_set.images, full_test.images[:want])
+
+    def test_load_peaks_near_what_it_keeps(self):
+        import tracemalloc
+        manifest = tiny_manifest(synthetic_train_n=3000, synthetic_test_n=1000)
+        manifest.scale.test_subset = 0.2
+        source = resolve_data_source(manifest, None)
+        tracemalloc.start()
+        try:
+            train, test = load_data_source(source, manifest.subset_sizes(source))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (train.n, test.n) == (3000, 200)
+        assert peak < 1.1 * kept

@@ -344,23 +344,20 @@ def build_graph_dataset(manifest: ExperimentManifest,
     network lands inside the parameter range, until the target count.
 
     generation.json records the accepted and rejected candidates of every
-    combo tried (in grid order, zeros included) and the seconds spent in
-    generate_ws and compute_metrics."""
+    combo tried (in numeric (size, nei, p) order, zeros included) and the
+    seconds spent in generate_ws and compute_metrics."""
     combos = list(product(manifest.grid.size, manifest.grid.nei, manifest.grid.p))
     lo, hi = manifest.param_range
     accepted: list[GraphEntry] = []
     rejected = 0
-    accepted_by_combo: dict[str, int] = {}
-    rejected_by_combo: dict[str, int] = {}
+    by_combo: dict[tuple, list[int]] = {}  # (size, nei, p) -> [accepted, rejected]
     seconds = {"generate_ws": 0.0, "compute_metrics": 0.0}
 
     for round_i in range(manifest.max_generation_rounds):
         for size, nei, p in combos:
             if len(accepted) >= manifest.target_graph_count:
                 break
-            key = f"size={size},nei={nei},p={p}"
-            accepted_by_combo.setdefault(key, 0)
-            rejected_by_combo.setdefault(key, 0)
+            counts = by_combo.setdefault((size, nei, p), [0, 0])
             seed = derive_seed(manifest.master_seed, "gen", round_i, size, nei, p)
             t0 = time.perf_counter()
             g = generate_ws(size, nei, p, seed)
@@ -368,12 +365,12 @@ def build_graph_dataset(manifest: ExperimentManifest,
             n_params = candidate_param_count(g)
             if not (lo <= n_params <= hi):
                 rejected += 1
-                rejected_by_combo[key] += 1
+                counts[1] += 1
                 continue
             t0 = time.perf_counter()
             metrics = compute_metrics(g)
             seconds["compute_metrics"] += time.perf_counter() - t0
-            accepted_by_combo[key] += 1
+            counts[0] += 1
             graph_id = f"g{len(accepted):04d}"
             entry = GraphEntry(
                 graph_id=graph_id,
@@ -396,8 +393,9 @@ def build_graph_dataset(manifest: ExperimentManifest,
         store.save_generation_log({
             "accepted": len(accepted),
             "rejected": rejected,
-            "accepted_by_combo": accepted_by_combo,
-            "rejected_by_combo": rejected_by_combo,
+            "combos": [{"size": size, "nei": nei, "p": p,
+                        "accepted": n_acc, "rejected": n_rej}
+                       for (size, nei, p), (n_acc, n_rej) in sorted(by_combo.items())],
             "seconds": seconds,
             "target": manifest.target_graph_count,
             "exhausted": len(accepted) < manifest.target_graph_count,
@@ -864,9 +862,9 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
         gen = json.loads(gen_path.read_text())
         lines.append(f"graphs: {gen['accepted']} accepted, "
                      f"{gen['rejected']} rejected by the parameter filter")
-        for key, n in gen.get("accepted_by_combo", {}).items():
-            lines.append(f"  {key}: {n} accepted, "
-                         f"{gen['rejected_by_combo'][key]} rejected")
+        for c in gen.get("combos", []):
+            lines.append(f"  size={c['size']},nei={c['nei']},p={c['p']}: "
+                         f"{c['accepted']} accepted, {c['rejected']} rejected")
         if "seconds" in gen:
             lines.append("  time: " + ", ".join(f"{name} {s:.3f} s"
                                                 for name, s in gen["seconds"].items()))

@@ -117,26 +117,37 @@ class TestBuildGraphDataset:
         assert log["rejected"] == 2 * 2  # combos x rounds
 
     def test_generation_log_counts_every_combo_tried(self, tmp_path):
+        # nei 10 sorts before nei 2 as text; the log and the report keep
+        # numeric (size, nei, p) order
+        grid = GridSpec(size=[250], nei=[2, 10], p=[0.5, 0.9])
         store = ResultsStore(tmp_path)
-        build_graph_dataset(tiny_manifest(target_graph_count=3), store)
-        build_graph_dataset(tiny_manifest(param_range=(1, 2), max_generation_rounds=2),
+        build_graph_dataset(tiny_manifest(grid=grid, target_graph_count=5), store)
+        build_graph_dataset(tiny_manifest(grid=grid, param_range=(1, 2),
+                                          max_generation_rounds=2),
                             ResultsStore(tmp_path / "none"))
         ok = json.loads((tmp_path / "generation.json").read_text())
         none = json.loads((tmp_path / "none" / "generation.json").read_text())
-        keys = ["size=250,nei=2,p=0.5", "size=250,nei=2,p=0.9"]
-        assert ok["accepted_by_combo"] == dict(zip(keys, [2, 1]))
-        assert ok["rejected_by_combo"] == dict(zip(keys, [0, 0]))
-        assert none["accepted_by_combo"] == dict(zip(keys, [0, 0]))
-        assert none["rejected_by_combo"] == dict(zip(keys, [2, 2]))
+        combos = [(250, 2, 0.5), (250, 2, 0.9), (250, 10, 0.5), (250, 10, 0.9)]
+
+        def counts(log):
+            return [((c["size"], c["nei"], c["p"]), c["accepted"], c["rejected"])
+                    for c in log["combos"]]
+
+        assert counts(ok) == [(k, n, 0) for k, n in zip(combos, [2, 1, 1, 1])]
+        assert counts(none) == [(k, 0, 2) for k in combos]
+        assert (ok["accepted"], ok["rejected"]) == (5, 0)
+        assert (none["accepted"], none["rejected"]) == (0, 8)
         assert set(ok["seconds"]) == {"generate_ws", "compute_metrics"}
         assert ok["seconds"]["generate_ws"] > 0 < ok["seconds"]["compute_metrics"]
         assert none["seconds"]["compute_metrics"] == 0.0  # nothing accepted
-        lines = render_report(tiny_manifest(), store).splitlines()
-        at = lines.index("graphs: 3 accepted, 0 rejected by the parameter filter")
-        assert lines[at + 1:at + 3] == ["  size=250,nei=2,p=0.5: 2 accepted, 0 rejected",
-                                        "  size=250,nei=2,p=0.9: 1 accepted, 0 rejected"]
-        assert lines[at + 3].startswith("  time: compute_metrics ")
-        assert ", generate_ws " in lines[at + 3]
+        lines = render_report(tiny_manifest(grid=grid), store).splitlines()
+        at = lines.index("graphs: 5 accepted, 0 rejected by the parameter filter")
+        assert lines[at + 1:at + 5] == ["  size=250,nei=2,p=0.5: 2 accepted, 0 rejected",
+                                        "  size=250,nei=2,p=0.9: 1 accepted, 0 rejected",
+                                        "  size=250,nei=10,p=0.5: 1 accepted, 0 rejected",
+                                        "  size=250,nei=10,p=0.9: 1 accepted, 0 rejected"]
+        assert lines[at + 5].startswith("  time: compute_metrics ")
+        assert ", generate_ws " in lines[at + 5]
 
     def test_full_scale_filter_bounds(self):
         m = ExperimentManifest(grid=GridSpec(size=[500], nei=[2], p=[0.9]),

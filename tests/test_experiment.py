@@ -611,6 +611,66 @@ class TestGoldenFingerprint:
         assert self.fingerprint(tmp_path) == self.GOLDEN
 
 
+def test_desk_pipeline_report_text(tmp_path):
+    # the report of TestGoldenFingerprint's pipeline, line for line, but
+    # for gen-graphs' timing line
+    manifest = tiny_manifest(init_methods=["He_N", "U"], target_graph_count=3)
+    manifest.pruning.hidden_layers = [6, 8]
+    manifest.pruning.steps = 2
+    store = ResultsStore(tmp_path)
+    source = resolve_data_source(manifest, None)
+    build_graph_dataset(manifest, store)
+    run_sweep(manifest, store, source)
+    correlate(manifest, store)
+    run_pruning_baseline(manifest, store, source)
+    lines = [line for line in render_report(manifest, store).splitlines()
+             if not line.startswith("  time: ")]
+    assert lines == [
+        "Sparse network robustness study",
+        "==================================",
+        "manifest_hash: c82e7757188f773a",
+        "mode: desk (scale factors {'epochs': 0.03333333333333333, "
+        "'train_subset': 1.0, 'test_subset': 1.0, 'search_subset': 0.04, "
+        "'one_pixel': 0.03, 'de_pop': 0.016, 'de_iter': 0.004})",
+        "dataset: synthetic (manifest requests synthetic)",
+        "note: parameter counts include biases",
+        "",
+        "graphs: 3 accepted, 0 rejected by the parameter filter",
+        "  size=250,nei=2,p=0.5: 2 accepted, 0 rejected",
+        "  size=250,nei=2,p=0.9: 1 accepted, 0 rejected",
+        "models: 3 graphs x 2 initializations",
+        "epsilon search: 1 of 24 searched images censored (no flip within the cap)",
+        "failed tasks: 0",
+        "graph properties over the 3 correlated models:",
+        "  num_parameters: 3 distinct, [23656, 40420]",
+        "  density: 1 distinct, [0.0160643, 0.0160643]",
+        "  avg_path_length: 3 distinct, [4.19682, 4.34962]",
+        "  avg_eccentricity: 3 distinct, [6.292, 6.536]",
+        "  diameter: 2 distinct, [7, 8]",
+        "properties that rank the models identically (- marks a reversed ranking):",
+        "  num_parameters = -avg_eccentricity",
+        "",
+        "strongest correlations per measure (two largest |rho| per column):",
+        "  fgsm / error_rate:",
+        "    avg_path_length: rho=-1.000 tau=-1.000 (large, n=3)",
+        "    num_parameters: rho=+0.500 tau=+0.333 (large, n=3)",
+        "  fgsm / avg_confidence:",
+        "    diameter: rho=+0.866 tau=+0.816 (large, n=3)",
+        "    num_parameters: rho=-0.500 tau=-0.333 (large, n=3)",
+        "  fgsm_search / avg_epsilon:",
+        "    diameter: rho=-0.866 tau=-0.816 (large, n=3)",
+        "    num_parameters: rho=+0.500 tau=+0.333 (large, n=3)",
+        "  one_pixel / error_rate:",
+        "    avg_path_length: rho=+0.866 tau=+0.816 (large, n=3)",
+        "    diameter: rho=-0.500 tau=-0.500 (large, n=3)",
+        "  one_pixel / avg_confidence:",
+        "    num_parameters: rho=-1.000 tau=-1.000 (large, n=3)",
+        "    avg_eccentricity: rho=+1.000 tau=+1.000 (large, n=3)",
+        "",
+        "pruning baseline: see pruning/steps.csv and pruning/correlations.csv",
+    ]
+
+
 class TestDataResolution:
     def test_synthetic_source(self):
         manifest = tiny_manifest()

@@ -14,7 +14,6 @@ one array a process holds per split.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -633,35 +632,40 @@ def _aggregate_column(records: list[RobustnessRecord], attack: str, measure: str
             "n_models": len(per_model),
             "n_runs": sum(len(v) for v in per_model.values()),
             "discarded_runs": 0, "discarded_models": 0}
-    if not per_model:
-        return {}, info
-
-    if mode == "run":
-        pooled = [v for vals in per_model.values() for v in vals]
-        if len(pooled) >= 4:
-            lo, hi = tukey_fences(pooled)
-        else:
-            lo, hi = -np.inf, np.inf
-        means: dict[str, float] = {}
-        for model_id, vals in per_model.items():
-            kept = [v for v in vals if lo <= v <= hi]
+    if mode == "model":
+        per_model = {m: [float(np.mean(vs))] for m, vs in per_model.items()}
+    fenced = [v for vals in per_model.values() for v in vals]
+    lo, hi = tukey_fences(fenced) if len(fenced) >= 4 else (-np.inf, np.inf)
+    means: dict[str, float] = {}
+    for model_id, vals in per_model.items():
+        kept = [v for v in vals if lo <= v <= hi]
+        if mode == "run":
             info["discarded_runs"] += len(vals) - len(kept)
-            if not kept:
-                info["discarded_models"] += 1
-                log.info("model %s dropped for %s/%s: all runs outliers",
-                         model_id, attack, measure)
-                continue
-            means[model_id] = float(np.mean(kept))
-        return means, info
-
-    raw_means = {m: float(np.mean(vs)) for m, vs in per_model.items()}
-    if len(raw_means) >= 4:
-        lo, hi = tukey_fences(list(raw_means.values()))
-    else:
-        lo, hi = -np.inf, np.inf
-    means = {m: v for m, v in raw_means.items() if lo <= v <= hi}
-    info["discarded_models"] = len(raw_means) - len(means)
+        if not kept:
+            info["discarded_models"] += 1
+            log.info("model %s dropped for %s/%s: outside the fences",
+                     model_id, attack, measure)
+            continue
+        means[model_id] = float(np.mean(kept))
     return means, info
+
+
+def _correlation_table(properties: list[str], props_by_unit: dict,
+                       values_by_column: dict[tuple[str, str], dict],
+                       ) -> CorrelationTable:
+    """One cell per measure column and property: the property against the
+    column's values over the units (models or pruning steps) that have both
+    properties and a value other than None, in sorted unit order."""
+    cells = []
+    for attack, measure in MEASURE_COLUMNS:
+        values = values_by_column[attack, measure]
+        units = sorted(u for u, v in values.items()
+                       if v is not None and u in props_by_unit)
+        ys = [values[u] for u in units]
+        for prop in properties:
+            xs = [props_by_unit[u][prop] for u in units]
+            cells.append(correlation_cell(prop, attack, measure, xs, ys))
+    return CorrelationTable(cells=cells, properties=list(properties))
 
 
 def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationTable:
@@ -675,18 +679,12 @@ def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationT
         raise CorrelationWithheldError(
             f"only {len(models_with_records)} models have records; need >= 3")
 
-    cells = []
-    logs = []
+    columns, logs = {}, []
     for attack, measure in MEASURE_COLUMNS:
-        means, info = _aggregate_column(records, attack, measure,
-                                        manifest.outlier_mode)
+        columns[attack, measure], info = _aggregate_column(
+            records, attack, measure, manifest.outlier_mode)
         logs.append(info)
-        model_ids = sorted(m for m in means if m in props)
-        for prop in manifest.properties:
-            xs = [props[m][prop] for m in model_ids]
-            ys = [means[m] for m in model_ids]
-            cells.append(correlation_cell(prop, attack, measure, xs, ys))
-    table = CorrelationTable(cells=cells, properties=list(manifest.properties))
+    table = _correlation_table(manifest.properties, props, columns)
     store.save_correlations(table)
     store.save_correlation_log({"columns": logs,
                                 "outlier_mode": manifest.outlier_mode})
@@ -781,15 +779,11 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
     ]
     store.save_pruning_steps(rows)
 
-    cells = []
-    for attack, measure in MEASURE_COLUMNS:
-        col = f"{attack}_{measure}"
-        pairs = [(rec, rec[col]) for rec in steps if rec[col] is not None]
-        for prop in manifest.properties:
-            xs = [rec[prop] for rec, _ in pairs]
-            ys = [v for _, v in pairs]
-            cells.append(correlation_cell(prop, attack, measure, xs, ys))
-    table = CorrelationTable(cells=cells, properties=list(manifest.properties))
+    columns = {(attack, measure): {rec["step"]: rec[f"{attack}_{measure}"]
+                                   for rec in steps}
+               for attack, measure in MEASURE_COLUMNS}
+    table = _correlation_table(manifest.properties,
+                               {rec["step"]: rec for rec in steps}, columns)
     store.save_correlations(table, subdir="pruning")
     store.append_provenance("prune-baseline", manifest_hash=manifest.manifest_hash,
                             steps=p.steps, alpha=p.alpha,
@@ -832,8 +826,7 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     searches, failed tasks, the spread of each correlated property and the
     properties that rank the models alike, and the two strongest graph
     properties per robustness measure."""
-    prov_path = store.root / "provenance.json"
-    events = json.loads(prov_path.read_text()) if prov_path.exists() else []
+    events = store.load_provenance()
     used = [e["dataset"] for e in events if "dataset" in e]
     stored = store.load_manifest()
     run = ExperimentManifest.from_dict(stored["manifest"]) if stored else manifest
@@ -857,9 +850,8 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
                   f"under manifest {attacks[-1]['manifest_hash']} with settings:",
                   f"  {json.dumps(attacks[-1]['settings'], sort_keys=True)}"]
     lines.append("")
-    gen_path = store.root / "generation.json"
-    if gen_path.exists():
-        gen = json.loads(gen_path.read_text())
+    gen = store.load_generation_log()
+    if gen is not None:
         lines.append(f"graphs: {gen['accepted']} accepted, "
                      f"{gen['rejected']} rejected by the parameter filter")
         for c in gen.get("combos", []):
@@ -883,32 +875,24 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     lines += _property_confounds(manifest.properties, models, stored_properties(store))
     lines.append("")
 
-    corr_path = store.root / "correlations_long.csv"
-    if corr_path.exists():
-        with open(corr_path) as f:
-            rows = list(csv.reader(f))
-        header, body = rows[0], rows[1:]
-        cells = []
-        for row in body:
-            d = dict(zip(header, row))
-            if d["rho"]:
-                cells.append(d)
+    table = store.load_correlations()
+    if table is not None:
         lines.append("strongest correlations per measure "
                      "(two largest |rho| per column):")
         for attack, measure in MEASURE_COLUMNS:
-            col = [c for c in cells if c["attack"] == attack and c["measure"] == measure]
-            col.sort(key=lambda c: -abs(float(c["rho"])))
+            col = [c for c in table.cells if c.defined
+                   and (c.attack, c.measure) == (attack, measure)]
+            col.sort(key=lambda c: -abs(c.rho))
             lines.append(f"  {attack} / {measure}:")
             if not col:
                 lines.append("    (no defined cells)")
             for c in col[:2]:
-                lines.append(
-                    f"    {c['graph_property']}: rho={float(c['rho']):+.3f} "
-                    f"tau={float(c['tau']):+.3f} ({c['label']}, n={c['n']})")
+                lines.append(f"    {c.graph_property}: rho={c.rho:+.3f} "
+                             f"tau={c.tau:+.3f} ({c.label}, n={c.n})")
     else:
         lines.append("correlations: not computed yet")
 
-    if (store.root / "pruning" / "steps.csv").exists():
+    if store.has_pruning_steps():
         lines.append("")
         lines.append("pruning baseline: see pruning/steps.csv and "
                      "pruning/correlations.csv")

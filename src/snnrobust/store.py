@@ -13,6 +13,10 @@ done.json is written last for a (graph, init) pair; a pair counts as
 completed only if its done.json carries the current manifest hash. Every
 file is written to a temporary name in its directory and renamed over the
 target, so a crash mid-write leaves the previous version intact.
+
+ResultsStore is the only reader of every results file, as it is their only
+writer: the pipeline stages and the report ask it for typed records and
+never open a path under the results directory themselves.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ class ResultsStore:
 
     # --- generic helpers ---------------------------------------------
 
+    def _read_json(self, name: str, default=None):
+        """The JSON document at root / name, or default if there is none."""
+        path = self.root / name
+        return json.loads(path.read_text()) if path.exists() else default
+
     def _write_json(self, path: Path, payload) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_open(path) as f:
@@ -80,14 +89,16 @@ class ResultsStore:
 
     def load_manifest(self) -> dict | None:
         """The manifest document the last sweep saved; None before any sweep."""
-        path = self.root / "manifest.json"
-        return json.loads(path.read_text()) if path.exists() else None
+        return self._read_json("manifest.json")
+
+    def load_provenance(self) -> list[dict]:
+        """Every recorded event, oldest first."""
+        return self._read_json("provenance.json", [])
 
     def append_provenance(self, event: str, **fields) -> None:
-        path = self.root / "provenance.json"
-        log = json.loads(path.read_text()) if path.exists() else []
+        log = self.load_provenance()
         log.append({"event": event, "timestamp": time.time(), **fields})
-        self._write_json(path, log)
+        self._write_json(self.root / "provenance.json", log)
 
     # --- graphs -------------------------------------------------------
 
@@ -117,6 +128,10 @@ class ResultsStore:
 
     def save_generation_log(self, log: dict) -> None:
         self._write_json(self.root / "generation.json", log)
+
+    def load_generation_log(self) -> dict | None:
+        """What the last gen-graphs tried and kept; None before any."""
+        return self._read_json("generation.json")
 
     # --- per-model records --------------------------------------------
 
@@ -183,11 +198,22 @@ class ResultsStore:
         self._write_csv(base / "correlations.csv", table.layout_rows())
         self._write_csv(base / "correlations_long.csv", table.long_rows())
 
+    def load_correlations(self) -> CorrelationTable | None:
+        """The table the last correlate saved; None before any."""
+        path = self.root / "correlations_long.csv"
+        if not path.exists():
+            return None
+        with open(path, newline="") as f:
+            return CorrelationTable.from_long_rows(list(csv.reader(f)))
+
     def save_correlation_log(self, log: dict) -> None:
         self._write_json(self.root / "correlate_log.json", log)
 
     def save_pruning_steps(self, rows) -> None:
         self._write_csv(self.root / "pruning" / "steps.csv", rows)
+
+    def has_pruning_steps(self) -> bool:
+        return (self.root / "pruning" / "steps.csv").exists()
 
     def save_report(self, text: str) -> None:
         with atomic_open(self.root / "report.txt") as f:

@@ -18,7 +18,8 @@ from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
                                   resolve_data_source, run_pruning_baseline,
                                   run_sweep)
 from snnrobust.graph import generate_ws, layer_dag, to_dag
-from snnrobust.measure import MEASURE_COLUMNS, RobustnessRecord, tukey_fences
+from snnrobust.measure import (MEASURE_COLUMNS, CorrelationCell, CorrelationTable,
+                               RobustnessRecord, tukey_fences)
 from snnrobust.network import (build_network, init_weights, param_count,
                                save_checkpoint)
 from snnrobust.store import ResultsStore
@@ -421,6 +422,29 @@ class TestAtomicWrites:
             store.save_generation_log({"accepted": object()})
         assert json.loads((tmp_path / "generation.json").read_text()) == {"accepted": 1}
         assert not list(tmp_path.glob(".*"))
+
+
+class TestStoreReaders:
+    def test_correlation_table_round_trips(self, tmp_path):
+        cells = [CorrelationCell(prop, attack, measure, -0.1 / 3, 2 / 3, "negligible", 7)
+                 if prop == "density" else
+                 CorrelationCell(prop, attack, measure, None, None, None, 2,
+                                 flag="need at least 3 pairs, got 2")
+                 for attack, measure in MEASURE_COLUMNS
+                 for prop in ("density", "diameter")]
+        table = CorrelationTable(cells=cells, properties=["density", "diameter"])
+        assert CorrelationTable.from_long_rows(table.long_rows()) == table
+        store = ResultsStore(tmp_path)
+        assert store.load_correlations() is None
+        store.save_correlations(table)
+        assert store.load_correlations() == table
+
+    def test_empty_store(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        assert store.load_provenance() == []
+        assert store.load_generation_log() is None
+        assert store.load_manifest() is None
+        assert not store.has_pruning_steps()
 
 
 class TestPruningBaseline:

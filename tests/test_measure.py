@@ -120,6 +120,16 @@ class TestKendall:
             assert kendall(base, perm) == pytest.approx(
                 kendall_pair_count(base, perm), abs=1e-12)
 
+    def test_infinities_compare_without_warnings(self):
+        # inf - inf is nan, with a RuntimeWarning: pairs are compared, not
+        # subtracted
+        xs, ys = [np.inf, np.inf, 1, 2, -np.inf], [1, 2, 3, 4, 2]
+        want = float(stats.kendalltau(xs, ys, variant="b").statistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kendall(xs, ys)
+        assert got == want == pytest.approx(-2 / 9, abs=1e-15)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-100, 100), min_size=4, max_size=30, unique=True),
            st.randoms(use_true_random=False))
@@ -199,7 +209,7 @@ class TestEqualsScipyBitForBit:
         assert defined > 1200
 
     def test_kendall_equals_kendalltau_b_at_model_counts(self):
-        # up to 700 models: ten merge levels in the discordant-pair count
+        # up to 700 models, 244,650 pairs
         defined = 0
         for xs, ys in random_pairs(3, 200, lengths=(60, 700)):
             if np.ptp(xs) == 0 or np.ptp(ys) == 0:

@@ -450,11 +450,10 @@ def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
-    """Read a checkpoint of schema 2, or of schema 1, whose per-(source
-    layer, target layer) groups are placed into their full-width blocks;
-    each block is then narrowed to its live columns. Raises
-    NetworkError on a bad magic, an unknown schema, a truncated file or a
-    nonzero weight at a masked position."""
+    """Read a checkpoint of schema 2; each layer's full-width block is then
+    narrowed to its live columns. Raises NetworkError on a bad magic, any
+    other schema, a truncated file or a nonzero weight at a masked
+    position."""
     with open(path, "rb") as f:
         buf = f.read()
     pos = 0
@@ -472,27 +471,16 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
     (blob_len,) = struct.unpack("<I", take(4))
     header = json.loads(take(blob_len).decode("utf-8"))
     version = header.get("schema_version")
-    units = list(header["layer_units"])
-    shapes = _layer_shapes(header["input_dim"], header["output_dim"], units)
-    weights = [np.zeros(shape) for shape in shapes]
-    masks = [np.zeros(shape) for shape in shapes]
-    if version == CHECKPOINT_SCHEMA_VERSION:
-        blocks = [(l, slice(None), shape) for l, shape in enumerate(shapes)]
-    elif version == 1:
-        offsets = [0, *accumulate(units)]
-        blocks = [(g["target_layer"],
-                   _columns(offsets, header["input_dim"], g["source_layer"]),
-                   tuple(g["shape"])) for g in header["groups"]]
-    else:
+    if version != CHECKPOINT_SCHEMA_VERSION:
         raise NetworkError(f"unsupported checkpoint schema version {version!r}")
-    for l, cols, shape in blocks:
-        if weights[l][:, cols].shape != shape:
-            raise NetworkError(f"checkpoint block of shape {shape} does not fit layer {l}")
+    units = list(header["layer_units"])
+    weights, masks = [], []
+    for shape in _layer_shapes(header["input_dim"], header["output_dim"], units):
         size = shape[0] * shape[1]
-        weights[l][:, cols] = np.frombuffer(
-            take(CHECKPOINT_DTYPE.itemsize * size), dtype=CHECKPOINT_DTYPE).reshape(shape)
+        block = np.frombuffer(take(CHECKPOINT_DTYPE.itemsize * size), dtype=CHECKPOINT_DTYPE)
+        weights.append(block.reshape(shape).astype(np.float64))
         packed = np.frombuffer(take((size + 7) // 8), dtype=np.uint8)
-        masks[l][:, cols] = np.unpackbits(packed, count=size).reshape(shape)
+        masks.append(np.unpackbits(packed, count=size).reshape(shape).astype(np.float64))
     biases = [np.frombuffer(take(CHECKPOINT_DTYPE.itemsize * n),
                             dtype=CHECKPOINT_DTYPE).astype(np.float64)
               for n in units + [header["output_dim"]]]

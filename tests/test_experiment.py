@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -633,6 +634,54 @@ class TestGoldenFingerprint:
         correlate(manifest, store)
         run_pruning_baseline(manifest, store, source)
         assert self.fingerprint(tmp_path) == self.GOLDEN
+
+
+class TestCrashAtAnyPoint:
+    """A one-task sweep that fails at any one of its file writes, then
+    resumes, leaves the outputs of an uninterrupted run."""
+
+    def sweep(self, root, fail_at: int | None, monkeypatch) -> int:
+        """Sweep one (graph, init) pair into root, the graph generated
+        first; atomic_open raises after writing the body of its fail_at-th
+        call of the sweep, before the rename. Returns the sweep's call count."""
+        from snnrobust import network, store as store_mod
+        manifest = tiny_manifest(target_graph_count=1)
+        store = ResultsStore(root)
+        build_graph_dataset(manifest, store)
+        real = store_mod.atomic_open
+        calls = 0
+
+        @contextlib.contextmanager
+        def crashing(path, mode="w", **kwargs):
+            nonlocal calls
+            calls += 1
+            with real(path, mode, **kwargs) as f:
+                yield f
+                if calls == fail_at:
+                    raise OSError(f"injected crash writing {path}")
+
+        with monkeypatch.context() as mp:
+            for module in (store_mod, network):
+                mp.setattr(module, "atomic_open", crashing)
+            try:
+                run_sweep(manifest, store, resolve_data_source(manifest, None))
+            except OSError:
+                pass
+        assert not list(root.rglob("*.tmp"))
+        return calls
+
+    def test_resume_after_a_crash_at_every_write(self, tmp_path, monkeypatch):
+        calls = self.sweep(tmp_path / "clean", None, monkeypatch)
+        want = TestGoldenFingerprint.fingerprint(tmp_path / "clean")
+        # manifest.json, the checkpoint, history, eval, three attack CSVs,
+        # robustness.json, done.json, the provenance event
+        assert calls == 10
+        manifest = tiny_manifest(target_graph_count=1)
+        for k in range(1, calls + 1):
+            root = tmp_path / f"crash{k}"
+            assert self.sweep(root, k, monkeypatch) >= k  # the crash happened
+            run_sweep(manifest, ResultsStore(root), resolve_data_source(manifest, None))
+            assert TestGoldenFingerprint.fingerprint(root) == want, f"crash at write {k}"
 
 
 def test_desk_pipeline_report_text(tmp_path):

@@ -412,14 +412,10 @@ class TestCheckpoint:
         with pytest.raises(NetworkError):
             load_checkpoint(path)
 
-    def test_schema_1_fixture_reproduces_probabilities(self):
-        # written by the per-(source layer, target layer) group format;
-        # pruned, so some of its groups carry no connection
-        net, header = load_checkpoint(FIXTURES / "v1_checkpoint.bin")
-        assert header["schema_version"] == 1
-        recorded = json.loads((FIXTURES / "v1_checkpoint_probs.json").read_text())
-        _, probs, _ = forward(net, np.array(recorded["input"]))
-        assert np.abs(probs - recorded["probs"]).max() < 1e-12
+    def test_schema_1_is_rejected(self):
+        # written by the per-(source layer, target layer) group format
+        with pytest.raises(NetworkError, match="^unsupported checkpoint schema version 1$"):
+            load_checkpoint(FIXTURES / "v1_checkpoint.bin")
 
     def test_schema_2_fixture_reproduces_probabilities(self, tmp_path):
         # written by the network whose hidden matrices spanned every earlier

@@ -16,7 +16,9 @@ target, so a crash mid-write leaves the previous version intact.
 
 ResultsStore is the only reader of every results file, as it is their only
 writer: the pipeline stages and the report ask it for typed records and
-never open a path under the results directory themselves.
+never open a path under the results directory themselves. The one
+exception is checkpoint.bin, which network.save_checkpoint and
+load_checkpoint write and read at the path checkpoint_path gives.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 one-pixel attack driven by differential evolution.
 
 All attacks are read-only on the network and deterministic given their
-seeds. Perturbed images stay inside [0, 1].
+seeds. Perturbed images stay inside [0, 1] and are built in the image
+dtype, float32 for the loaded datasets.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
 
     sign(0) is 0, so untouched-gradient pixels stay put. The mean-loss input
     gradient of a batch scales each per-image gradient by a positive
-    constant, so its sign equals the per-image sign.
+    constant, so its sign equals the per-image sign. In float32, x + eps can
+    round to one ulp past the bound; such a pixel is moved one ulp back
+    toward x, so |x_adv - x| <= eps holds exactly.
     """
     if eps < 0:
         raise AttackError("eps must be >= 0")
@@ -99,6 +102,8 @@ def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
     _, _, cache = forward(net, images)
     _, _, input_grads = backward(net, cache, labels, params=False)
     adv = np.clip(images + eps * np.sign(input_grads), 0.0, 1.0)
+    over = np.abs(adv - images) > eps
+    adv[over] = np.nextafter(adv[over], images[over])
     _, probs, _ = forward(net, adv)
     return [_outcome_from_probs(probs[i], labels[i], int(indices[i]),
                                 perturbed_image=adv[i] if keep_images else None)
@@ -241,14 +246,17 @@ def candidate_probs(net: MaskedNetwork, x: np.ndarray):
     probabilities, forward(net, perturbed_batch(x, cands))[1] up to rounding.
     A candidate changes one input, so its layer-0 pre-activations are the
     clean image's, computed once, plus one input-matrix column times the
-    change; only the layers above run per candidate.
+    change; only the layers above run per candidate. The image is cast to
+    the weights' dtype, as forward casts it, and the change is taken in that
+    dtype, so the whole pass runs in it.
     """
+    x = np.asarray(x, dtype=net.weights[0].dtype)
     w0_rows = net.weights[0].T.copy()
     pre0 = net.weights[0] @ x + net.biases[0]
 
     def probs(cands: np.ndarray) -> np.ndarray:
         flat = _pixel_index(cands)
-        delta = cands[:, 2] / INTENSITY_MAX - x[flat]
+        delta = (cands[:, 2] / INTENSITY_MAX).astype(x.dtype) - x[flat]
         _, logits = propagate(net, (pre0 + w0_rows[flat] * delta[:, None]).T)
         return softmax(logits)
 

@@ -1,7 +1,8 @@
 """Image dataset loading: MNIST-style IDX files plus a synthetic stand-in.
 
-Images are served as flattened float vectors in [0, 1]; pixel bytes are
-scaled by 1/255. The synthetic corpus renders ten distinct digit glyphs with
+Images are served as flattened float32 vectors in [0, 1] (the checkpoint's
+dtype, the one precision the network trains, evaluates and is attacked in);
+pixel bytes are scaled by 1/255 in float32. The synthetic corpus renders ten distinct digit glyphs with
 random shifts, shears, intensity jitter, and noise; it exists so the full
 pipeline can run in environments where the MNIST files are not available,
 and is clearly labeled as such wherever it is used.
@@ -10,7 +11,7 @@ Both loaders take a ``count`` and build only the first ``count`` images of
 a split: ``load_idx`` converts only that prefix of the file's bytes, and
 ``synthetic_dataset`` stops its per-image loop there, so its prefix is bit
 for bit the first ``count`` images of the whole corpus. Each split is held
-once, as one float array.
+once, as one float32 array.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .network import CHECKPOINT_DTYPE
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -107,8 +110,8 @@ def load_idx(images_path, labels_path, split: str = "train",
     ``count`` images of it.
 
     Pixels are scaled by 1/255 and rows are flattened row-major. Only the
-    prefix is converted, and it is scaled in place, so the split is held
-    once as floats.
+    prefix is converted to float32, and it is divided in place, so the split
+    is held once, each pixel the correctly rounded float32 of byte / 255.
     """
     imgs = _read_idx(images_path, IMAGE_MAGIC)
     labels = _read_idx(labels_path, LABEL_MAGIC)
@@ -116,7 +119,7 @@ def load_idx(images_path, labels_path, split: str = "train",
         raise DataFormatError(
             f"image count {imgs.shape[0]} != label count {labels.shape[0]}")
     count = _prefix_count(imgs.shape[0], count)
-    flat = imgs[:count].reshape(count, int(np.prod(imgs.shape[1:]))).astype(np.float64)
+    flat = imgs[:count].reshape(count, int(np.prod(imgs.shape[1:]))).astype(CHECKPOINT_DTYPE)
     flat /= 255.0
     return Dataset(flat, labels[:count].astype(np.int64), split)
 
@@ -248,12 +251,14 @@ def synthetic_dataset(n: int, seed: int, split: str = "train",
     The generator draws all n labels first, then per image, in order:
     intensity, the shear coin, the shear (only on heads), the row and column
     offsets, then the noise. It stops after image ``count``, so a prefix is
-    bit for bit the first ``count`` images of the n-image corpus.
+    bit for bit the first ``count`` images of the n-image corpus. Each image
+    is composed in float64 and rounded once to float32.
     """
     count = _prefix_count(n, count)
     rng = np.random.default_rng(seed)
     stencils = _stencils()
-    images = np.zeros((count, _CANVAS, _CANVAS))
+    images = np.empty((count, _CANVAS, _CANVAS), dtype=CHECKPOINT_DTYPE)
+    glyph = np.zeros((_CANVAS, _CANVAS))
     labels = rng.integers(0, 10, size=n)[:count]
     margin = _CANVAS - _STENCIL_SIZE
     center = margin // 2
@@ -264,9 +269,10 @@ def synthetic_dataset(n: int, seed: int, split: str = "train",
         shear = int(rng.integers(-_SHEARS, _SHEARS + 1)) if rng.random() < 0.5 else 0
         dy = int(rng.integers(lo, hi + 1))
         dx = int(rng.integers(lo, hi + 1))
-        images[i, dy:dy + _STENCIL_SIZE, dx:dx + _STENCIL_SIZE] = (
+        glyph[:] = 0.0
+        glyph[dy:dy + _STENCIL_SIZE, dx:dx + _STENCIL_SIZE] = (
             stencils[labels[i], shear + _SHEARS] * intensity)
-        images[i] += rng.normal(0.0, noise, size=(_CANVAS, _CANVAS))
+        images[i] = glyph + rng.normal(0.0, noise, size=(_CANVAS, _CANVAS))
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images.reshape(count, -1), labels.astype(np.int64), split)
 

@@ -19,6 +19,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -36,7 +37,7 @@ from .measure import (MEASURE_COLUMNS, CorrelationTable, RobustnessRecord,
                       tukey_fences)
 from .network import (MaskedNetwork, build_network, init_weights,
                       load_checkpoint, network_to_graph, param_count,
-                      prune_random, round_to_checkpoint, save_checkpoint)
+                      prune_random, save_checkpoint)
 from .store import GraphEntry, ResultsStore
 from .train import TrainConfig, evaluate_f1, predict, train
 
@@ -337,6 +338,14 @@ def candidate_param_count(g) -> int:
     return INPUT_DIM * sources + g.edge_count + OUTPUT_DIM * sinks + n + OUTPUT_DIM
 
 
+@contextmanager
+def _timed(seconds: dict[str, float], stage: str):
+    """Add the wall seconds of the with-block to seconds[stage]."""
+    t0 = time.perf_counter()
+    yield
+    seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - t0
+
+
 def build_graph_dataset(manifest: ExperimentManifest,
                         store: ResultsStore | None = None) -> list[GraphEntry]:
     """Grid-search WS generator parameters, keeping graphs whose induced
@@ -358,17 +367,15 @@ def build_graph_dataset(manifest: ExperimentManifest,
                 break
             counts = by_combo.setdefault((size, nei, p), [0, 0])
             seed = derive_seed(manifest.master_seed, "gen", round_i, size, nei, p)
-            t0 = time.perf_counter()
-            g = generate_ws(size, nei, p, seed)
-            seconds["generate_ws"] += time.perf_counter() - t0
+            with _timed(seconds, "generate_ws"):
+                g = generate_ws(size, nei, p, seed)
             n_params = candidate_param_count(g)
             if not (lo <= n_params <= hi):
                 rejected += 1
                 counts[1] += 1
                 continue
-            t0 = time.perf_counter()
-            metrics = compute_metrics(g)
-            seconds["compute_metrics"] += time.perf_counter() - t0
+            with _timed(seconds, "compute_metrics"):
+                metrics = compute_metrics(g)
             counts[0] += 1
             graph_id = f"g{len(accepted):04d}"
             entry = GraphEntry(
@@ -406,6 +413,9 @@ def build_graph_dataset(manifest: ExperimentManifest,
 
 # --- sweep ---------------------------------------------------------------
 
+# the stages of a sweep task whose wall seconds done.json records
+SWEEP_STAGES = ("train", "evaluate", "fgsm", "fgsm_search", "one_pixel", "checkpoint")
+
 # the splits a process holds, cut to their prefixes, and (source, sizes)
 _WORKER_DATA: tuple[Dataset, Dataset] | None = None
 _WORKER_KEY: tuple | None = None
@@ -429,14 +439,17 @@ def _get_worker_data(source: tuple, sizes: tuple[int, int]) -> tuple[Dataset, Da
 
 def run_attacks(net: MaskedNetwork, test_set: Dataset,
                 manifest: ExperimentManifest, seed_path: tuple,
+                seconds: dict[str, float] | None = None,
                 ) -> tuple[dict[str, list], dict]:
     """Run the three attacks against one trained model.
 
     test_set is the manifest's test prefix, taken whole. Fixed-epsilon FGSM
     targets every correctly classified image of it; epsilon search and the
     one-pixel attack target the first correctly classified images in
-    dataset order.
+    dataset order. `seconds`, when given, accumulates each attack's wall
+    seconds under its kind.
     """
+    seconds = {} if seconds is None else seconds
     atk = manifest.attacks
     test_n = test_set.n
     probs = predict(net, test_set.images)
@@ -444,20 +457,23 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset,
 
     outcomes: dict[str, list] = {"fgsm": [], "fgsm_search": [], "one_pixel": []}
     if correct.size:
-        outcomes["fgsm"] = fgsm_many(net, test_set.images[correct],
-                                     test_set.labels[correct], atk.fgsm_eps,
-                                     indices=correct)
-        for i in correct[:manifest.search_subset_n(test_n)]:
-            outcomes["fgsm_search"].append(fgsm_eps_search(
-                net, test_set.images[i], int(test_set.labels[i]),
-                start=atk.search_start, step=atk.search_step, cap=atk.search_cap,
-                index=int(i)))
-        for i in correct[:manifest.one_pixel_n()]:
-            cfg = manifest.de_config(
-                derive_seed(manifest.master_seed, *seed_path, "one_pixel", int(i)))
-            outcomes["one_pixel"].append(one_pixel(
-                net, test_set.images[i], int(test_set.labels[i]), cfg,
-                index=int(i), keep_image=False))
+        with _timed(seconds, "fgsm"):
+            outcomes["fgsm"] = fgsm_many(net, test_set.images[correct],
+                                         test_set.labels[correct], atk.fgsm_eps,
+                                         indices=correct)
+        with _timed(seconds, "fgsm_search"):
+            for i in correct[:manifest.search_subset_n(test_n)]:
+                outcomes["fgsm_search"].append(fgsm_eps_search(
+                    net, test_set.images[i], int(test_set.labels[i]),
+                    start=atk.search_start, step=atk.search_step,
+                    cap=atk.search_cap, index=int(i)))
+        with _timed(seconds, "one_pixel"):
+            for i in correct[:manifest.one_pixel_n()]:
+                cfg = manifest.de_config(
+                    derive_seed(manifest.master_seed, *seed_path, "one_pixel", int(i)))
+                outcomes["one_pixel"].append(one_pixel(
+                    net, test_set.images[i], int(test_set.labels[i]), cfg,
+                    index=int(i), keep_image=False))
     info = {
         "test_subset_n": int(test_n),
         "clean_correct": int(correct.size),
@@ -478,7 +494,9 @@ def _save_attacks(store: ResultsStore, graph_id: str, init_method: str,
 
 
 def _sweep_task(payload: dict) -> dict:
-    """Train and attack one (graph, init) pair; writes per-model files."""
+    """Train and attack one (graph, init) pair; writes per-model files and
+    returns a summary with the wall seconds of each of SWEEP_STAGES and the
+    one-pixel attack's summed generations."""
     manifest = ExperimentManifest.from_dict(payload["manifest"])
     train_set, test_set = _get_worker_data(tuple(payload["data_source"]),
                                            payload["subset_sizes"])
@@ -496,19 +514,20 @@ def _sweep_task(payload: dict) -> dict:
         epochs=manifest.effective_epochs(),
         seed=derive_seed(manifest.master_seed, graph_id, init_method, "train"),
     )
-    history = train(net, train_set, cfg)
-    # evaluate and attack the model the checkpoint stores, so that
-    # rerun_attacks on the checkpoint reproduces these records
-    round_to_checkpoint(net)
-    report = evaluate_f1(net, test_set)
+    seconds = dict.fromkeys(SWEEP_STAGES, 0.0)
+    with _timed(seconds, "train"):
+        history = train(net, train_set, cfg)
+    with _timed(seconds, "evaluate"):
+        report = evaluate_f1(net, test_set)
 
     outcomes, attack_info = run_attacks(net, test_set, manifest,
-                                        (graph_id, init_method))
+                                        (graph_id, init_method), seconds)
 
-    save_checkpoint(net, store.checkpoint_path(graph_id, init_method),
-                    extra={"graph_id": graph_id, "train_seed": cfg.seed,
-                           "init_seed": init_seed,
-                           "manifest_hash": manifest.manifest_hash})
+    with _timed(seconds, "checkpoint"):
+        save_checkpoint(net, store.checkpoint_path(graph_id, init_method),
+                        extra={"graph_id": graph_id, "train_seed": cfg.seed,
+                               "init_seed": init_seed,
+                               "manifest_hash": manifest.manifest_hash})
     store.save_history(graph_id, init_method, history.rows())
     store.save_eval(graph_id, init_method, report.to_dict())
     _save_attacks(store, graph_id, init_method, outcomes)
@@ -520,6 +539,8 @@ def _sweep_task(payload: dict) -> dict:
         "attack_info": attack_info,
         "init_seed": init_seed,
         "train_seed": cfg.seed,
+        "seconds": seconds,
+        "generations_used": sum(o.generations_used for o in outcomes["one_pixel"]),
     }
 
 
@@ -561,7 +582,9 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
     def record_success(summary: dict) -> None:
         store.mark_pair_done(summary["graph_id"], summary["init_method"],
                              mhash, seeds={"init": summary["init_seed"],
-                                           "train": summary["train_seed"]})
+                                           "train": summary["train_seed"]},
+                             seconds=summary["seconds"],
+                             generations_used=summary["generations_used"])
         summaries.append(summary)
 
     summaries: list[dict] = []
@@ -824,8 +847,9 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     `attack` run after the last sweep, the dataset the latest stage ran on,
     counts (per generator combo, with gen-graphs' time), censored epsilon
     searches, failed tasks, the spread of each correlated property and the
-    properties that rank the models alike, and the two strongest graph
-    properties per robustness measure."""
+    properties that rank the models alike, the sweep's seconds per stage
+    summed over models, and the two strongest graph properties per
+    robustness measure."""
     events = store.load_provenance()
     used = [e["dataset"] for e in events if "dataset" in e]
     stored = store.load_manifest()
@@ -864,6 +888,13 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     models = sorted({r.model_id for r in records})
     inits = sorted({r.init_method for r in records})
     lines.append(f"models: {len(models)} graphs x {len(inits)} initializations")
+    timed = [d for d in store.done_records() if "seconds" in d]
+    if timed:
+        lines.append("  time: " + ", ".join(
+            f"{stage} {sum(d['seconds'][stage] for d in timed):.3f} s"
+            for stage in SWEEP_STAGES)
+            + f" over {len(timed)} models; one-pixel ran "
+            f"{sum(d['generations_used'] for d in timed)} generations")
     searched = [r for r in records if r.attack == "fgsm_search"]
     lines.append(f"epsilon search: {sum(r.n_censored for r in searched)} of "
                  f"{sum(r.n_attacked for r in searched)} searched images censored "

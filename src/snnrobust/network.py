@@ -33,6 +33,15 @@ some shapes, so a trained, a loaded and a pruned net agree to the bit only
 in one layout. `train` moves the weights and biases into one flat buffer
 (`flatten_params`); they stay C-ordered views into it.
 
+One precision runs from training to disk: every weight, mask and bias is
+CHECKPOINT_DTYPE (float32), the dtype the checkpoint stores. `data` builds
+its images in it too. Everything downstream follows the dtype of the
+weights: forward casts its input to it, and the activation buffer, the
+gradients, Adam's moments and the attacks' images inherit it. A net whose
+arrays are cast to float64 runs the same code in float64; the tests check
+algebraic identities (finite differences, the vertex-by-vertex oracle) on
+such a copy.
+
 Hidden layers apply ReLU; the output layer is affine followed by softmax.
 """
 
@@ -51,7 +60,7 @@ from .store import atomic_open
 
 CHECKPOINT_MAGIC = b"SNNCKPT1"
 CHECKPOINT_SCHEMA_VERSION = 2
-# the precision of every stored weight and bias
+# the one precision of images, weights, gradients and stored values
 CHECKPOINT_DTYPE = np.dtype("<f4")
 
 INIT_METHODS = ("G_N", "G_U", "He_N", "He_U", "N", "U")
@@ -167,7 +176,8 @@ def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetw
     column = {v: i for i, v in enumerate(v for layer in layers for v in layer)}
     row = {v: i for layer in layers for i, v in enumerate(layer)}
 
-    masks = [np.zeros(shape) for shape in _layer_shapes(input_dim, output_dim, units)]
+    masks = [np.zeros(shape, dtype=CHECKPOINT_DTYPE)
+             for shape in _layer_shapes(input_dim, output_dim, units)]
     masks[0][:] = 1.0
     for u, v in ld.dag.directed_edges:
         masks[ld.layer_index[v]][row[v], column[u]] = 1.0
@@ -175,7 +185,8 @@ def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetw
 
     return _from_blocks(input_dim, output_dim, units, layers, sorted(ld.sinks),
                        [np.zeros_like(m) for m in masks], masks,
-                       [np.zeros(u) for u in units] + [np.zeros(output_dim)])
+                       [np.zeros(n, dtype=CHECKPOINT_DTYPE)
+                        for n in units + [output_dim]])
 
 
 def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
@@ -187,14 +198,14 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
     carries a connection is drawn whole, with the block's own fans, in the
     order input block, hidden blocks by (source, target), output blocks by
     source; the live columns are kept and masked entries zeroed. Biases stay
-    zero.
+    zero. Weights are drawn in float64 and cast once to the masks' dtype.
     """
     if method not in INIT_METHODS:
         raise NetworkError(f"unknown init method {method!r}; expected one of {INIT_METHODS}")
     rng = np.random.default_rng(seed)
     gain = np.sqrt(2.0)
     out = net.copy()
-    out.weights = [np.zeros(m.shape) for m in out.masks]
+    out.weights = [np.zeros_like(m) for m in out.masks]
     L, offsets = out.n_layers, out.offsets
     pairs = ([(-1, 0)] + [(s, l) for s in range(L) for l in range(s + 1, L)]
              + [(t, L) for t in range(L)])
@@ -244,7 +255,7 @@ def propagate(net: MaskedNetwork, pre0: np.ndarray) -> tuple[np.ndarray, np.ndar
     straight into its rows of the buffer, then biased and rectified there.
     """
     offsets = net.offsets
-    acts = np.empty((offsets[-1], pre0.shape[1]))
+    acts = np.empty((offsets[-1], pre0.shape[1]), dtype=pre0.dtype)
     np.maximum(pre0, 0.0, out=acts[:offsets[1]])
     for l in range(1, net.n_layers):
         z = acts[offsets[l]:offsets[l + 1]]
@@ -258,9 +269,10 @@ def propagate(net: MaskedNetwork, pre0: np.ndarray) -> tuple[np.ndarray, np.ndar
 def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
     """Run the network on one input vector or a (batch, input_dim) array.
 
-    Returns (logits, class probabilities, cache); the cache feeds backward().
+    The input is cast to the weights' dtype. Returns (logits, class
+    probabilities, cache); the cache feeds backward().
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=net.weights[0].dtype)
     single = x.ndim == 1
     X = x[None, :] if single else x
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -320,7 +332,8 @@ def backward(
     weight_grads = bias_grads = None
     if params:
         weight_grads, bias_grads = out if out is not None else param_views(
-            net, np.empty(sum(p.size for p in net.weights + net.biases)))
+            net, np.empty(sum(p.size for p in net.weights + net.biases),
+                          dtype=net.weights[0].dtype))
     for l in range(L, -1, -1):
         if l < L:
             rows = slice(offsets[l], offsets[l + 1])
@@ -353,9 +366,9 @@ def param_views(net: MaskedNetwork, flat: np.ndarray
 
 
 def flatten_params(net: MaskedNetwork) -> np.ndarray:
-    """Move every weight and bias of `net` into one flat float64 buffer, in
-    the layout of param_views, and make net.weights and net.biases views
-    into it. Values are unchanged; returns the buffer."""
+    """Move every weight and bias of `net` into one flat buffer of their
+    dtype, in the layout of param_views, and make net.weights and net.biases
+    views into it. Values are unchanged; returns the buffer."""
     flat = np.concatenate([p.ravel() for p in net.weights + net.biases])
     net.weights, net.biases = param_views(net, flat)
     return flat
@@ -409,14 +422,6 @@ def network_to_graph(net: MaskedNetwork) -> Dag:
     return Dag(len(order), frozenset(edges))
 
 
-def round_to_checkpoint(net: MaskedNetwork) -> None:
-    """Round every weight and bias in place to CHECKPOINT_DTYPE, so that
-    `net` equals what load_checkpoint returns after save_checkpoint."""
-    for p in net.weights + net.biases:
-        p[...] = p.astype(CHECKPOINT_DTYPE)
-    net.mark_mutated()
-
-
 def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None:
     """Write a checkpoint atomically: magic, JSON header, then per layer the
     weights (CHECKPOINT_DTYPE, float32) and bit-packed mask of its
@@ -450,10 +455,10 @@ def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
-    """Read a checkpoint of schema 2; each layer's full-width block is then
-    narrowed to its live columns. Raises NetworkError on a bad magic, any
-    other schema, a truncated file or a nonzero weight at a masked
-    position."""
+    """Read a checkpoint of schema 2 into a CHECKPOINT_DTYPE net, the
+    stored values unchanged; each layer's full-width block is then narrowed
+    to its live columns. Raises NetworkError on a bad magic, any other
+    schema, a truncated file or a nonzero weight at a masked position."""
     with open(path, "rb") as f:
         buf = f.read()
     pos = 0
@@ -464,6 +469,11 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
             raise NetworkError(f"checkpoint {path} is truncated")
         pos += n
         return buf[pos - n:pos]
+
+    def take_values(count: int) -> np.ndarray:
+        # a writable, aligned copy: frombuffer alone is a read-only view
+        return np.frombuffer(take(CHECKPOINT_DTYPE.itemsize * count),
+                             dtype=CHECKPOINT_DTYPE).copy()
 
     magic = take(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
@@ -477,13 +487,11 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
     weights, masks = [], []
     for shape in _layer_shapes(header["input_dim"], header["output_dim"], units):
         size = shape[0] * shape[1]
-        block = np.frombuffer(take(CHECKPOINT_DTYPE.itemsize * size), dtype=CHECKPOINT_DTYPE)
-        weights.append(block.reshape(shape).astype(np.float64))
+        weights.append(take_values(size).reshape(shape))
         packed = np.frombuffer(take((size + 7) // 8), dtype=np.uint8)
-        masks.append(np.unpackbits(packed, count=size).reshape(shape).astype(np.float64))
-    biases = [np.frombuffer(take(CHECKPOINT_DTYPE.itemsize * n),
-                            dtype=CHECKPOINT_DTYPE).astype(np.float64)
-              for n in units + [header["output_dim"]]]
+        masks.append(np.unpackbits(packed, count=size).reshape(shape)
+                     .astype(CHECKPOINT_DTYPE))
+    biases = [take_values(n) for n in units + [header["output_dim"]]]
     net = _from_blocks(header["input_dim"], header["output_dim"], units,
                        [list(v) for v in header["layer_vertices"]],
                        list(header["sinks"]), weights, masks, biases,

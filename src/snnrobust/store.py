@@ -10,7 +10,9 @@ Layout under the output directory:
   pruning/steps.csv, pruning/correlations.csv, pruning/correlations_long.csv
 
 done.json is written last for a (graph, init) pair; a pair counts as
-completed only if its done.json carries the current manifest hash. Every
+completed only if its done.json carries the current manifest hash. It also
+holds the task's seeds, its wall seconds per stage and the one-pixel
+attack's summed generations. Every
 file is written to a temporary name in its directory and renamed over the
 target, so a crash mid-write leaves the previous version intact.
 
@@ -184,14 +186,16 @@ class ResultsStore:
     def checkpoint_path(self, graph_id: str, init_method: str) -> Path:
         return self.model_dir(graph_id, init_method) / "checkpoint.bin"
 
+    def done_records(self) -> list[dict]:
+        """The done.json document of every completed pair, in directory
+        order."""
+        return [json.loads(marker.read_text())
+                for marker in sorted((self.root / "models").glob("*/done.json"))]
+
     def completed_pairs(self, manifest_hash: str | None) -> list[tuple[str, str]]:
         """Completed (graph, init) pairs; None matches any manifest hash."""
-        pairs = []
-        for marker in sorted((self.root / "models").glob("*/done.json")):
-            doc = json.loads(marker.read_text())
-            if manifest_hash is None or doc.get("manifest_hash") == manifest_hash:
-                pairs.append((doc["graph_id"], doc["init_method"]))
-        return pairs
+        return [(doc["graph_id"], doc["init_method"]) for doc in self.done_records()
+                if manifest_hash is None or doc.get("manifest_hash") == manifest_hash]
 
     # --- correlations, pruning, report ---------------------------------
 

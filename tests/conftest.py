@@ -56,10 +56,13 @@ def kink_free_case(rng: np.random.Generator, margin: float = 1e-3, **net_kwargs)
 
     Central differences are only a valid oracle where the loss is smooth in
     an h-neighborhood, so gradient checks sample clear of |pre| <= margin.
+    The net is a float64 copy: a central difference at h = 1e-5 needs
+    float64's resolution, and the gradient code runs the same in it.
     """
     from snnrobust.network import forward
+    from tests.oracles import float64_copy
     for _ in range(200):
-        net = random_layered_net(rng, bias_scale=0.05, **net_kwargs)
+        net = float64_copy(random_layered_net(rng, bias_scale=0.05, **net_kwargs))
         x = rng.uniform(0.05, 0.95, net.input_dim)
         _, _, cache = forward(net, x)
         pre = [net.weights[l] @ (cache.x.T if l == 0 else cache.acts[net.sources[l]])

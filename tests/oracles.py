@@ -11,6 +11,11 @@ longest-path fixed point instead of one pass in vertex order, Adam from
 one expression per parameter array instead of in-place ufuncs over one flat
 buffer, and rank statistics from exhaustive pair counting.
 
+`float64_copy` gives a float32 net's float64 twin. The network follows the
+dtype of its weights, so the twin runs the same code in float64; tests of
+an algebraic identity (finite differences, the vertex oracle, batch against
+single) use it at their float64 tolerances.
+
 `sequential_ws` is the Watts-Strogatz generator as it was before its coins
 and endpoints were drawn in batches: one scalar coin per lattice edge and
 one integer draw per rewired edge. It draws from the same distribution
@@ -233,6 +238,16 @@ def longest_path_layering(vertex_count: int, edges) -> dict:
         "sources": tuple(v for v in range(vertex_count) if v not in heads),
         "sinks": tuple(v for v in range(vertex_count) if v not in tails),
     }
+
+
+def float64_copy(net: MaskedNetwork) -> MaskedNetwork:
+    """A copy of net whose weights, masks and biases are float64 (the
+    values unchanged, the layout C-ordered)."""
+    out = net.copy()
+    for name in ("weights", "masks", "biases"):
+        setattr(out, name, [np.ascontiguousarray(a, dtype=np.float64)
+                            for a in getattr(out, name)])
+    return out
 
 
 def loss_at(net: MaskedNetwork, x: np.ndarray, y: int) -> float:

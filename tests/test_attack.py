@@ -12,6 +12,7 @@ from snnrobust.graph import Dag, layer_dag
 from snnrobust.network import build_network, forward, init_weights
 
 from tests.conftest import random_layered_net
+from tests.oracles import float64_copy
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,7 @@ class TestFGSM:
             fgsm(frozen_net, sample_image, 0, eps=-0.1)
 
     def test_batch_matches_single(self, frozen_net):
+        frozen_net = float64_copy(frozen_net)
         images = synthetic_dataset(6, seed=8).images
         labels = np.array([0, 1, 2, 3, 4, 5])
         batch = fgsm_many(frozen_net, images, labels, 0.1, keep_images=True)

@@ -203,6 +203,27 @@ class TestRunSweep:
                           resolve_data_source(manifest, None), workers=1)
         assert again == []
 
+    def test_done_records_stage_seconds_and_generations(self, sweep_run):
+        manifest, store, summaries = sweep_run
+        for summary in summaries:
+            done = json.loads((store.model_dir(summary["graph_id"], summary["init_method"])
+                               / "done.json").read_text())
+            assert set(done["seconds"]) == {"train", "evaluate", "fgsm",
+                                            "fgsm_search", "one_pixel", "checkpoint"}
+            assert all(s >= 0.0 for s in done["seconds"].values())
+            assert done["seconds"]["train"] > 0.0
+            with open(store.model_dir(summary["graph_id"], summary["init_method"])
+                      / "one_pixel.csv") as f:
+                rows = list(csv.DictReader(f))
+            assert rows
+            assert done["generations_used"] == sum(int(r["generations_used"]) for r in rows)
+        [line] = [line for line in render_report(manifest, store).splitlines()
+                  if line.startswith("  time: train ")]
+        assert line.endswith(" s over 2 models; one-pixel ran "
+                             f"{sum(s['generations_used'] for s in summaries)} generations")
+        for stage in ("evaluate", "fgsm", "fgsm_search", "one_pixel", "checkpoint"):
+            assert f", {stage} " in line
+
     def test_attack_csv_schema(self, sweep_run):
         _, store, _ = sweep_run
         with open(store.model_dir("g0000", "He_N") / "fgsm.csv") as f:
@@ -605,8 +626,9 @@ class TestGoldenFingerprint:
                          "pruning/steps.csv")
     # recorded on an Intel Xeon x86-64 VM (2 cores; Python 3.11, numpy 2.4
     # with OpenBLAS, scipy 1.17) at 1 and 2 BLAS threads; a change of outputs
-    # updates it and says why in CHANGES.md
-    GOLDEN = "6f76bd3ee643661e305f42ed0cb1498c1670cb3108e0128a78a41b376db5603f"
+    # updates it and says why in CHANGES.md (the float32 models replaced
+    # 6f76bd3e... of the float64 ones)
+    GOLDEN = "020d2016156549aeae7628483556065fddb5b9f45708240d244b4fe4eb6700c8"
 
     @classmethod
     def fingerprint(cls, root) -> str:

@@ -17,7 +17,7 @@ from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
 
 from tests.conftest import kink_free_case, random_layered_net, random_small_graph
 from tests.oracles import (finite_diff_bias_grads, finite_diff_input_grad,
-                           finite_diff_weight_grads, keyed_weights,
+                           finite_diff_weight_grads, float64_copy, keyed_weights,
                            sequential_ws, vertex_forward_logits)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -107,15 +107,16 @@ class TestInitWeights:
 
     # SHA-256 over the sorted "source>target=float.hex()" lines of the
     # unmasked initial weights of WS(40, 2, 0.5, seed 7) from sequential_ws,
-    # 784 -> 10, seed 2024, recorded from the per-(source layer, target layer)
-    # group implementation
+    # 784 -> 10, seed 2024. Each digest equals that of the float64 weights
+    # the per-(source layer, target layer) group implementation drew,
+    # rounded once to float32
     GOLDEN_INIT = {
-        "G_N": "78d2cdd81737fb622db350f10bf9625e16463aa791a389fbfc0426935a46ffaf",
-        "G_U": "722dda12f3e04c00e3a354cf7ce1d53f057f98c4820dac384662a312d2cdf2dd",
-        "He_N": "1d5ef38237a4eae1c6d2f45488d32d694e9d6d06c9e7876a3169f831ac99d5eb",
-        "He_U": "988a675c360fb490744bb3560eaee70c7f2edba3354a79a816e15c9ba013df8e",
-        "N": "5be00234a07d5776f24dd00b264652b143b4b3bfdce53f6805a9b01a4b8b3f65",
-        "U": "bb53b0a31d087b4dbbb4b021ac38156994f1ba2040b5c3ddd822ac8a66e4641b",
+        "G_N": "83db65845ae89d02afcc815fb242cf2015243f58b518390569fff324b749bf27",
+        "G_U": "d75d7aacece88e5e69d84cf39b5366bb3cbc5458caa76c3c20ed4415f16efd8e",
+        "He_N": "491238dfd3ce125896188eda3e26b624677aed074bf67de46b86e4f807c159ae",
+        "He_U": "48819dc912c70372e18ca914316c8fa7c4b860bd320ae71edf88fa04d2a26aa5",
+        "N": "5aaf0d211afbb240b808527f74dfa875232c3a3d9814cd2122a474094289cfd1",
+        "U": "8e51a863d664dc0a060ba6f3e01ea657fbd44ca9070bb45ce24b36c6c47af7d8",
     }
 
     @pytest.mark.parametrize("method", INIT_METHODS)
@@ -190,6 +191,7 @@ class TestForward:
         assert sum(map(len, pruned.sources)) < sum(map(len, dense.sources))
         cases.append((ld, pruned))
         for ld, net in cases:
+            net = float64_copy(net)
             for b in net.biases:
                 b += rng.uniform(-0.1, 0.1, b.shape)
             x = rng.uniform(0, 1, 6)
@@ -214,14 +216,14 @@ class TestForward:
         assert len(matmuls) == net.n_layers + 1
 
     def test_probabilities_sum_to_one(self, rng):
-        net = random_layered_net(rng)
+        net = float64_copy(random_layered_net(rng))
         x = rng.uniform(0, 1, net.input_dim)
         _, probs, _ = forward(net, x)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
 
     def test_batch_matches_single(self, rng):
-        net = random_layered_net(rng)
+        net = float64_copy(random_layered_net(rng))
         X = rng.uniform(0, 1, (5, net.input_dim))
         logits_b, probs_b, _ = forward(net, X)
         for i in range(5):
@@ -260,7 +262,7 @@ class TestBackward:
             assert (np.abs(input_grad - fd_x) / scale).max() < 1e-4
 
     def test_out_buffers_and_skipped_parts(self, rng):
-        net = random_layered_net(rng)
+        net = float64_copy(random_layered_net(rng))
         x = rng.uniform(0, 1, (5, net.input_dim))
         y = rng.integers(0, net.output_dim, 5)
         _, _, cache = forward(net, x)
@@ -424,7 +426,8 @@ class TestCheckpoint:
         assert header["schema_version"] == 2
         assert min(map(len, net.sources)) == 0
         recorded = json.loads((FIXTURES / "v2_checkpoint_probs.json").read_text())
-        _, probs, _ = forward(net, np.array(recorded["input"]))
+        # recorded in float64 from the stored float32 values
+        _, probs, _ = forward(float64_copy(net), np.array(recorded["input"]))
         assert np.abs(probs - recorded["probs"]).max() < 1e-12
         # saved again, it loads to the same matrices
         save_checkpoint(net, tmp_path / "again.bin", extra=header["extra"])

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
+from snnrobust.attack import candidate_probs, fgsm_many
 from snnrobust.data import Dataset, synthetic_dataset
 from snnrobust.graph import Dag, generate_ws, layer_dag, to_dag
 from snnrobust.network import (backward, build_network, cross_entropy,
@@ -11,10 +14,13 @@ from snnrobust.network import (backward, build_network, cross_entropy,
                                save_checkpoint)
 from snnrobust.train import (AdamState, TrainConfig, TrainingDivergedError,
                              adam_step, classification_report, evaluate_f1,
-                             train)
+                             predict, train)
 
 from tests.conftest import random_layered_net, run_child
-from tests.oracles import per_array_adam_step
+from tests.oracles import float64_copy, per_array_adam_step
+
+# the package re-exports the function train() under the module's name
+train_module = importlib.import_module("snnrobust.train")
 
 
 class TestAdamStep:
@@ -148,7 +154,8 @@ class TestTrain:
         ds = two_class_toy(50)
         ld = layer_dag(Dag(4, frozenset({(0, 2), (1, 3)})))
         net = init_weights(build_network(ld, 8, 2), "He_N", seed=0)
-        net.weights[0] += 1e308  # overflow: inf logits, nan loss
+        # the dtype's largest weight overflows: inf logits, nan loss
+        net.weights[0][...] = np.finfo(net.weights[0].dtype).max
         net.mark_mutated()
         with pytest.raises(TrainingDivergedError), pytest.warns(RuntimeWarning):
             train(net, ds, TrainConfig(epochs=1, batch_size=16, seed=0))
@@ -157,12 +164,13 @@ class TestTrain:
 # The WS(400, 2, 0.9) net that the benchmark stored (perfbench/workloads.py
 # REATTACK_GRAPHS) when it was recorded, drawn by sequential_ws, G_N, trained
 # 2 epochs; 15 of its 16 matrices have dropped columns. The
-# digest of its weights and biases was recorded with the per-array Adam on an
-# Intel Xeon x86-64 VM (numpy 2.4 with OpenBLAS), with one BLAS thread. Run in
+# digest of its float32 weights and biases was recorded on an Intel Xeon
+# x86-64 VM (numpy 2.4 with OpenBLAS), with one BLAS thread; the float64
+# training of earlier versions gave cb12623e... Run in
 # a child that imports snnrobust before numpy: importing it pins BLAS to one
 # thread, so the digest holds whatever OPENBLAS_NUM_THREADS the caller sets
 # (a threaded GEMM splits its sums differently; two threads once gave
-# da8e7c35...).
+# da8e7c35... in float64).
 GOLDEN_TRAIN = """
 import hashlib
 from snnrobust.data import synthetic_dataset
@@ -182,7 +190,7 @@ print(h.hexdigest())
 """
 
 
-GOLDEN_TRAIN_DIGEST = "cb12623e18ca490f9aa3038641b9d48f4ab90be7e63818d5a1221f7875203036"
+GOLDEN_TRAIN_DIGEST = "954112caf5880db91455f612a25c3ff5063a452b7143403b439ceb22d4a998d3"
 
 
 def golden_train_digest(threads: str) -> str:
@@ -232,6 +240,65 @@ def test_one_c_ordered_layout(tmp_path):
     buffer = trained.weights[0].base
     assert buffer is not None and buffer.ndim == 1
     assert all(p.base is buffer for p in trained.weights + trained.biases)
+
+
+class TestOnePrecision:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        ds = synthetic_dataset(256, seed=4)
+        g = generate_ws(60, 2, 0.7, seed=5)
+        net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "He_N", seed=6)
+        seen = {}
+        real_forward, real_adam = train_module.forward, train_module.adam_step
+
+        def spy_forward(net, x):
+            out = real_forward(net, x)
+            seen["acts"] = out[2].acts
+            return out
+
+        def spy_adam(params, grads, state, cfg):
+            seen.update(params=params, grads=grads, m=state.m, v=state.v,
+                        scratch=state.scratch)
+            return real_adam(params, grads, state, cfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(train_module, "forward", spy_forward)
+            mp.setattr(train_module, "adam_step", spy_adam)
+            train(net, ds, TrainConfig(epochs=2, batch_size=32, seed=7))
+        return net, ds, seen
+
+    def test_no_float64_in_the_hot_path(self, trained, tmp_path):
+        net, ds, seen = trained
+        assert seen["params"].base is None and net.weights[0].base is seen["params"]
+        save_checkpoint(net, tmp_path / "net.bin")
+        loaded, _ = load_checkpoint(tmp_path / "net.bin")
+        x = ds.images[0]
+        cands = np.array([[3.0, 4.0, 100.0], [14.0, 15.0, 0.0], [28.0, 1.0, 255.0]])
+        attacked = fgsm_many(net, ds.images[:5], ds.labels[:5], 0.1, keep_images=True)
+        arrays = {
+            "images": [ds.images],
+            "weights, masks and biases": net.weights + net.masks + net.biases,
+            "flat parameters": [seen["params"]],
+            "gradients": [seen["grads"]],
+            "Adam moments and scratch": [seen["m"], seen["v"], *seen["scratch"]],
+            "activation buffer": [seen["acts"]],
+            "predict": [predict(net, ds.images)],
+            "candidate_probs": [candidate_probs(net, x)(cands)],
+            "fgsm_many images": [o.perturbed_image for o in attacked],
+            "loaded checkpoint": loaded.weights + loaded.masks + loaded.biases,
+        }
+        for name, group in arrays.items():
+            assert {a.dtype for a in group} == {np.dtype(np.float32)}, name
+
+    def test_float64_copy_agrees(self, trained):
+        # float32 rounds each of the ~10^3 products a logit sums at 6e-8
+        # relative, so probabilities agree to about 1e-5
+        net, ds, _ = trained
+        probs32 = predict(net, ds.images)
+        probs64 = predict(float64_copy(net), ds.images)
+        assert probs64.dtype == np.float64
+        assert np.abs(probs32 - probs64).max() < 1e-5
+        assert (probs32.argmax(axis=1) == probs64.argmax(axis=1)).mean() > 0.99
 
 
 class TestEvaluateF1:

@@ -626,8 +626,7 @@ class TestGoldenFingerprint:
                          "pruning/steps.csv")
     # recorded on an Intel Xeon x86-64 VM (2 cores; Python 3.11, numpy 2.4
     # with OpenBLAS, scipy 1.17) at 1 and 2 BLAS threads; a change of outputs
-    # updates it and says why in CHANGES.md (the float32 models replaced
-    # 6f76bd3e... of the float64 ones)
+    # updates it and says why in CHANGES.md
     GOLDEN = "020d2016156549aeae7628483556065fddb5b9f45708240d244b4fe4eb6700c8"
 
     @classmethod

@@ -165,8 +165,7 @@ class TestTrain:
 # REATTACK_GRAPHS) when it was recorded, drawn by sequential_ws, G_N, trained
 # 2 epochs; 15 of its 16 matrices have dropped columns. The
 # digest of its float32 weights and biases was recorded on an Intel Xeon
-# x86-64 VM (numpy 2.4 with OpenBLAS), with one BLAS thread; the float64
-# training of earlier versions gave cb12623e... Run in
+# x86-64 VM (numpy 2.4 with OpenBLAS), with one BLAS thread. Run in
 # a child that imports snnrobust before numpy: importing it pins BLAS to one
 # thread, so the digest holds whatever OPENBLAS_NUM_THREADS the caller sets
 # (a threaded GEMM splits its sums differently; two threads once gave

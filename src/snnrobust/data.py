@@ -1,11 +1,12 @@
 """Image dataset loading: MNIST-style IDX files plus a synthetic stand-in.
 
-Images are served as flattened float32 vectors in [0, 1] (the checkpoint's
-dtype, the one precision the network trains, evaluates and is attacked in);
-pixel bytes are scaled by 1/255 in float32. The synthetic corpus renders ten distinct digit glyphs with
-random shifts, shears, intensity jitter, and noise; it exists so the full
-pipeline can run in environments where the MNIST files are not available,
-and is clearly labeled as such wherever it is used.
+Images are served as flattened float32 vectors in [0, 1], the checkpoint's
+dtype and the one precision the network trains, evaluates and is attacked
+in; pixel bytes are scaled by 1/255 in float32. The synthetic corpus renders
+ten distinct digit glyphs with random shifts, shears, intensity jitter, and
+noise; it exists so the full pipeline can run in environments where the
+MNIST files are not available, and is clearly labeled as such wherever it
+is used.
 
 Both loaders take a ``count`` and build only the first ``count`` images of
 a split: ``load_idx`` converts only that prefix of the file's bytes, and
@@ -258,7 +259,6 @@ def synthetic_dataset(n: int, seed: int, split: str = "train",
     rng = np.random.default_rng(seed)
     stencils = _stencils()
     images = np.empty((count, _CANVAS, _CANVAS), dtype=CHECKPOINT_DTYPE)
-    glyph = np.zeros((_CANVAS, _CANVAS))
     labels = rng.integers(0, 10, size=n)[:count]
     margin = _CANVAS - _STENCIL_SIZE
     center = margin // 2
@@ -269,10 +269,10 @@ def synthetic_dataset(n: int, seed: int, split: str = "train",
         shear = int(rng.integers(-_SHEARS, _SHEARS + 1)) if rng.random() < 0.5 else 0
         dy = int(rng.integers(lo, hi + 1))
         dx = int(rng.integers(lo, hi + 1))
-        glyph[:] = 0.0
-        glyph[dy:dy + _STENCIL_SIZE, dx:dx + _STENCIL_SIZE] = (
+        image = rng.normal(0.0, noise, size=(_CANVAS, _CANVAS))
+        image[dy:dy + _STENCIL_SIZE, dx:dx + _STENCIL_SIZE] += (
             stencils[labels[i], shear + _SHEARS] * intensity)
-        images[i] = glyph + rng.normal(0.0, noise, size=(_CANVAS, _CANVAS))
+        images[i] = image
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images.reshape(count, -1), labels.astype(np.int64), split)
 

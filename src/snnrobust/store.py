@@ -12,9 +12,9 @@ Layout under the output directory:
 done.json is written last for a (graph, init) pair; a pair counts as
 completed only if its done.json carries the current manifest hash. It also
 holds the task's seeds, its wall seconds per stage and the one-pixel
-attack's summed generations. Every
-file is written to a temporary name in its directory and renamed over the
-target, so a crash mid-write leaves the previous version intact.
+attack's summed generations. Every file is written to a temporary name in
+its directory and renamed over the target, so a crash mid-write leaves the
+previous version intact.
 
 ResultsStore is the only reader of every results file, as it is their only
 writer: the pipeline stages and the report ask it for typed records and

@@ -155,22 +155,14 @@ def _repair(cands: np.ndarray) -> np.ndarray:
     return cands
 
 
-def apply_candidate(x: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """Replace the single pixel at 1-indexed (p_x, p_y) = (column, row) with
-    intensity/255."""
-    px, py, intensity = candidate
-    out = x.copy()
-    flat = (int(py) - 1) * IMG_SIDE + (int(px) - 1)
-    out[flat] = intensity / INTENSITY_MAX
-    return out
-
-
 def _pixel_index(cands: np.ndarray) -> np.ndarray:
     """Flat input index of each candidate's 1-indexed (p_x, p_y) pixel."""
     return (cands[:, 1].astype(int) - 1) * IMG_SIDE + (cands[:, 0].astype(int) - 1)
 
 
 def perturbed_batch(x: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """One copy of image x per (p_x, p_y, I) candidate, with the pixel at
+    1-indexed (p_x, p_y) = (column, row) replaced by I/255."""
     out = np.tile(x, (cands.shape[0], 1))
     out[np.arange(cands.shape[0]), _pixel_index(cands)] = cands[:, 2] / INTENSITY_MAX
     return out
@@ -296,7 +288,7 @@ def one_pixel(net: MaskedNetwork, x: np.ndarray, y: int, cfg: DEConfig,
         best = flipped["candidate"]
     else:
         best = population[int(np.argmax(fitness))]
-    x_adv = apply_candidate(x, best)
+    x_adv = perturbed_batch(x, best[None])[0]
     _, probs, _ = forward(net, x_adv)
     return _outcome_from_probs(
         probs, y, index,

@@ -353,7 +353,9 @@ def build_graph_dataset(manifest: ExperimentManifest,
 
     generation.json records the accepted and rejected candidates of every
     combo tried (in numeric (size, nei, p) order, zeros included) and the
-    seconds spent in generate_ws and compute_metrics."""
+    seconds spent in generate_ws and compute_metrics. The store then holds
+    this run's graphs only: those an earlier run left beyond them are
+    removed, and the gen-graphs provenance event lists their ids."""
     combos = list(product(manifest.grid.size, manifest.grid.nei, manifest.grid.p))
     lo, hi = manifest.param_range
     accepted: list[GraphEntry] = []
@@ -396,6 +398,7 @@ def build_graph_dataset(manifest: ExperimentManifest,
                     manifest.max_generation_rounds, len(accepted),
                     manifest.target_graph_count)
     if store is not None:
+        removed = store.remove_graphs_except({e.graph_id for e in accepted})
         store.save_generation_log({
             "accepted": len(accepted),
             "rejected": rejected,
@@ -407,7 +410,8 @@ def build_graph_dataset(manifest: ExperimentManifest,
             "exhausted": len(accepted) < manifest.target_graph_count,
         })
         store.append_provenance("gen-graphs", manifest_hash=manifest.manifest_hash,
-                                accepted=len(accepted), rejected=rejected)
+                                accepted=len(accepted), rejected=rejected,
+                                removed=removed)
     return accepted
 
 
@@ -437,23 +441,21 @@ def _get_worker_data(source: tuple, sizes: tuple[int, int]) -> tuple[Dataset, Da
     return _WORKER_DATA
 
 
-def run_attacks(net: MaskedNetwork, test_set: Dataset,
+def run_attacks(net: MaskedNetwork, test_set: Dataset, predictions: np.ndarray,
                 manifest: ExperimentManifest, seed_path: tuple,
-                seconds: dict[str, float] | None = None,
-                ) -> tuple[dict[str, list], dict]:
-    """Run the three attacks against one trained model.
+                seconds: dict[str, float] | None = None) -> dict[str, list]:
+    """Run the three attacks against one trained model; returns each kind's
+    outcomes.
 
-    test_set is the manifest's test prefix, taken whole. Fixed-epsilon FGSM
-    targets every correctly classified image of it; epsilon search and the
-    one-pixel attack target the first correctly classified images in
-    dataset order. `seconds`, when given, accumulates each attack's wall
-    seconds under its kind.
+    test_set is the manifest's test prefix, taken whole, and predictions the
+    model's class for each of its images (EvalReport.predictions). FGSM
+    targets every correctly classified image; epsilon search and the
+    one-pixel attack the first ones in dataset order. `seconds`, when given,
+    accumulates each attack's wall seconds under its kind.
     """
     seconds = {} if seconds is None else seconds
     atk = manifest.attacks
-    test_n = test_set.n
-    probs = predict(net, test_set.images)
-    correct = np.flatnonzero(probs.argmax(axis=1) == test_set.labels)
+    correct = np.flatnonzero(predictions == test_set.labels)
 
     outcomes: dict[str, list] = {"fgsm": [], "fgsm_search": [], "one_pixel": []}
     if correct.size:
@@ -462,7 +464,7 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset,
                                          test_set.labels[correct], atk.fgsm_eps,
                                          indices=correct)
         with _timed(seconds, "fgsm_search"):
-            for i in correct[:manifest.search_subset_n(test_n)]:
+            for i in correct[:manifest.search_subset_n(test_set.n)]:
                 outcomes["fgsm_search"].append(fgsm_eps_search(
                     net, test_set.images[i], int(test_set.labels[i]),
                     start=atk.search_start, step=atk.search_step,
@@ -474,12 +476,7 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset,
                 outcomes["one_pixel"].append(one_pixel(
                     net, test_set.images[i], int(test_set.labels[i]), cfg,
                     index=int(i), keep_image=False))
-    info = {
-        "test_subset_n": int(test_n),
-        "clean_correct": int(correct.size),
-        "clean_error_rate": float(1.0 - correct.size / test_n),
-    }
-    return outcomes, info
+    return outcomes
 
 
 def _save_attacks(store: ResultsStore, graph_id: str, init_method: str,
@@ -494,9 +491,10 @@ def _save_attacks(store: ResultsStore, graph_id: str, init_method: str,
 
 
 def _sweep_task(payload: dict) -> dict:
-    """Train and attack one (graph, init) pair; writes per-model files and
-    returns a summary with the wall seconds of each of SWEEP_STAGES and the
-    one-pixel attack's summed generations."""
+    """Train, evaluate and attack one (graph, init) pair and write its files
+    but done.json; returns done.json's fields: the pair, its seeds, the wall
+    seconds of each of SWEEP_STAGES and the one-pixel attack's summed
+    generations."""
     manifest = ExperimentManifest.from_dict(payload["manifest"])
     train_set, test_set = _get_worker_data(tuple(payload["data_source"]),
                                            payload["subset_sizes"])
@@ -519,9 +517,8 @@ def _sweep_task(payload: dict) -> dict:
         history = train(net, train_set, cfg)
     with _timed(seconds, "evaluate"):
         report = evaluate_f1(net, test_set)
-
-    outcomes, attack_info = run_attacks(net, test_set, manifest,
-                                        (graph_id, init_method), seconds)
+    outcomes = run_attacks(net, test_set, report.predictions, manifest,
+                           (graph_id, init_method), seconds)
 
     with _timed(seconds, "checkpoint"):
         save_checkpoint(net, store.checkpoint_path(graph_id, init_method),
@@ -534,11 +531,7 @@ def _sweep_task(payload: dict) -> dict:
     return {
         "graph_id": graph_id,
         "init_method": init_method,
-        "macro_f1": report.macro_f1,
-        "accuracy": report.accuracy,
-        "attack_info": attack_info,
-        "init_seed": init_seed,
-        "train_seed": cfg.seed,
+        "seeds": {"init": init_seed, "train": cfg.seed},
         "seconds": seconds,
         "generations_used": sum(o.generations_used for o in outcomes["one_pixel"]),
     }
@@ -547,7 +540,8 @@ def _sweep_task(payload: dict) -> dict:
 def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
               data_source: tuple, workers: int = 1,
               resume: bool = True) -> list[dict]:
-    """Train and attack every (graph, init_method) pair, resumably."""
+    """Train and attack every (graph, init_method) pair, resumably; returns
+    the done.json fields of each pair this call completed."""
     entries = store.load_graph_entries()
     if not entries:
         raise ExperimentError("no graphs in store; run gen-graphs first")
@@ -580,11 +574,7 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
                                 error=str(exc))
 
     def record_success(summary: dict) -> None:
-        store.mark_pair_done(summary["graph_id"], summary["init_method"],
-                             mhash, seeds={"init": summary["init_seed"],
-                                           "train": summary["train_seed"]},
-                             seconds=summary["seconds"],
-                             generations_used=summary["generations_used"])
+        store.mark_pair_done(manifest_hash=mhash, **summary)
         summaries.append(summary)
 
     summaries: list[dict] = []
@@ -621,7 +611,9 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
     count = 0
     for graph_id, init_method in store.completed_pairs(None):
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
-        outcomes, _ = run_attacks(net, test_set, manifest, (graph_id, init_method))
+        predictions = predict(net, test_set.images).argmax(axis=1)
+        outcomes = run_attacks(net, test_set, predictions, manifest,
+                               (graph_id, init_method))
         _save_attacks(store, graph_id, init_method, outcomes)
         count += 1
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
@@ -745,7 +737,7 @@ PRUNING_STEP_HEADER = [
 def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
                          manifest: ExperimentManifest) -> dict:
     report = evaluate_f1(net, test_set)
-    outcomes, _ = run_attacks(net, test_set, manifest, ("prune", step))
+    outcomes = run_attacks(net, test_set, report.predictions, manifest, ("prune", step))
     record = {
         "step": step,
         "param_count": param_count(net),

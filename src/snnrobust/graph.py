@@ -99,14 +99,13 @@ class LayeredDag:
     """A DAG with the max-predecessor layering.
 
     layer_index maps each vertex to its layer; layers is the corresponding
-    ordered partition (vertex ids ascending within each layer). Sources are
-    the in-degree-0 vertices (exactly layer 0), sinks the out-degree-0 ones.
+    ordered partition (vertex ids ascending within each layer). Layer 0 is
+    exactly the in-degree-0 vertices; sinks are the out-degree-0 ones.
     """
 
     dag: Dag
     layer_index: dict[int, int]
     layers: tuple[tuple[int, ...], ...]
-    sources: tuple[int, ...]
     sinks: tuple[int, ...]
 
 
@@ -186,10 +185,9 @@ def layer_dag(d: Dag) -> LayeredDag:
     for v in range(n):
         layers_mut[index[v]].append(v)
     layers = tuple(tuple(layer) for layer in layers_mut)
-    sources = tuple(v for v in range(n) if not preds[v])
     tails = {u for u, _ in d.directed_edges}
     sinks = tuple(v for v in range(n) if v not in tails)
-    return LayeredDag(dag=d, layer_index=index, layers=layers, sources=sources, sinks=sinks)
+    return LayeredDag(dag=d, layer_index=index, layers=layers, sinks=sinks)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Layout under the output directory:
   manifest.json, generation.json, provenance.json
-  graphs/<graph_id>.json
+  graphs/<graph_id>.json       the graphs of the last gen-graphs run
   models/<graph_id>__<init>/   checkpoint.bin, history.csv, eval.json,
                                fgsm.csv, fgsm_search.csv, one_pixel.csv,
                                robustness.json, done.json
@@ -129,6 +129,15 @@ class ResultsStore:
     def load_graph_entries(self) -> list[GraphEntry]:
         return [self._entry_from_doc(json.loads(path.read_text()))
                 for path in sorted((self.root / "graphs").glob("*.json"))]
+
+    def remove_graphs_except(self, keep: set[str]) -> list[str]:
+        """Delete every stored graph whose id is not in keep; returns the
+        removed ids in sorted order."""
+        stale = [p for p in sorted((self.root / "graphs").glob("*.json"))
+                 if p.stem not in keep]
+        for path in stale:
+            path.unlink()
+        return [path.stem for path in stale]
 
     def save_generation_log(self, log: dict) -> None:
         self._write_json(self.root / "generation.json", log)

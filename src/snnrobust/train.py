@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -145,6 +145,9 @@ def train(net: MaskedNetwork, train_set: Dataset, cfg: TrainConfig) -> TrainHist
 
 @dataclass
 class EvalReport:
+    """Accuracy, F1 and confusion of a model on a test set, and the class it
+    predicted for each image; to_dict holds every field but the predictions."""
+
     accuracy: float
     macro_f1: float
     precision: list[float]
@@ -152,17 +155,13 @@ class EvalReport:
     f1_per_class: list[float]
     confusion: np.ndarray  # (10, 10), rows = true class
     absent_classes: list[int]
+    predictions: np.ndarray  # (n,) predicted class per image, int64
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1_per_class": self.f1_per_class,
-            "confusion": self.confusion.tolist(),
-            "absent_classes": self.absent_classes,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name != "predictions"}
+        d["confusion"] = self.confusion.tolist()
+        return d
 
 
 def predict(net: MaskedNetwork, images: np.ndarray, batch_size: int = 1024) -> np.ndarray:
@@ -216,4 +215,5 @@ def classification_report(truth: np.ndarray, preds: np.ndarray,
         f1_per_class=f1s,
         confusion=confusion,
         absent_classes=absent,
+        predictions=preds,
     )

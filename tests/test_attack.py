@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from snnrobust.attack import (AttackError, DEConfig, apply_candidate,
-                              candidate_probs, de_evolve, fgsm,
-                              fgsm_eps_search, fgsm_many, init_population,
-                              one_pixel, perturbed_batch, rand1_bin_draw)
+from snnrobust.attack import (AttackError, DEConfig, candidate_probs,
+                              de_evolve, fgsm, fgsm_eps_search, fgsm_many,
+                              init_population, one_pixel, perturbed_batch,
+                              rand1_bin_draw)
 from snnrobust.data import synthetic_dataset
 from snnrobust.graph import Dag, layer_dag
 from snnrobust.network import build_network, forward, init_weights
@@ -123,26 +123,22 @@ class TestEpsSearch:
 
 class TestOnePixel:
     def test_candidate_application_convention(self):
-        x = np.zeros(784)
-        out = apply_candidate(x, np.array([5.0, 7.0, 200.0]))
-        # (p_x, p_y) = (column 5, row 7), 1-indexed
+        x = np.zeros(784, dtype=np.float32)
+        out = perturbed_batch(x, np.array([[5.0, 7.0, 200.0], [28.0, 1.0, 0.0]]))
+        # (p_x, p_y) = (column 5, row 7), 1-indexed; I/255 rounded once into
+        # the image dtype
         flat = (7 - 1) * 28 + (5 - 1)
-        assert out[flat] == pytest.approx(200 / 255)
-        assert np.count_nonzero(out) == 1
-
-    def test_perturbed_batch_matches_single(self):
-        x = synthetic_dataset(1, seed=4).images[0]
-        cands = np.array([[1, 1, 0.0], [28, 28, 255.0], [10, 3, 77.0]])
-        batch = perturbed_batch(x, cands)
-        for i, c in enumerate(cands):
-            assert np.array_equal(batch[i], apply_candidate(x, c))
+        assert out.dtype == np.float32
+        assert out[0, flat] == np.float32(200 / 255)
+        assert np.count_nonzero(out[0]) == 1
+        assert not out[1].any()
 
     def test_fitness_is_one_minus_true_prob(self, frozen_net, sample_image):
         y = 4
-        cand = np.array([3.0, 3.0, 128.0])
-        _, probs, _ = forward(frozen_net, apply_candidate(sample_image, cand))
-        assert 1.0 - probs[y] == pytest.approx(
-            1.0 - forward(frozen_net, apply_candidate(sample_image, cand))[1][y])
+        cand = np.array([[3.0, 3.0, 128.0]])
+        _, probs, _ = forward(frozen_net, perturbed_batch(sample_image, cand))
+        assert 1.0 - probs[0, y] == pytest.approx(
+            1.0 - forward(frozen_net, perturbed_batch(sample_image, cand)[0])[1][y])
 
     def test_incremental_fitness_matches_full_forward(self):
         rng = np.random.default_rng(31)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -150,6 +151,17 @@ class TestBuildGraphDataset:
                                         "  size=250,nei=10,p=0.9: 1 accepted, 0 rejected"]
         assert lines[at + 5].startswith("  time: compute_metrics ")
         assert ", generate_ws " in lines[at + 5]
+
+    def test_a_later_run_removes_the_graphs_it_did_not_write(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(tiny_manifest(target_graph_count=4), store)
+        entries = build_graph_dataset(
+            tiny_manifest(target_graph_count=2, master_seed=778), store)
+        on_disk = store.load_graph_entries()
+        assert [e.graph_id for e in on_disk] == ["g0000", "g0001"]
+        assert [e.generator for e in on_disk] == [e.generator for e in entries]
+        assert [(e["accepted"], e["removed"]) for e in store.load_provenance()] == [
+            (4, []), (2, ["g0002", "g0003"])]
 
     def test_full_scale_filter_bounds(self):
         m = ExperimentManifest(grid=GridSpec(size=[500], nei=[2], p=[0.9]),
@@ -588,6 +600,48 @@ class TestRerunAttacks:
         }
 
 
+class TestOneCleanPass:
+    """Each model's clean test prefix runs through predict once: the
+    predictions that score it also pick the images the attacks target."""
+
+    @pytest.fixture
+    def predicted(self, monkeypatch):
+        """The row count of every predict call, whichever module calls it."""
+        from snnrobust import experiment as exp_mod
+        train_mod = importlib.import_module("snnrobust.train")
+        real = train_mod.predict
+        rows = []
+
+        def counting(net, images, *args, **kwargs):
+            rows.append(images.shape[0])
+            return real(net, images, *args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "predict", counting)
+        monkeypatch.setattr(exp_mod, "predict", counting)
+        return rows
+
+    def test_sweep_then_reattack(self, tmp_path, predicted):
+        manifest = tiny_manifest(target_graph_count=1)
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        source = resolve_data_source(manifest, None)
+        run_sweep(manifest, store, source)
+        assert predicted == [90]
+        predicted.clear()
+        assert rerun_attacks(manifest, store, source) == 1
+        assert predicted == [90]
+
+    def test_pruning_baseline(self, tmp_path, predicted):
+        manifest = tiny_manifest()
+        manifest.pruning.hidden_layers = [4, 6, 4]
+        manifest.pruning.steps = 1
+        manifest.pruning.retrain_epochs = 1
+        steps = run_pruning_baseline(manifest, ResultsStore(tmp_path),
+                                     resolve_data_source(manifest, None))
+        assert len(steps) == 2
+        assert predicted == [90, 90]
+
+
 class TestDeterminism:
     def test_same_manifest_reproduces_records(self, tmp_path):
         manifest = tiny_manifest()
@@ -825,8 +879,8 @@ class TestSubsetsAtLoad:
     def test_sweep_task_uses_views_of_the_cached_arrays(self, tmp_path, monkeypatch):
         from snnrobust import experiment as exp_mod
         seen = {}
-        real_train, real_eval, real_predict = (exp_mod.train, exp_mod.evaluate_f1,
-                                               exp_mod.predict)
+        real_train, real_eval, real_fgsm = (exp_mod.train, exp_mod.evaluate_f1,
+                                            exp_mod.fgsm_many)
 
         def spy_train(net, train_set, cfg):
             seen["train"] = train_set.images
@@ -836,26 +890,27 @@ class TestSubsetsAtLoad:
             seen["evaluated"] = test_set.images
             return real_eval(net, test_set, *args)
 
-        def spy_predict(net, images, *args):
-            seen["attacked"] = images
-            return real_predict(net, images, *args)
+        def spy_fgsm(net, images, labels, eps, indices, **kwargs):
+            seen["attacked"] = images, indices
+            return real_fgsm(net, images, labels, eps, indices, **kwargs)
 
         monkeypatch.setattr(exp_mod, "train", spy_train)
         monkeypatch.setattr(exp_mod, "evaluate_f1", spy_eval)
-        monkeypatch.setattr(exp_mod, "predict", spy_predict)
+        monkeypatch.setattr(exp_mod, "fgsm_many", spy_fgsm)
         manifest = tiny_manifest(target_graph_count=1)
         manifest.scale.train_subset = 0.5
         manifest.scale.test_subset = 0.5
         store = ResultsStore(tmp_path)
         build_graph_dataset(manifest, store)
-        [summary] = run_sweep(manifest, store, resolve_data_source(manifest, None))
+        run_sweep(manifest, store, resolve_data_source(manifest, None))
         cached_train, cached_test = exp_mod._WORKER_DATA
         assert (cached_train.n, cached_test.n) == (110, 45)
-        assert summary["attack_info"]["test_subset_n"] == 45
         assert seen["train"].shape[0] == 110
         assert np.shares_memory(seen["train"], cached_train.images)
         assert np.shares_memory(seen["evaluated"], cached_test.images)
-        assert np.shares_memory(seen["attacked"], cached_test.images)
+        # FGSM takes its targets from the cached prefix, by their indices
+        attacked, indices = seen["attacked"]
+        assert np.array_equal(attacked, cached_test.images[indices])
         assert not any(a.flags.writeable for ds in exp_mod._WORKER_DATA
                        for a in (ds.images, ds.labels))
 
@@ -867,11 +922,13 @@ class TestSubsetsAtLoad:
             manifest.scale.test_subset = fraction
             store = ResultsStore(tmp_path / str(i))
             build_graph_dataset(manifest, store)
-            [summary] = run_sweep(manifest, store, resolve_data_source(manifest, None))
-            assert summary["attack_info"]["test_subset_n"] == want
+            run_sweep(manifest, store, resolve_data_source(manifest, None))
             test_set = exp_mod._WORKER_DATA[1]
             assert test_set.n == want
             assert np.array_equal(test_set.images, full_test.images[:want])
+            evaluated = json.loads((store.model_dir("g0000", "He_N")
+                                    / "eval.json").read_text())
+            assert np.sum(evaluated["confusion"]) == want
 
     def test_load_peaks_near_what_it_keeps(self):
         import tracemalloc

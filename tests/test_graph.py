@@ -147,21 +147,22 @@ class TestLayerDag:
     def test_isolated_vertex_is_layer_zero(self):
         ld = layer_dag(Dag(4, frozenset({(0, 1), (1, 3)})))
         assert ld.layer_index[2] == 0
-        assert 2 in ld.sources and 2 in ld.sinks
+        assert 2 in ld.layers[0] and 2 in ld.sinks
 
     @staticmethod
     def assert_matches_oracle(ld):
         want = longest_path_layering(ld.dag.vertex_count, ld.dag.directed_edges)
         assert ld.layer_index == want["layer_index"]
         assert ld.layers == want["layers"]
-        assert ld.sources == want["sources"]
+        assert ld.layers[0] == want["sources"]
         assert ld.sinks == want["sinks"]
 
     def test_layer_zero_equals_sources(self, rng):
         for _ in range(25):
             g = random_small_graph(rng)
             ld = layer_dag(to_dag(g))
-            assert set(ld.layers[0]) == set(ld.sources)
+            heads = {v for _, v in ld.dag.directed_edges}
+            assert set(ld.layers[0]) == set(range(g.vertex_count)) - heads
             self.assert_matches_oracle(ld)
 
     def test_edges_go_strictly_forward(self, rng):

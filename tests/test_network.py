@@ -76,7 +76,7 @@ class TestBuildNetwork:
             g = random_small_graph(rng)
             ld = layer_dag(to_dag(g))
             net = build_network(ld, 784, 10)
-            expected = (784 * len(ld.sources) + ld.dag.edge_count
+            expected = (784 * len(ld.layers[0]) + ld.dag.edge_count
                         + len(ld.sinks) * 10 + g.vertex_count + 10)
             assert param_count(net) == expected
 

@@ -22,7 +22,7 @@ if "numpy" in sys.modules and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from .attack import AdversarialExample, DEConfig, de_evolve, fgsm, fgsm_eps_search, one_pixel
+from .attack import AdversarialExample, DEConfig, de_evolve, fgsm_eps_search, one_pixel
 from .data import Dataset, batches, load_idx, synthetic_dataset
 from .graph import (Dag, GraphMetrics, LayeredDag, UndirectedGraph,
                     compute_metrics, generate_ws, layer_dag, to_dag)
@@ -35,7 +35,7 @@ from .network import (MaskedNetwork, backward, build_network, forward,
 from .train import EvalReport, TrainConfig, adam_step, evaluate_f1, train
 
 __all__ = [
-    "AdversarialExample", "DEConfig", "de_evolve", "fgsm", "fgsm_eps_search",
+    "AdversarialExample", "DEConfig", "de_evolve", "fgsm_eps_search",
     "one_pixel", "Dataset", "batches", "load_idx", "synthetic_dataset",
     "Dag", "GraphMetrics", "LayeredDag", "UndirectedGraph", "compute_metrics",
     "generate_ws", "layer_dag", "to_dag", "CorrelationTable",

@@ -77,13 +77,6 @@ def _outcome_from_probs(probs: np.ndarray, y: int, index: int, **extra) -> Adver
     )
 
 
-def fgsm(net: MaskedNetwork, x: np.ndarray, y: int, eps: float,
-         index: int = 0, keep_image: bool = True) -> AdversarialExample:
-    """Single-step sign attack on one image: fgsm_many on a batch of one."""
-    return fgsm_many(net, x[None, :], np.array([y]), eps, np.array([index]),
-                     keep_images=keep_image)[0]
-
-
 def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
               eps: float, indices: np.ndarray | None = None,
               keep_images: bool = False) -> list[AdversarialExample]:

@@ -178,10 +178,6 @@ def mnist_split_size(data_dir, split: str) -> int:
         return _read_idx_dims(f, path, IMAGE_MAGIC)[0]
 
 
-def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
-    return load_mnist_split(data_dir, "train"), load_mnist_split(data_dir, "test")
-
-
 def batches(ds: Dataset, batch_size: int, shuffle_seed: int) -> list[np.ndarray]:
     """Deterministic shuffled index batches covering every sample once."""
     if batch_size < 1:

@@ -495,8 +495,8 @@ def _sweep_task(payload: dict) -> dict:
     but done.json; returns done.json's fields: the pair, its seeds, the wall
     seconds of each of SWEEP_STAGES and the one-pixel attack's summed
     generations."""
-    manifest = ExperimentManifest.from_dict(payload["manifest"])
-    train_set, test_set = _get_worker_data(tuple(payload["data_source"]),
+    manifest = payload["manifest"]
+    train_set, test_set = _get_worker_data(payload["data_source"],
                                            payload["subset_sizes"])
     store = ResultsStore(payload["out_dir"])
     graph_id = payload["graph_id"]
@@ -557,8 +557,8 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
             pending.append({
                 "graph_id": entry.graph_id,
                 "init_method": init_method,
-                "manifest": manifest.to_dict(),
-                "data_source": list(data_source),
+                "manifest": manifest,
+                "data_source": data_source,
                 "subset_sizes": sizes,
                 "out_dir": str(store.root),
             })
@@ -602,14 +602,14 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
 
 def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
                   data_source: tuple) -> int:
-    """Re-run attacks against stored checkpoints (models stay untouched).
-
-    Pairs completed under any manifest hash qualify, so attack settings can
-    change without retraining."""
+    """Re-run attacks against the study's checkpoints (models stay untouched)
+    and return their count. The study's pairs are the last sweep's, so the
+    given manifest may change the attack settings without retraining."""
     full_test_n = split_sizes(data_source)[1]
     test_set = load_test_split(data_source, manifest.test_subset_n(full_test_n))
     count = 0
-    for graph_id, init_method in store.completed_pairs(None):
+    for graph_id, init_method in store.completed_pairs(
+            store.study_hash(manifest.manifest_hash)):
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
         predictions = predict(net, test_set.images).argmax(axis=1)
         outcomes = run_attacks(net, test_set, predictions, manifest,
@@ -684,8 +684,8 @@ def _correlation_table(properties: list[str], props_by_unit: dict,
 
 
 def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationTable:
-    """Correlate every configured graph property against every measure column."""
-    records = store.load_robustness()
+    """Correlate every configured property against every measure, over the study."""
+    records = store.load_robustness(store.study_hash(manifest.manifest_hash))
     if not records:
         raise CorrelationWithheldError("no robustness records in store")
     props = stored_properties(store)
@@ -838,15 +838,16 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     (the one the last sweep stored, else the given one), the settings of an
     `attack` run after the last sweep, the dataset the latest stage ran on,
     counts (per generator combo, with gen-graphs' time), censored epsilon
-    searches, failed tasks, the spread of each correlated property and the
-    properties that rank the models alike, the sweep's seconds per stage
-    summed over models, and the two strongest graph properties per
-    robustness measure."""
+    searches, failed tasks not completed since, the spread of each
+    correlated property and the properties that rank the models alike, the
+    sweep's seconds per stage summed over models, and the two strongest
+    graph properties per robustness measure. Counts and sums cover the
+    study's models (ResultsStore.study_hash); the models line counts the rest."""
     events = store.load_provenance()
     used = [e["dataset"] for e in events if "dataset" in e]
     stored = store.load_manifest()
     run = ExperimentManifest.from_dict(stored["manifest"]) if stored else manifest
-    run_hash = stored["manifest_hash"] if stored else manifest.manifest_hash
+    run_hash = store.study_hash(manifest.manifest_hash)
     lines = ["Sparse network robustness study", "=" * 34,
              f"manifest_hash: {run_hash}"]
     if run_hash != manifest.manifest_hash:
@@ -876,11 +877,15 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
         if "seconds" in gen:
             lines.append("  time: " + ", ".join(f"{name} {s:.3f} s"
                                                 for name, s in gen["seconds"].items()))
-    records = store.load_robustness()
+    records = store.load_robustness(run_hash)
     models = sorted({r.model_id for r in records})
     inits = sorted({r.init_method for r in records})
-    lines.append(f"models: {len(models)} graphs x {len(inits)} initializations")
-    timed = [d for d in store.done_records() if "seconds" in d]
+    done = store.done_records(run_hash)
+    left_out = len(store.completed_pairs(None)) - len(done)
+    lines.append(f"models: {len(models)} graphs x {len(inits)} initializations"
+                 + (f", {left_out} left out (completed under another manifest)"
+                    if left_out else ""))
+    timed = [d for d in done if "seconds" in d]
     if timed:
         lines.append("  time: " + ", ".join(
             f"{stage} {sum(d['seconds'][stage] for d in timed):.3f} s"
@@ -891,7 +896,8 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     lines.append(f"epsilon search: {sum(r.n_censored for r in searched)} of "
                  f"{sum(r.n_attacked for r in searched)} searched images censored "
                  "(no flip within the cap)")
-    failed = [e for e in events if e["event"] == "task-failed"]
+    failed = [e for e in events if e["event"] == "task-failed"
+              and not store.pair_done(e["graph_id"], e["init_method"], run_hash)]
     lines.append(f"failed tasks: {len(failed)}")
     for e in failed:
         lines.append(f"  {e['graph_id']} / {e['init_method']}: {e['error']}")

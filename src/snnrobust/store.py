@@ -9,11 +9,14 @@ Layout under the output directory:
   correlations.csv, correlations_long.csv, report.txt
   pruning/steps.csv, pruning/correlations.csv, pruning/correlations_long.csv
 
-done.json is written last for a (graph, init) pair; a pair counts as
-completed only if its done.json carries the current manifest hash. It also
-holds the task's seeds, its wall seconds per stage and the one-pixel
-attack's summed generations. Every file is written to a temporary name in
-its directory and renamed over the target, so a crash mid-write leaves the
+done.json is written last for a (graph, init) pair. It holds the pair's
+manifest hash, seeds, wall seconds per stage and summed one-pixel
+generations. A pair belongs to the study when its done.json carries the
+study hash: manifest.json's, which the last sweep wrote, or before any
+sweep the given manifest's (study_hash). Resume, re-attack, correlate and
+the report read only the study's pairs; _completed_under is the one place
+that compares the hashes. Every file is written to a temporary name in its
+directory and renamed over the target, so a crash mid-write leaves the
 previous version intact.
 
 ResultsStore is the only reader of every results file, as it is their only
@@ -153,11 +156,17 @@ class ResultsStore:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
+    @staticmethod
+    def _completed_under(done: dict, manifest_hash: str | None) -> bool:
+        return manifest_hash is None or done.get("manifest_hash") == manifest_hash
+
+    def study_hash(self, manifest_hash: str) -> str:
+        """manifest.json's hash; before any sweep, manifest_hash."""
+        return (self.load_manifest() or {}).get("manifest_hash", manifest_hash)
+
     def pair_done(self, graph_id: str, init_method: str, manifest_hash: str) -> bool:
-        marker = self.root / "models" / f"{graph_id}__{init_method}" / "done.json"
-        if not marker.exists():
-            return False
-        return json.loads(marker.read_text()).get("manifest_hash") == manifest_hash
+        done = self._read_json(f"models/{graph_id}__{init_method}/done.json")
+        return done is not None and self._completed_under(done, manifest_hash)
 
     def mark_pair_done(self, graph_id: str, init_method: str, manifest_hash: str,
                        **fields) -> None:
@@ -182,29 +191,25 @@ class ResultsStore:
         self._write_json(self.model_dir(graph_id, init_method) / "robustness.json",
                          [r.to_dict() for r in records])
 
-    def load_robustness(self) -> list[RobustnessRecord]:
-        records = []
-        for path in sorted((self.root / "models").glob("*/robustness.json")):
-            done = path.parent / "done.json"
-            if not done.exists():
-                continue
-            for d in json.loads(path.read_text()):
-                records.append(RobustnessRecord.from_dict(d))
-        return records
+    def load_robustness(self, manifest_hash: str) -> list[RobustnessRecord]:
+        """The robustness records of the pairs completed under manifest_hash."""
+        return [RobustnessRecord.from_dict(d)
+                for g, init in self.completed_pairs(manifest_hash)
+                for d in self._read_json(f"models/{g}__{init}/robustness.json", [])]
 
     def checkpoint_path(self, graph_id: str, init_method: str) -> Path:
         return self.model_dir(graph_id, init_method) / "checkpoint.bin"
 
-    def done_records(self) -> list[dict]:
-        """The done.json document of every completed pair, in directory
-        order."""
-        return [json.loads(marker.read_text())
-                for marker in sorted((self.root / "models").glob("*/done.json"))]
+    def done_records(self, manifest_hash: str | None) -> list[dict]:
+        """done.json of each pair completed under manifest_hash, in directory order."""
+        docs = (json.loads(marker.read_text())
+                for marker in sorted((self.root / "models").glob("*/done.json")))
+        return [doc for doc in docs if self._completed_under(doc, manifest_hash)]
 
     def completed_pairs(self, manifest_hash: str | None) -> list[tuple[str, str]]:
         """Completed (graph, init) pairs; None matches any manifest hash."""
-        return [(doc["graph_id"], doc["init_method"]) for doc in self.done_records()
-                if manifest_hash is None or doc.get("manifest_hash") == manifest_hash]
+        return [(doc["graph_id"], doc["init_method"])
+                for doc in self.done_records(manifest_hash)]
 
     # --- correlations, pruning, report ---------------------------------
 

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snnrobust.attack import (DEConfig, de_evolve, fgsm, fgsm_eps_search,
+from snnrobust.attack import (DEConfig, de_evolve, fgsm_eps_search,
                               fgsm_many, init_population, one_pixel,
                               perturbed_batch)
 from snnrobust.cli import main as cli_main
-from snnrobust.data import find_mnist, load_mnist, synthetic_dataset
+from snnrobust.data import find_mnist, load_mnist_split, synthetic_dataset
 from snnrobust.experiment import (ExperimentManifest, GridSpec, ScaleFactors,
                                   dense_stack_dag, hidden_edge_count,
                                   resolve_data_source, run_pruning_baseline)
@@ -54,8 +54,8 @@ def image_data():
     """(train, test, label): MNIST when available, synthetic stand-in else."""
     mnist = _mnist_dir()
     if mnist is not None:
-        train_set, test_set = load_mnist(mnist)
-        return train_set, test_set, "MNIST"
+        return (load_mnist_split(mnist, "train"), load_mnist_split(mnist, "test"),
+                "MNIST")
     return (synthetic_dataset(12_000, seed=101, split="train"),
             synthetic_dataset(2_000, seed=102, split="test"),
             "synthetic stand-in (MNIST IDX files not found)")
@@ -187,8 +187,8 @@ def test_criterion_07_eps_search_minimality(trained_model):
                               index=int(i))
         outcomes.append(out)
         if out.success and out.epsilon_used - 0.01 >= 0.001 - 1e-12:
-            prev = fgsm(net, test_set.images[i], int(test_set.labels[i]),
-                        out.epsilon_used - 0.01)
+            prev = fgsm_many(net, test_set.images[i:i + 1], test_set.labels[i:i + 1],
+                             out.epsilon_used - 0.01, keep_images=True)[0]
             minimality_ok &= not prev.success
     successes = [o for o in outcomes if o.success]
     censored = [o for o in outcomes if not o.success]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snnrobust.attack import (AttackError, DEConfig, candidate_probs,
-                              de_evolve, fgsm, fgsm_eps_search, fgsm_many,
+                              de_evolve, fgsm_eps_search, fgsm_many,
                               init_population, one_pixel, perturbed_batch,
                               rand1_bin_draw)
 from snnrobust.data import synthetic_dataset
@@ -31,7 +31,8 @@ def sample_image():
 
 class TestFGSM:
     def test_eps_zero_keeps_image(self, frozen_net, sample_image):
-        out = fgsm(frozen_net, sample_image, 3, eps=0.0)
+        [out] = fgsm_many(frozen_net, sample_image[None], np.array([3]), 0.0,
+                          keep_images=True)
         assert np.array_equal(out.perturbed_image, sample_image)
         _, probs, _ = forward(frozen_net, sample_image)
         assert out.success == (int(probs.argmax()) != 3)
@@ -42,20 +43,21 @@ class TestFGSM:
         _, _, cache = forward(net, x)
         from snnrobust.network import backward
         _, _, g = backward(net, cache, 0)
-        out = fgsm(net, x, 0, eps=0.1)
+        [out] = fgsm_many(net, x[None], np.array([0]), 0.1, keep_images=True)
         expected = np.clip(x + 0.1 * np.sign(g), 0, 1)
         assert out.perturbed_image == pytest.approx(expected, abs=1e-12)
 
     def test_linf_bound(self, frozen_net, sample_image):
         for eps in (0.05, 0.1, 0.3):
-            out = fgsm(frozen_net, sample_image, 2, eps=eps)
+            [out] = fgsm_many(frozen_net, sample_image[None], np.array([2]), eps,
+                              keep_images=True)
             assert np.abs(out.perturbed_image - sample_image).max() <= eps + 1e-12
             assert out.perturbed_image.min() >= 0.0
             assert out.perturbed_image.max() <= 1.0
 
     def test_negative_eps_rejected(self, frozen_net, sample_image):
         with pytest.raises(AttackError):
-            fgsm(frozen_net, sample_image, 0, eps=-0.1)
+            fgsm_many(frozen_net, sample_image[None], np.array([0]), -0.1)
 
     def test_batch_matches_single(self, frozen_net):
         frozen_net = float64_copy(frozen_net)
@@ -63,7 +65,8 @@ class TestFGSM:
         labels = np.array([0, 1, 2, 3, 4, 5])
         batch = fgsm_many(frozen_net, images, labels, 0.1, keep_images=True)
         for i, out in enumerate(batch):
-            single = fgsm(frozen_net, images[i], int(labels[i]), 0.1, index=i)
+            [single] = fgsm_many(frozen_net, images[i:i + 1], labels[i:i + 1], 0.1,
+                                 np.array([i]), keep_images=True)
             assert out.predicted_label == single.predicted_label
             assert out.success == single.success
             assert out.confidence == pytest.approx(single.confidence, abs=1e-12)
@@ -88,7 +91,8 @@ class TestEpsSearch:
             k = round((out.epsilon_used - 0.001) / 0.01)
             assert out.epsilon_used == pytest.approx(0.001 + 0.01 * k)
             if k > 0:
-                prev = fgsm(frozen_net, x, y, out.epsilon_used - 0.01)
+                prev = fgsm_many(frozen_net, x[None], np.array([y]),
+                                 out.epsilon_used - 0.01, keep_images=True)[0]
                 assert not prev.success
 
     def test_rejects_misclassified_start(self, frozen_net):

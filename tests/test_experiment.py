@@ -201,7 +201,7 @@ class TestRunSweep:
 
     def test_records_written(self, sweep_run):
         manifest, store, _ = sweep_run
-        records = store.load_robustness()
+        records = store.load_robustness(manifest.manifest_hash)
         assert {r.attack for r in records} >= {"fgsm", "fgsm_search"}
         model_dir = store.model_dir("g0000", "He_N")
         for name in ("checkpoint.bin", "history.csv", "eval.json",
@@ -314,6 +314,8 @@ class TestCorrelate:
         retried = run_sweep(manifest, store,
                             resolve_data_source(manifest, None), workers=1)
         assert [s["graph_id"] for s in retried] == ["g0000"]
+        # a failure that a resume completed is no longer reported
+        assert "failed tasks: 0\n" in render_report(manifest, store)
 
     def test_parallel_workers_match_serial(self, tmp_path):
         manifest = tiny_manifest()
@@ -333,8 +335,8 @@ class TestCorrelate:
         rec = RobustnessRecord("g0", "U", "fgsm", 0.5, 0.9, None, 10, 5, 0)
         store.save_robustness("g0", "U", [rec])
         store.mark_pair_done("g0", "U", "h")
-        loaded = store.load_robustness()
-        assert loaded == [rec]
+        assert store.load_robustness("h") == [rec]
+        assert store.load_robustness("another") == []
 
     def test_report_counts_censored_searches_and_failed_tasks(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -343,12 +345,39 @@ class TestCorrelate:
                 RobustnessRecord(model, "U", "fgsm", 0.5, 0.9, None, 10, 5, 0),
                 RobustnessRecord(model, "U", "fgsm_search", 0.6, 0.8, 0.1, 5,
                                  5 - censored, censored)])
-            store.mark_pair_done(model, "U", "h")
+            store.mark_pair_done(model, "U", tiny_manifest().manifest_hash)
         store.append_provenance("task-failed", graph_id="g2", init_method="U",
                                 error="injected failure")
         text = render_report(tiny_manifest(), store)
         assert "epsilon search: 5 of 10 searched images censored" in text
         assert "failed tasks: 1\n  g2 / U: injected failure\n" in text
+
+
+def test_models_completed_under_another_manifest_are_left_out(tmp_path):
+    # gen-graphs to 4 graphs and a sweep, then gen-graphs to 3 graphs under a
+    # new master seed and a second sweep: g0003's model is the first
+    # manifest's, so correlate, the report and the re-attack leave it out
+    store = ResultsStore(tmp_path)
+    first = tiny_manifest(target_graph_count=4)
+    build_graph_dataset(first, store)
+    run_sweep(first, store, resolve_data_source(first, None))
+    second = tiny_manifest(target_graph_count=3, master_seed=778)
+    build_graph_dataset(second, store)
+    source = resolve_data_source(second, None)
+    run_sweep(second, store, source)
+    assert len(store.completed_pairs(None)) == 4
+
+    correlate(second, store)
+    log = json.loads((tmp_path / "correlate_log.json").read_text())
+    assert {col["n_models"] for col in log["columns"]} == {3}
+    text = render_report(second, store)
+    assert ("models: 3 graphs x 1 initializations, 1 left out "
+            "(completed under another manifest)\n") in text
+    assert " over 3 models; " in text
+    stale = store.model_dir("g0003", "He_N") / "robustness.json"
+    before = stale.read_bytes()
+    assert rerun_attacks(second, store, source) == 3
+    assert stale.read_bytes() == before
 
 
 def test_report_names_property_confounds(tmp_path):
@@ -478,6 +507,7 @@ class TestStoreReaders:
         assert store.load_provenance() == []
         assert store.load_generation_log() is None
         assert store.load_manifest() is None
+        assert store.study_hash("given") == "given"
         assert not store.has_pruning_steps()
 
 
@@ -567,6 +597,8 @@ class TestRerunAttacks:
         ld = layer_dag(to_dag(generate_ws(30, 2, 0.5, seed=1)))
         net = init_weights(build_network(ld, 784, 10), "He_N", seed=2)
         save_checkpoint(net, store.checkpoint_path("g0000", "He_N"))
+        # as a sweep would: the manifest the model was trained under
+        store.save_manifest(manifest.to_dict(), manifest.manifest_hash)
         store.mark_pair_done("g0000", "He_N", manifest.manifest_hash)
         return manifest, store
 
@@ -587,7 +619,7 @@ class TestRerunAttacks:
     def test_provenance_records_attack_settings(self, store_with_model):
         manifest, store = store_with_model
         manifest.attacks.de_F = 0.7
-        rerun_attacks(manifest, store, resolve_data_source(manifest, None))
+        assert rerun_attacks(manifest, store, resolve_data_source(manifest, None)) == 1
         event = json.loads((store.root / "provenance.json").read_text())[-1]
         assert event["event"] == "attack"
         # the scaled values: pop 500 x 0.016, 500 generations x 0.004,

@@ -683,25 +683,34 @@ def _correlation_table(properties: list[str], props_by_unit: dict,
     return CorrelationTable(cells=cells, properties=list(properties))
 
 
-def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationTable:
-    """Correlate every configured property against every measure, over the study."""
-    records = store.load_robustness(store.study_hash(manifest.manifest_hash))
+def _study_table(manifest: ExperimentManifest, records: list[RobustnessRecord],
+                 props: dict[str, dict]) -> tuple[CorrelationTable, list[dict]]:
+    """The table of correlate and the report, with each column's outlier
+    log, over the models of records; withheld for fewer than 3 models."""
     if not records:
         raise CorrelationWithheldError("no robustness records in store")
-    props = stored_properties(store)
-    models_with_records = {r.model_id for r in records}
-    if len(models_with_records) < 3:
-        raise CorrelationWithheldError(
-            f"only {len(models_with_records)} models have records; need >= 3")
+    n_models = len({r.model_id for r in records})
+    if n_models < 3:
+        raise CorrelationWithheldError(f"only {n_models} models have records; need >= 3")
 
     columns, logs = {}, []
     for attack, measure in MEASURE_COLUMNS:
         columns[attack, measure], info = _aggregate_column(
             records, attack, measure, manifest.outlier_mode)
         logs.append(info)
-    table = _correlation_table(manifest.properties, props, columns)
+    return _correlation_table(manifest.properties, props, columns), logs
+
+
+def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationTable:
+    """Correlate every configured property against every measure over the
+    study; save the table, and a log naming the study hash and counting the
+    completed pairs left out. The report computes the same table itself."""
+    study = store.study_hash(manifest.manifest_hash)
+    table, logs = _study_table(manifest, store.load_robustness(study),
+                               stored_properties(store))
     store.save_correlations(table)
-    store.save_correlation_log({"columns": logs,
+    store.save_correlation_log({"columns": logs, "left_out": store.left_out(study),
+                                "manifest_hash": study,
                                 "outlier_mode": manifest.outlier_mode})
     return table
 
@@ -726,8 +735,7 @@ def hidden_edge_count(net: MaskedNetwork) -> int:
 
 PRUNING_STEP_HEADER = [
     "step", "param_count", "hidden_edges", "accuracy", "macro_f1",
-    "fgsm_error_rate", "fgsm_avg_confidence", "fgsm_search_avg_epsilon",
-    "one_pixel_error_rate", "one_pixel_avg_confidence",
+    *(f"{attack}_{measure}" for attack, measure in MEASURE_COLUMNS),
     "num_parameters", "density", "avg_path_length", "avg_eccentricity",
     "diameter", "avg_betweenness", "avg_closeness", "disconnected",
     "vertex_count", "edge_count", "density_directed",
@@ -841,8 +849,9 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     searches, failed tasks not completed since, the spread of each
     correlated property and the properties that rank the models alike, the
     sweep's seconds per stage summed over models, and the two strongest
-    graph properties per robustness measure. Counts and sums cover the
-    study's models (ResultsStore.study_hash); the models line counts the rest."""
+    graph properties per robustness measure (computed as correlate does, but
+    only report.txt is written), or why they are withheld. All of it covers
+    the study's models (ResultsStore.study_hash); the models line counts the rest."""
     events = store.load_provenance()
     used = [e["dataset"] for e in events if "dataset" in e]
     stored = store.load_manifest()
@@ -881,7 +890,7 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     models = sorted({r.model_id for r in records})
     inits = sorted({r.init_method for r in records})
     done = store.done_records(run_hash)
-    left_out = len(store.completed_pairs(None)) - len(done)
+    left_out = store.left_out(run_hash)
     lines.append(f"models: {len(models)} graphs x {len(inits)} initializations"
                  + (f", {left_out} left out (completed under another manifest)"
                     if left_out else ""))
@@ -901,11 +910,15 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     lines.append(f"failed tasks: {len(failed)}")
     for e in failed:
         lines.append(f"  {e['graph_id']} / {e['init_method']}: {e['error']}")
-    lines += _property_confounds(manifest.properties, models, stored_properties(store))
+    props = stored_properties(store)
+    lines += _property_confounds(manifest.properties, models, props)
     lines.append("")
 
-    table = store.load_correlations()
-    if table is not None:
+    try:
+        table, _ = _study_table(manifest, records, props)
+    except CorrelationWithheldError as exc:
+        lines.append(f"correlations withheld: {exc}")
+    else:
         lines.append("strongest correlations per measure "
                      "(two largest |rho| per column):")
         for attack, measure in MEASURE_COLUMNS:
@@ -918,8 +931,6 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
             for c in col[:2]:
                 lines.append(f"    {c.graph_property}: rho={c.rho:+.3f} "
                              f"tau={c.tau:+.3f} ({c.label}, n={c.n})")
-    else:
-        lines.append("correlations: not computed yet")
 
     if store.has_pruning_steps():
         lines.append("")

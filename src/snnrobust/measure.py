@@ -264,18 +264,6 @@ class CorrelationTable:
                          c.label or "", c.n, c.flag or ""])
         return rows
 
-    @classmethod
-    def from_long_rows(cls, rows) -> "CorrelationTable":
-        """The inverse of long_rows, also for its rows read back from CSV as
-        strings: an empty field is None, and float's repr round-trips."""
-        cells = [CorrelationCell(prop, attack, measure,
-                                 None if rho == "" else float(rho),
-                                 None if tau == "" else float(tau),
-                                 label or None, int(n), flag or None)
-                 for prop, attack, measure, rho, tau, label, n, flag in rows[1:]]
-        return cls(cells=cells,
-                   properties=list(dict.fromkeys(c.graph_property for c in cells)))
-
 
 def correlation_cell(graph_property: str, attack: str, measure: str,
                      xs, ys) -> CorrelationCell:

@@ -23,7 +23,9 @@ ResultsStore is the only reader of every results file, as it is their only
 writer: the pipeline stages and the report ask it for typed records and
 never open a path under the results directory themselves. The one
 exception is checkpoint.bin, which network.save_checkpoint and
-load_checkpoint write and read at the path checkpoint_path gives.
+load_checkpoint write and read at the path checkpoint_path gives. The
+correlation CSVs and report.txt are for readers outside the program and
+are never read back.
 """
 
 from __future__ import annotations
@@ -211,20 +213,17 @@ class ResultsStore:
         return [(doc["graph_id"], doc["init_method"])
                 for doc in self.done_records(manifest_hash)]
 
+    def left_out(self, manifest_hash: str) -> int:
+        """The count of pairs completed under another manifest hash."""
+        return sum(not self._completed_under(doc, manifest_hash)
+                   for doc in self.done_records(None))
+
     # --- correlations, pruning, report ---------------------------------
 
     def save_correlations(self, table: CorrelationTable, subdir: str = "") -> None:
         base = self.root / subdir if subdir else self.root
         self._write_csv(base / "correlations.csv", table.layout_rows())
         self._write_csv(base / "correlations_long.csv", table.long_rows())
-
-    def load_correlations(self) -> CorrelationTable | None:
-        """The table the last correlate saved; None before any."""
-        path = self.root / "correlations_long.csv"
-        if not path.exists():
-            return None
-        with open(path, newline="") as f:
-            return CorrelationTable.from_long_rows(list(csv.reader(f)))
 
     def save_correlation_log(self, log: dict) -> None:
         self._write_json(self.root / "correlate_log.json", log)

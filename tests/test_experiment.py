@@ -20,8 +20,7 @@ from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
                                   resolve_data_source, run_pruning_baseline,
                                   run_sweep)
 from snnrobust.graph import generate_ws, layer_dag, to_dag
-from snnrobust.measure import (MEASURE_COLUMNS, CorrelationCell, CorrelationTable,
-                               RobustnessRecord, tukey_fences)
+from snnrobust.measure import MEASURE_COLUMNS, RobustnessRecord, tukey_fences
 from snnrobust.network import (build_network, init_weights, param_count,
                                save_checkpoint)
 from snnrobust.store import ResultsStore
@@ -351,6 +350,8 @@ class TestCorrelate:
         text = render_report(tiny_manifest(), store)
         assert "epsilon search: 5 of 10 searched images censored" in text
         assert "failed tasks: 1\n  g2 / U: injected failure\n" in text
+        assert ("\ncorrelations withheld: only 2 models have records; need >= 3\n"
+                in text)
 
 
 def test_models_completed_under_another_manifest_are_left_out(tmp_path):
@@ -370,6 +371,8 @@ def test_models_completed_under_another_manifest_are_left_out(tmp_path):
     correlate(second, store)
     log = json.loads((tmp_path / "correlate_log.json").read_text())
     assert {col["n_models"] for col in log["columns"]} == {3}
+    assert log["left_out"] == 1
+    assert log["manifest_hash"] == second.manifest_hash != first.manifest_hash
     text = render_report(second, store)
     assert ("models: 3 graphs x 1 initializations, 1 left out "
             "(completed under another manifest)\n") in text
@@ -378,6 +381,26 @@ def test_models_completed_under_another_manifest_are_left_out(tmp_path):
     before = stale.read_bytes()
     assert rerun_attacks(second, store, source) == 3
     assert stale.read_bytes() == before
+
+
+def test_report_shows_the_correlations_of_its_study(tmp_path):
+    # correlate over 3 graphs x 2 inits, then a sweep of the He_N models
+    # alone under a new manifest: the report, before correlate runs again,
+    # already shows the new study's table
+    store = ResultsStore(tmp_path)
+    first = tiny_manifest(init_methods=["He_N", "U"], target_graph_count=3)
+    build_graph_dataset(first, store)
+    source = resolve_data_source(first, None)
+    run_sweep(first, store, source)
+    correlate(first, store)
+    second = tiny_manifest(init_methods=["He_N"], target_graph_count=3)
+    run_sweep(second, store, source)
+    before = render_report(second, store)
+    assert ("models: 3 graphs x 1 initializations, 3 left out "
+            "(completed under another manifest)\n") in before
+    assert "\nstrongest correlations per measure" in before
+    correlate(second, store)
+    assert render_report(second, store) == before
 
 
 def test_report_names_property_confounds(tmp_path):
@@ -488,20 +511,6 @@ class TestAtomicWrites:
 
 
 class TestStoreReaders:
-    def test_correlation_table_round_trips(self, tmp_path):
-        cells = [CorrelationCell(prop, attack, measure, -0.1 / 3, 2 / 3, "negligible", 7)
-                 if prop == "density" else
-                 CorrelationCell(prop, attack, measure, None, None, None, 2,
-                                 flag="need at least 3 pairs, got 2")
-                 for attack, measure in MEASURE_COLUMNS
-                 for prop in ("density", "diameter")]
-        table = CorrelationTable(cells=cells, properties=["density", "diameter"])
-        assert CorrelationTable.from_long_rows(table.long_rows()) == table
-        store = ResultsStore(tmp_path)
-        assert store.load_correlations() is None
-        store.save_correlations(table)
-        assert store.load_correlations() == table
-
     def test_empty_store(self, tmp_path):
         store = ResultsStore(tmp_path)
         assert store.load_provenance() == []

@@ -125,22 +125,6 @@ def load_idx(images_path, labels_path, split: str = "train",
     return Dataset(flat, labels[:count].astype(np.int64), split)
 
 
-def write_idx_images(path, images_u8: np.ndarray) -> None:
-    """Write (n, rows, cols) uint8 images in IDX format (gzipped iff *.gz)."""
-    n, rows, cols = images_u8.shape
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        f.write(images_u8.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
-
-
 def find_mnist(data_dir) -> dict[str, tuple[Path, Path]] | None:
     """Locate the standard MNIST IDX files (optionally gzipped) in a directory."""
     data_dir = Path(data_dir)
@@ -271,15 +255,3 @@ def synthetic_dataset(n: int, seed: int, split: str = "train",
         images[i] = image
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images.reshape(count, -1), labels.astype(np.int64), split)
-
-
-def write_synthetic_idx(data_dir, train_n: int, test_n: int, seed: int) -> None:
-    """Materialize the synthetic corpus as standard-named IDX files."""
-    data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    for split, count, sub_seed in (("train", train_n, seed), ("test", test_n, seed + 1)):
-        ds = synthetic_dataset(count, sub_seed, split)
-        imgs = np.round(ds.images * 255).astype(np.uint8).reshape(count, _CANVAS, _CANVAS)
-        img_name, lbl_name = MNIST_FILES[split]
-        write_idx_images(data_dir / img_name, imgs)
-        write_idx_labels(data_dir / lbl_name, ds.labels)

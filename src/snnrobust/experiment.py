@@ -7,13 +7,15 @@ stage), so results are independent of scheduling order and bit-reproducible
 for a fixed manifest.
 
 The manifest's train and test subsets are taken once, where a split is
-loaded (``subset_sizes``, then ``load_data_source``): the loaders build only
-that prefix, and every stage uses the loaded split whole, as a view of the
-one array a process holds per split.
+loaded (``subset_sizes``, then ``load_split``): the loaders build only that
+prefix, and every stage uses the loaded split whole, as a view of the one
+read-only array a process caches per (source, split, prefix). The sweep
+and the re-attack commit each model through one writer, ``_save_attacks``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -250,13 +252,12 @@ class ExperimentManifest:
             F=self.attacks.de_F, CR=self.attacks.de_CR, seed=seed,
         )
 
-    def attack_settings(self, full_test_n: int) -> dict:
-        """The attack settings in effect, scaling applied, for a test split
-        of full_test_n images; image counts are upper bounds, since only
+    def attack_settings(self, test_n: int) -> dict:
+        """The attack settings in effect, scaling applied, for a test prefix
+        of test_n images; image counts are upper bounds, since only
         correctly classified images are attacked."""
         atk = self.attacks
         de = self.de_config(seed=0)
-        test_n = self.test_subset_n(full_test_n)
         return {
             "fgsm_eps": atk.fgsm_eps,
             "eps_grid": {"start": atk.search_start, "step": atk.search_step,
@@ -271,9 +272,11 @@ class ExperimentManifest:
         return replace(self.train, epochs=epochs, seed=seed)
 
     def subset_sizes(self, source: tuple) -> tuple[int, int]:
-        """The (train, test) prefix sizes this manifest uses of a data source."""
-        full_train, full_test = split_sizes(source)
-        return self.train_subset_n(full_train), self.test_subset_n(full_test)
+        """The (train, test) prefix sizes this manifest uses of a data source;
+        an IDX source's full sizes come from its headers alone."""
+        full = ([data_mod.mnist_split_size(source[1], split) for split in ("train", "test")]
+                if source[0] == "mnist" else source[1:3])
+        return self.train_subset_n(full[0]), self.test_subset_n(full[1])
 
 
 # --- dataset resolution ------------------------------------------------
@@ -295,33 +298,26 @@ def resolve_data_source(manifest: ExperimentManifest, data_dir) -> tuple:
             derive_seed(manifest.master_seed, "synthetic-data"))
 
 
-def split_sizes(source: tuple) -> tuple[int, int]:
-    """The full (train, test) image counts of a data source, without loading it."""
+@functools.lru_cache(maxsize=2)  # a stage reads at most two splits
+def load_split(source: tuple, split: str, count: int | None) -> Dataset:
+    """One split ("train" or "test") of a data source, or its first count
+    images, built once per process. Every task of the process reads the
+    same arrays, so they are read-only."""
     if source[0] == "mnist":
-        return (data_mod.mnist_split_size(source[1], "train"),
-                data_mod.mnist_split_size(source[1], "test"))
-    return source[1], source[2]
-
-
-def load_test_split(source: tuple, count: int | None = None) -> Dataset:
-    """The test split, or its first ``count`` images."""
-    if source[0] == "mnist":
-        return data_mod.load_mnist_split(source[1], "test", count=count)
-    _, _, test_n, seed = source
-    return data_mod.synthetic_dataset(test_n, seed + 1, "test", count=count)
+        ds = data_mod.load_mnist_split(source[1], split, count=count)
+    else:
+        _, train_n, test_n, seed = source
+        n, seed = (train_n, seed) if split == "train" else (test_n, seed + 1)
+        ds = data_mod.synthetic_dataset(n, seed, split, count=count)
+    ds.images.flags.writeable = ds.labels.flags.writeable = False
+    return ds
 
 
 def load_data_source(source: tuple, counts: tuple[int | None, int | None] = (None, None),
                      ) -> tuple[Dataset, Dataset]:
     """The (train, test) splits, each cut to its prefix of counts; a count
     of None keeps the whole split."""
-    train_count, test_count = counts
-    if source[0] == "mnist":
-        train_set = data_mod.load_mnist_split(source[1], "train", count=train_count)
-    else:
-        _, train_n, _, seed = source
-        train_set = data_mod.synthetic_dataset(train_n, seed, "train", count=train_count)
-    return train_set, load_test_split(source, test_count)
+    return load_split(source, "train", counts[0]), load_split(source, "test", counts[1])
 
 
 # --- graph dataset -------------------------------------------------------
@@ -347,21 +343,24 @@ def _timed(seconds: dict[str, float], stage: str):
 
 
 def build_graph_dataset(manifest: ExperimentManifest,
-                        store: ResultsStore | None = None) -> list[GraphEntry]:
+                        store: ResultsStore) -> list[GraphEntry]:
     """Grid-search WS generator parameters, keeping graphs whose induced
     network lands inside the parameter range, until the target count.
 
-    generation.json records the accepted and rejected candidates of every
-    combo tried (in numeric (size, nei, p) order, zeros included) and the
-    seconds spent in generate_ws and compute_metrics. The store then holds
-    this run's graphs only: those an earlier run left beyond them are
-    removed, and the gen-graphs provenance event lists their ids."""
+    The manifest is stored first, as the study's: models swept on the graphs
+    this run replaces leave the study. generation.json records the accepted
+    and rejected candidates of every combo tried (in numeric (size, nei, p)
+    order, zeros included) and the seconds spent in generate_ws and
+    compute_metrics. The store then holds this run's graphs only: those an
+    earlier run left beyond them are removed, and the gen-graphs provenance
+    event lists their ids."""
     combos = list(product(manifest.grid.size, manifest.grid.nei, manifest.grid.p))
     lo, hi = manifest.param_range
     accepted: list[GraphEntry] = []
     rejected = 0
     by_combo: dict[tuple, list[int]] = {}  # (size, nei, p) -> [accepted, rejected]
     seconds = {"generate_ws": 0.0, "compute_metrics": 0.0}
+    store.save_manifest(manifest.to_dict(), manifest.manifest_hash)
 
     for round_i in range(manifest.max_generation_rounds):
         for size, nei, p in combos:
@@ -388,8 +387,7 @@ def build_graph_dataset(manifest: ExperimentManifest,
                 param_count=n_params,
             )
             accepted.append(entry)
-            if store is not None:
-                store.save_graph_entry(entry)
+            store.save_graph_entry(entry)
         if len(accepted) >= manifest.target_graph_count:
             break
 
@@ -397,21 +395,20 @@ def build_graph_dataset(manifest: ExperimentManifest,
         log.warning("grid exhausted after %d rounds: accepted %d of %d graphs",
                     manifest.max_generation_rounds, len(accepted),
                     manifest.target_graph_count)
-    if store is not None:
-        removed = store.remove_graphs_except({e.graph_id for e in accepted})
-        store.save_generation_log({
-            "accepted": len(accepted),
-            "rejected": rejected,
-            "combos": [{"size": size, "nei": nei, "p": p,
-                        "accepted": n_acc, "rejected": n_rej}
-                       for (size, nei, p), (n_acc, n_rej) in sorted(by_combo.items())],
-            "seconds": seconds,
-            "target": manifest.target_graph_count,
-            "exhausted": len(accepted) < manifest.target_graph_count,
-        })
-        store.append_provenance("gen-graphs", manifest_hash=manifest.manifest_hash,
-                                accepted=len(accepted), rejected=rejected,
-                                removed=removed)
+    removed = store.remove_graphs_except({e.graph_id for e in accepted})
+    store.save_generation_log({
+        "accepted": len(accepted),
+        "rejected": rejected,
+        "combos": [{"size": size, "nei": nei, "p": p,
+                    "accepted": n_acc, "rejected": n_rej}
+                   for (size, nei, p), (n_acc, n_rej) in sorted(by_combo.items())],
+        "seconds": seconds,
+        "target": manifest.target_graph_count,
+        "exhausted": len(accepted) < manifest.target_graph_count,
+    })
+    store.append_provenance("gen-graphs", manifest_hash=manifest.manifest_hash,
+                            accepted=len(accepted), rejected=rejected,
+                            removed=removed)
     return accepted
 
 
@@ -419,26 +416,6 @@ def build_graph_dataset(manifest: ExperimentManifest,
 
 # the stages of a sweep task whose wall seconds done.json records
 SWEEP_STAGES = ("train", "evaluate", "fgsm", "fgsm_search", "one_pixel", "checkpoint")
-
-# the splits a process holds, cut to their prefixes, and (source, sizes)
-_WORKER_DATA: tuple[Dataset, Dataset] | None = None
-_WORKER_KEY: tuple | None = None
-
-
-def _worker_init(source: tuple, sizes: tuple[int, int]) -> None:
-    global _WORKER_DATA, _WORKER_KEY
-    _WORKER_DATA = load_data_source(source, sizes)
-    _WORKER_KEY = (source, sizes)
-    # every task of the process reads these arrays, so none may write them
-    for ds in _WORKER_DATA:
-        ds.images.setflags(write=False)
-        ds.labels.setflags(write=False)
-
-
-def _get_worker_data(source: tuple, sizes: tuple[int, int]) -> tuple[Dataset, Dataset]:
-    if _WORKER_DATA is None or _WORKER_KEY != (source, sizes):
-        _worker_init(source, sizes)
-    return _WORKER_DATA
 
 
 def run_attacks(net: MaskedNetwork, test_set: Dataset, predictions: np.ndarray,
@@ -479,24 +456,29 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset, predictions: np.ndarray,
     return outcomes
 
 
-def _save_attacks(store: ResultsStore, graph_id: str, init_method: str,
-                  outcomes: dict[str, list]) -> None:
-    """Write one model's per-kind attack CSVs and its robustness records."""
+def _save_attacks(store: ResultsStore, done: dict, outcomes: dict[str, list]) -> dict:
+    """Commit one model: its per-kind attack CSVs, its robustness records,
+    then done.json, last: done's fields (the pair, its manifest hash, seeds
+    and stage seconds) and the one-pixel attack's summed generations."""
+    graph_id, init_method = done["graph_id"], done["init_method"]
     for kind, outs in outcomes.items():
         store.save_attack_rows(graph_id, init_method, kind, ATTACK_CSV_HEADER,
                                [o.csv_row() for o in outs])
     store.save_robustness(graph_id, init_method,
                           [robustness_record(graph_id, init_method, kind, outs)
                            for kind, outs in outcomes.items() if outs])
+    done = {**done, "generations_used": sum(o.generations_used
+                                            for o in outcomes["one_pixel"])}
+    store.mark_pair_done(**done)
+    return done
 
 
 def _sweep_task(payload: dict) -> dict:
-    """Train, evaluate and attack one (graph, init) pair and write its files
-    but done.json; returns done.json's fields: the pair, its seeds, the wall
-    seconds of each of SWEEP_STAGES and the one-pixel attack's summed
-    generations."""
+    """Train, evaluate and attack one (graph, init) pair and commit it;
+    returns its done.json: the pair, its manifest hash and seeds, the wall
+    seconds of each of SWEEP_STAGES and the one-pixel summed generations."""
     manifest = payload["manifest"]
-    train_set, test_set = _get_worker_data(payload["data_source"],
+    train_set, test_set = load_data_source(payload["data_source"],
                                            payload["subset_sizes"])
     store = ResultsStore(payload["out_dir"])
     graph_id = payload["graph_id"]
@@ -527,21 +509,18 @@ def _sweep_task(payload: dict) -> dict:
                                "manifest_hash": manifest.manifest_hash})
     store.save_history(graph_id, init_method, history.rows())
     store.save_eval(graph_id, init_method, report.to_dict())
-    _save_attacks(store, graph_id, init_method, outcomes)
-    return {
-        "graph_id": graph_id,
-        "init_method": init_method,
-        "seeds": {"init": init_seed, "train": cfg.seed},
-        "seconds": seconds,
-        "generations_used": sum(o.generations_used for o in outcomes["one_pixel"]),
-    }
+    return _save_attacks(store, {"graph_id": graph_id, "init_method": init_method,
+                                 "manifest_hash": manifest.manifest_hash,
+                                 "seeds": {"init": init_seed, "train": cfg.seed},
+                                 "seconds": seconds}, outcomes)
 
 
 def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
               data_source: tuple, workers: int = 1,
               resume: bool = True) -> list[dict]:
     """Train and attack every (graph, init_method) pair, resumably; returns
-    the done.json fields of each pair this call completed."""
+    the done.json contents of each pair this call completed, each committed
+    by its own task."""
     entries = store.load_graph_entries()
     if not entries:
         raise ExperimentError("no graphs in store; run gen-graphs first")
@@ -573,25 +552,21 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
                                 init_method=payload["init_method"],
                                 error=str(exc))
 
-    def record_success(summary: dict) -> None:
-        store.mark_pair_done(manifest_hash=mhash, **summary)
-        summaries.append(summary)
-
     summaries: list[dict] = []
     if workers <= 1:
         for payload in pending:
             try:
-                record_success(_sweep_task(payload))
+                summaries.append(_sweep_task(payload))
             except Exception as exc:
                 record_failure(payload, exc)
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
+        with ProcessPoolExecutor(max_workers=workers, initializer=load_data_source,
                                  initargs=(data_source, sizes)) as pool:
             futures = [(payload, pool.submit(_sweep_task, payload))
                        for payload in pending]
             for payload, fut in futures:
                 try:
-                    record_success(fut.result())
+                    summaries.append(fut.result())
                 except Exception as exc:
                     record_failure(payload, exc)
     store.append_provenance("sweep", manifest_hash=mhash,
@@ -603,23 +578,27 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
 def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
                   data_source: tuple) -> int:
     """Re-run attacks against the study's checkpoints (models stay untouched)
-    and return their count. The study's pairs are the last sweep's, so the
-    given manifest may change the attack settings without retraining."""
-    full_test_n = split_sizes(data_source)[1]
-    test_set = load_test_split(data_source, manifest.test_subset_n(full_test_n))
-    count = 0
-    for graph_id, init_method in store.completed_pairs(
-            store.study_hash(manifest.manifest_hash)):
+    and return their count. The study is manifest.json's (study_hash), so the
+    given manifest may change the attack settings without retraining. Each
+    model's done.json keeps its hash, seeds and training seconds, and takes
+    this run's attack seconds and one-pixel generations."""
+    test_n = manifest.subset_sizes(data_source)[1]
+    test_set = load_split(data_source, "test", test_n)
+    done_records = store.done_records(store.study_hash(manifest.manifest_hash))
+    for done in done_records:
+        graph_id, init_method = done["graph_id"], done["init_method"]
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
         predictions = predict(net, test_set.images).argmax(axis=1)
+        # zeroed, as _timed adds to them and a model with no correct image times none
+        seconds = {**done.get("seconds", {}), "fgsm": 0.0, "fgsm_search": 0.0,
+                   "one_pixel": 0.0}
         outcomes = run_attacks(net, test_set, predictions, manifest,
-                               (graph_id, init_method))
-        _save_attacks(store, graph_id, init_method, outcomes)
-        count += 1
+                               (graph_id, init_method), seconds)
+        _save_attacks(store, {**done, "seconds": seconds}, outcomes)
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
-                            models=count, dataset=data_source[0],
-                            settings=manifest.attack_settings(full_test_n))
-    return count
+                            models=len(done_records), dataset=data_source[0],
+                            settings=manifest.attack_settings(test_n))
+    return len(done_records)
 
 
 # --- correlation ----------------------------------------------------------
@@ -771,7 +750,7 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
                          data_source: tuple) -> list[dict]:
     """Dense reference model pruned randomly for the configured number of
     steps, with retraining, attacks, and hidden-structure metrics per step."""
-    train_set, test_set = _get_worker_data(tuple(data_source),
+    train_set, test_set = load_data_source(data_source,
                                            manifest.subset_sizes(data_source))
     p = manifest.pruning
     ld = layer_dag(dense_stack_dag(p.hidden_layers))
@@ -842,16 +821,16 @@ def _property_confounds(properties: list[str], models: list[str],
 
 
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
-    """Human-readable summary: the manifest the models were trained under
-    (the one the last sweep stored, else the given one), the settings of an
-    `attack` run after the last sweep, the dataset the latest stage ran on,
-    counts (per generator combo, with gen-graphs' time), censored epsilon
-    searches, failed tasks not completed since, the spread of each
-    correlated property and the properties that rank the models alike, the
-    sweep's seconds per stage summed over models, and the two strongest
-    graph properties per robustness measure (computed as correlate does, but
-    only report.txt is written), or why they are withheld. All of it covers
-    the study's models (ResultsStore.study_hash); the models line counts the rest."""
+    """Human-readable summary of the study's models (ResultsStore.study_hash;
+    the models line counts the rest): the study's manifest (the last
+    gen-graphs' or sweep's, else the given one), the settings of an `attack`
+    run after the last sweep, the dataset the latest stage ran on, counts
+    (per generator combo, with gen-graphs' time), censored epsilon searches,
+    failed tasks not completed since, the spread of each correlated property
+    and the properties that rank the models alike, the stage seconds and
+    one-pixel generations their done.json files record, summed, and the two
+    strongest graph properties per robustness measure (computed as correlate
+    does, but only report.txt is written), or why they are withheld."""
     events = store.load_provenance()
     used = [e["dataset"] for e in events if "dataset" in e]
     stored = store.load_manifest()
@@ -897,7 +876,7 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     timed = [d for d in done if "seconds" in d]
     if timed:
         lines.append("  time: " + ", ".join(
-            f"{stage} {sum(d['seconds'][stage] for d in timed):.3f} s"
+            f"{stage} {sum(d['seconds'].get(stage, 0.0) for d in timed):.3f} s"
             for stage in SWEEP_STAGES)
             + f" over {len(timed)} models; one-pixel ran "
             f"{sum(d['generations_used'] for d in timed)} generations")

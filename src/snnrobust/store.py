@@ -9,15 +9,15 @@ Layout under the output directory:
   correlations.csv, correlations_long.csv, report.txt
   pruning/steps.csv, pruning/correlations.csv, pruning/correlations_long.csv
 
-done.json is written last for a (graph, init) pair. It holds the pair's
-manifest hash, seeds, wall seconds per stage and summed one-pixel
-generations. A pair belongs to the study when its done.json carries the
-study hash: manifest.json's, which the last sweep wrote, or before any
-sweep the given manifest's (study_hash). Resume, re-attack, correlate and
-the report read only the study's pairs; _completed_under is the one place
-that compares the hashes. Every file is written to a temporary name in its
-directory and renamed over the target, so a crash mid-write leaves the
-previous version intact.
+done.json is written last for a (graph, init) pair, by the sweep and again
+by a re-attack. It holds the pair's manifest hash, seeds, wall seconds per
+stage and summed one-pixel generations. A pair belongs to the study when its
+done.json carries the study hash: manifest.json's, which the last gen-graphs
+or sweep wrote, or before either the given manifest's (study_hash). Resume,
+re-attack, correlate and the report read only the study's pairs;
+_completed_under is the one place that compares the hashes. Every file is
+written to a temporary name in its directory and renamed over the target, so
+a crash mid-write leaves the previous version intact.
 
 ResultsStore is the only reader of every results file, as it is their only
 writer: the pipeline stages and the report ask it for typed records and
@@ -97,7 +97,8 @@ class ResultsStore:
                          {"manifest": manifest_dict, "manifest_hash": manifest_hash})
 
     def load_manifest(self) -> dict | None:
-        """The manifest document the last sweep saved; None before any sweep."""
+        """The manifest document the last gen-graphs or sweep saved; None
+        before either."""
         return self._read_json("manifest.json")
 
     def load_provenance(self) -> list[dict]:
@@ -163,7 +164,8 @@ class ResultsStore:
         return manifest_hash is None or done.get("manifest_hash") == manifest_hash
 
     def study_hash(self, manifest_hash: str) -> str:
-        """manifest.json's hash; before any sweep, manifest_hash."""
+        """manifest.json's hash, which the last gen-graphs or sweep wrote;
+        before either, manifest_hash."""
         return (self.load_manifest() or {}).get("manifest_hash", manifest_hash)
 
     def pair_done(self, graph_id: str, init_method: str, manifest_hash: str) -> bool:

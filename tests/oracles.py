@@ -22,15 +22,23 @@ one integer draw per rewired edge. It draws from the same distribution
 with another RNG stream, so it is the reference for that distribution and
 the source of the graphs that goldens of other layers (initialization,
 pruning, training, metrics) were recorded on.
+
+`write_idx_images`, `write_idx_labels` and `write_synthetic_idx` write IDX
+files byte by byte from the format's header layout, for the loader's tests
+and for tests that need an MNIST-shaped data directory.
 """
 
 from __future__ import annotations
 
+import gzip
+import struct
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
+from snnrobust.data import IMAGE_MAGIC, LABEL_MAGIC, MNIST_FILES, synthetic_dataset
 from snnrobust.graph import (GraphError, GraphMetrics, LayeredDag,
                              UndirectedGraph)
 from snnrobust.network import MaskedNetwork, cross_entropy, forward
@@ -376,3 +384,31 @@ def kendall_pair_count(xs, ys) -> float:
         elif s < 0:
             discordant += 1
     return (concordant - discordant) / (n * (n - 1) / 2)
+
+
+def write_idx_images(path, images_u8: np.ndarray) -> None:
+    """Write (n, rows, cols) uint8 images in IDX format (gzipped iff *.gz)."""
+    n, rows, cols = images_u8.shape
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as f:
+        f.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
+        f.write(images_u8.astype(np.uint8).tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wb") as f:
+        f.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
+        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+def write_synthetic_idx(data_dir, train_n: int, test_n: int, seed: int) -> None:
+    """Materialize the synthetic corpus as standard-named IDX files."""
+    data_dir = Path(data_dir)
+    data_dir.mkdir(parents=True, exist_ok=True)
+    for split, count, sub_seed in (("train", train_n, seed), ("test", test_n, seed + 1)):
+        ds = synthetic_dataset(count, sub_seed, split)
+        imgs = np.round(ds.images * 255).astype(np.uint8).reshape(count, 28, 28)
+        img_name, lbl_name = MNIST_FILES[split]
+        write_idx_images(data_dir / img_name, imgs)
+        write_idx_labels(data_dir / lbl_name, ds.labels)

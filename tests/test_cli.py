@@ -126,7 +126,7 @@ def test_report_shows_the_settings_of_a_later_attack(desk_manifest_path, tmp_pat
     attack = events[-1]
     assert attack["event"] == "attack"
     given = ExperimentManifest.from_file(desk_manifest_path)
-    swept = given.attack_settings(given.synthetic_test_n)
+    swept = given.attack_settings(given.test_subset_n(given.synthetic_test_n))
     assert attack["settings"]["images"]["fgsm_search"] > swept["images"]["fgsm_search"]
     lines = (out / "report.txt").read_text().splitlines()
     at = lines.index("note: the attack records were re-attacked after the last "

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from snnrobust.data import (DataFormatError, Dataset, batches, find_mnist,
-                            load_idx, synthetic_dataset, write_idx_images,
-                            write_idx_labels, write_synthetic_idx)
+                            load_idx, synthetic_dataset)
+
+from tests.oracles import write_idx_images, write_idx_labels, write_synthetic_idx
 
 
 def write_pair(tmp_path, images, labels, gz=False):

@@ -12,11 +12,11 @@ import pytest
 from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
                                   ExperimentError, ExperimentManifest,
                                   GridSpec, ScaleFactors,
-                                  _aggregate_column, build_graph_dataset,
-                                  candidate_param_count,
+                                  _aggregate_column, _sweep_task,
+                                  build_graph_dataset, candidate_param_count,
                                   correlate, dense_stack_dag, derive_seed,
                                   hidden_edge_count, load_data_source,
-                                  render_report, rerun_attacks,
+                                  load_split, render_report, rerun_attacks,
                                   resolve_data_source, run_pruning_baseline,
                                   run_sweep)
 from snnrobust.graph import generate_ws, layer_dag, to_dag
@@ -26,6 +26,7 @@ from snnrobust.network import (build_network, init_weights, param_count,
 from snnrobust.store import ResultsStore
 
 from tests.conftest import random_small_graph
+from tests.oracles import write_synthetic_idx
 
 
 def tiny_manifest(**overrides) -> ExperimentManifest:
@@ -162,10 +163,10 @@ class TestBuildGraphDataset:
         assert [(e["accepted"], e["removed"]) for e in store.load_provenance()] == [
             (4, []), (2, ["g0002", "g0003"])]
 
-    def test_full_scale_filter_bounds(self):
+    def test_full_scale_filter_bounds(self, tmp_path):
         m = ExperimentManifest(grid=GridSpec(size=[500], nei=[2], p=[0.9]),
                                target_graph_count=1)
-        entries = build_graph_dataset(m)
+        entries = build_graph_dataset(m, ResultsStore(tmp_path))
         assert len(entries) == 1
         assert 50_000 <= entries[0].param_count <= 91_000
 
@@ -234,6 +235,22 @@ class TestRunSweep:
                              f"{sum(s['generations_used'] for s in summaries)} generations")
         for stage in ("evaluate", "fgsm", "fgsm_search", "one_pixel", "checkpoint"):
             assert f", {stage} " in line
+
+    def test_a_task_commits_its_own_pair(self, tmp_path):
+        # called directly, with no sweep around it, the task writes the
+        # done.json it returns, manifest hash included
+        manifest = tiny_manifest(target_graph_count=1)
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        source = resolve_data_source(manifest, None)
+        done = _sweep_task({"graph_id": "g0000", "init_method": "He_N",
+                            "manifest": manifest, "data_source": source,
+                            "subset_sizes": manifest.subset_sizes(source),
+                            "out_dir": str(tmp_path)})
+        assert done["manifest_hash"] == manifest.manifest_hash
+        assert json.loads((store.model_dir("g0000", "He_N")
+                           / "done.json").read_text()) == done
+        assert store.completed_pairs(manifest.manifest_hash) == [("g0000", "He_N")]
 
     def test_attack_csv_schema(self, sweep_run):
         _, store, _ = sweep_run
@@ -381,6 +398,31 @@ def test_models_completed_under_another_manifest_are_left_out(tmp_path):
     before = stale.read_bytes()
     assert rerun_attacks(second, store, source) == 3
     assert stale.read_bytes() == before
+
+
+@pytest.fixture
+def three_models(tmp_path):
+    """A sweep of 3 graphs x 1 init into a fresh store."""
+    manifest = tiny_manifest(target_graph_count=3)
+    store = ResultsStore(tmp_path)
+    build_graph_dataset(manifest, store)
+    source = resolve_data_source(manifest, None)
+    run_sweep(manifest, store, source)
+    return manifest, store, source
+
+
+def test_regenerated_graphs_start_a_new_study(three_models):
+    # gen-graphs under a new master seed replaces the graphs the models were
+    # trained on, so none of those models belongs to the study any more
+    _, store, _ = three_models
+    regenerated = tiny_manifest(target_graph_count=3, master_seed=778)
+    build_graph_dataset(regenerated, store)
+    assert store.study_hash("given") == regenerated.manifest_hash
+    with pytest.raises(CorrelationWithheldError):
+        correlate(regenerated, store)
+    text = render_report(regenerated, store)
+    assert ("models: 0 graphs x 0 initializations, 3 left out "
+            "(completed under another manifest)\n") in text
 
 
 def test_report_shows_the_correlations_of_its_study(tmp_path):
@@ -567,9 +609,9 @@ class TestPruningBaseline:
         assert [r[0] for r in rows[1:]] == manifest.properties
 
     def test_reuses_the_sweep_data(self, tmp_path, monkeypatch):
-        # a sweep then a pruning baseline in one process build each split once
+        # a sweep, a pruning baseline and a re-attack in one process build
+        # each split once
         from snnrobust import data
-        from snnrobust import experiment as exp_mod
         splits = []
         real = data.synthetic_dataset
 
@@ -578,8 +620,7 @@ class TestPruningBaseline:
             return real(n, seed, split, **kwargs)
 
         monkeypatch.setattr(data, "synthetic_dataset", counting)
-        monkeypatch.setattr(exp_mod, "_WORKER_DATA", None)
-        monkeypatch.setattr(exp_mod, "_WORKER_KEY", None)
+        load_split.cache_clear()
         manifest = tiny_manifest(target_graph_count=1)
         manifest.pruning.hidden_layers = [4, 6, 4]
         manifest.pruning.steps = 1
@@ -589,6 +630,7 @@ class TestPruningBaseline:
         source = resolve_data_source(manifest, None)
         run_sweep(manifest, store, source, workers=1)
         run_pruning_baseline(manifest, store, source)
+        assert rerun_attacks(manifest, store, source) == 1
         assert sorted(splits) == ["test", "train"]
 
     def test_dense_stack_dag_layers(self):
@@ -622,8 +664,32 @@ class TestRerunAttacks:
             return real(n, seed, split, **kwargs)
 
         monkeypatch.setattr(data, "synthetic_dataset", counting)
+        load_split.cache_clear()
         assert rerun_attacks(manifest, store, resolve_data_source(manifest, None)) == 1
         assert splits == ["test"]
+
+    def test_reattack_rewrites_the_attack_time_and_generations(self, three_models):
+        # a larger DE budget: the report's time line describes the stored
+        # one-pixel rows, and each done.json keeps its training record
+        manifest, store, source = three_models
+        before = store.done_records(None)
+        manifest.scale.de_iter = 0.04
+        assert rerun_attacks(manifest, store, source) == 3
+        after = store.done_records(None)
+        kept = ("graph_id", "init_method", "manifest_hash", "seeds")
+        for old, new in zip(before, after):
+            assert [new[k] for k in kept] == [old[k] for k in kept]
+            for stage in ("train", "evaluate", "checkpoint"):
+                assert new["seconds"][stage] == old["seconds"][stage]
+            with open(store.model_dir(new["graph_id"], new["init_method"])
+                      / "one_pixel.csv") as f:
+                rows = list(csv.DictReader(f))
+            assert new["generations_used"] == sum(int(r["generations_used"]) for r in rows)
+        generations = sum(d["generations_used"] for d in after)
+        assert generations > sum(d["generations_used"] for d in before)
+        [line] = [line for line in render_report(manifest, store).splitlines()
+                  if line.startswith("  time: train ")]
+        assert line.endswith(f" over 3 models; one-pixel ran {generations} generations")
 
     def test_provenance_records_attack_settings(self, store_with_model):
         manifest, store = store_with_model
@@ -886,7 +952,6 @@ class TestDataResolution:
         assert "dataset: synthetic (manifest requests auto)" in text.splitlines()
 
     def test_auto_prefers_idx_files(self, tmp_path):
-        from snnrobust.data import write_synthetic_idx
         write_synthetic_idx(tmp_path, train_n=12, test_n=6, seed=0)
         manifest = tiny_manifest(dataset="auto")
         source = resolve_data_source(manifest, tmp_path)
@@ -895,7 +960,6 @@ class TestDataResolution:
         assert train.n == 12 and test.n == 6
 
     def test_idx_subset_sizes_from_headers(self, tmp_path):
-        from snnrobust.data import write_synthetic_idx
         write_synthetic_idx(tmp_path, train_n=12, test_n=6, seed=0)
         manifest = tiny_manifest(dataset="auto")
         manifest.scale.train_subset = 0.5
@@ -912,10 +976,8 @@ class TestSubsetsAtLoad:
     """The manifest's subsets are taken once, where a split is loaded."""
 
     @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        from snnrobust import experiment as exp_mod
-        monkeypatch.setattr(exp_mod, "_WORKER_DATA", None)
-        monkeypatch.setattr(exp_mod, "_WORKER_KEY", None)
+    def empty_cache(self):
+        load_split.cache_clear()
 
     def test_sweep_task_uses_views_of_the_cached_arrays(self, tmp_path, monkeypatch):
         from snnrobust import experiment as exp_mod
@@ -943,8 +1005,9 @@ class TestSubsetsAtLoad:
         manifest.scale.test_subset = 0.5
         store = ResultsStore(tmp_path)
         build_graph_dataset(manifest, store)
-        run_sweep(manifest, store, resolve_data_source(manifest, None))
-        cached_train, cached_test = exp_mod._WORKER_DATA
+        source = resolve_data_source(manifest, None)
+        run_sweep(manifest, store, source)
+        cached_train, cached_test = load_data_source(source, manifest.subset_sizes(source))
         assert (cached_train.n, cached_test.n) == (110, 45)
         assert seen["train"].shape[0] == 110
         assert np.shares_memory(seen["train"], cached_train.images)
@@ -952,19 +1015,19 @@ class TestSubsetsAtLoad:
         # FGSM takes its targets from the cached prefix, by their indices
         attacked, indices = seen["attacked"]
         assert np.array_equal(attacked, cached_test.images[indices])
-        assert not any(a.flags.writeable for ds in exp_mod._WORKER_DATA
+        assert not any(a.flags.writeable for ds in (cached_train, cached_test)
                        for a in (ds.images, ds.labels))
 
     def test_each_manifest_gets_its_own_prefix(self, tmp_path):
-        from snnrobust import experiment as exp_mod
         full_test = load_data_source(resolve_data_source(tiny_manifest(), None))[1]
         for i, (fraction, want) in enumerate(((1.0, 90), (0.5, 45), (1.0, 90))):
             manifest = tiny_manifest(target_graph_count=1)
             manifest.scale.test_subset = fraction
             store = ResultsStore(tmp_path / str(i))
             build_graph_dataset(manifest, store)
-            run_sweep(manifest, store, resolve_data_source(manifest, None))
-            test_set = exp_mod._WORKER_DATA[1]
+            source = resolve_data_source(manifest, None)
+            run_sweep(manifest, store, source)
+            test_set = load_data_source(source, manifest.subset_sizes(source))[1]
             assert test_set.n == want
             assert np.array_equal(test_set.images, full_test.images[:want])
             evaluated = json.loads((store.model_dir("g0000", "He_N")

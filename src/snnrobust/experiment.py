@@ -10,7 +10,8 @@ The manifest's train and test subsets are taken once, where a split is
 loaded (``subset_sizes``, then ``load_split``): the loaders build only that
 prefix, and every stage uses the loaded split whole, as a view of the one
 read-only array a process caches per (source, split, prefix). The sweep
-and the re-attack commit each model through one writer, ``_save_attacks``.
+and the re-attack commit each model through one writer, ``_save_attacks``,
+whose done.json names the data kind and attack settings that scored it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import hashlib
 import json
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -458,8 +460,8 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset, predictions: np.ndarray,
 
 def _save_attacks(store: ResultsStore, done: dict, outcomes: dict[str, list]) -> dict:
     """Commit one model: its per-kind attack CSVs, its robustness records,
-    then done.json, last: done's fields (the pair, its manifest hash, seeds
-    and stage seconds) and the one-pixel attack's summed generations."""
+    then done.json, last: done's fields (the pair, manifest hash, seeds, stage
+    seconds, data kind, attack settings) and the one-pixel summed generations."""
     graph_id, init_method = done["graph_id"], done["init_method"]
     for kind, outs in outcomes.items():
         store.save_attack_rows(graph_id, init_method, kind, ATTACK_CSV_HEADER,
@@ -473,16 +475,15 @@ def _save_attacks(store: ResultsStore, done: dict, outcomes: dict[str, list]) ->
     return done
 
 
-def _sweep_task(payload: dict) -> dict:
+def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
+                graph_id: str, init_method: str) -> dict:
     """Train, evaluate and attack one (graph, init) pair and commit it;
     returns its done.json: the pair, its manifest hash and seeds, the wall
-    seconds of each of SWEEP_STAGES and the one-pixel summed generations."""
-    manifest = payload["manifest"]
-    train_set, test_set = load_data_source(payload["data_source"],
-                                           payload["subset_sizes"])
-    store = ResultsStore(payload["out_dir"])
-    graph_id = payload["graph_id"]
-    init_method = payload["init_method"]
+    seconds of each of SWEEP_STAGES, the one-pixel summed generations, and
+    the data kind (`dataset`) and attack settings (`attacks`) that scored it.
+    A worker's first task fills load_split's cache for the rest."""
+    train_set, test_set = load_data_source(data_source, manifest.subset_sizes(data_source))
+    store = ResultsStore(out_dir)
 
     entry = store.load_graph_entry(graph_id)
     ld = layer_dag(to_dag(entry.graph))
@@ -512,7 +513,9 @@ def _sweep_task(payload: dict) -> dict:
     return _save_attacks(store, {"graph_id": graph_id, "init_method": init_method,
                                  "manifest_hash": manifest.manifest_hash,
                                  "seeds": {"init": init_seed, "train": cfg.seed},
-                                 "seconds": seconds}, outcomes)
+                                 "seconds": seconds, "dataset": data_source[0],
+                                 "attacks": manifest.attack_settings(test_set.n)},
+                         outcomes)
 
 
 def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
@@ -526,49 +529,25 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
         raise ExperimentError("no graphs in store; run gen-graphs first")
     mhash = manifest.manifest_hash
     store.save_manifest(manifest.to_dict(), mhash)
-    sizes = manifest.subset_sizes(data_source)
 
-    pending = []
-    for entry in entries:
-        for init_method in manifest.init_methods:
-            if resume and store.pair_done(entry.graph_id, init_method, mhash):
-                continue
-            pending.append({
-                "graph_id": entry.graph_id,
-                "init_method": init_method,
-                "manifest": manifest,
-                "data_source": data_source,
-                "subset_sizes": sizes,
-                "out_dir": str(store.root),
-            })
+    pending = [(entry.graph_id, init_method) for entry in entries
+               for init_method in manifest.init_methods
+               if not (resume and store.pair_done(entry.graph_id, init_method, mhash))]
     log.info("sweep: %d pairs pending (%d graphs x %d inits, resume=%s)",
              len(pending), len(entries), len(manifest.init_methods), resume)
-
-    def record_failure(payload: dict, exc: Exception) -> None:
-        # task failures are recorded and the sweep continues
-        log.error("task %s/%s failed: %s", payload["graph_id"],
-                  payload["init_method"], exc)
-        store.append_provenance("task-failed", graph_id=payload["graph_id"],
-                                init_method=payload["init_method"],
-                                error=str(exc))
-
+    task = functools.partial(_sweep_task, manifest, data_source, str(store.root))
     summaries: list[dict] = []
-    if workers <= 1:
-        for payload in pending:
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        # each pair's result, in order: a pooled future's, or the task run here
+        results = [(pair, pool.submit(task, *pair).result if pool
+                    else functools.partial(task, *pair)) for pair in pending]
+        for pair, result in results:
             try:
-                summaries.append(_sweep_task(payload))
-            except Exception as exc:
-                record_failure(payload, exc)
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=load_data_source,
-                                 initargs=(data_source, sizes)) as pool:
-            futures = [(payload, pool.submit(_sweep_task, payload))
-                       for payload in pending]
-            for payload, fut in futures:
-                try:
-                    summaries.append(fut.result())
-                except Exception as exc:
-                    record_failure(payload, exc)
+                summaries.append(result())
+            except Exception as exc:  # recorded, and the sweep continues
+                log.error("task %s/%s failed: %s", *pair, exc)
+                store.append_provenance("task-failed", graph_id=pair[0],
+                                        init_method=pair[1], error=str(exc))
     store.append_provenance("sweep", manifest_hash=mhash,
                             completed=len(summaries), mode=manifest.mode,
                             dataset=data_source[0])
@@ -580,11 +559,18 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
     """Re-run attacks against the study's checkpoints (models stay untouched)
     and return their count. The study is manifest.json's (study_hash), so the
     given manifest may change the attack settings without retraining. Each
-    model's done.json keeps its hash, seeds and training seconds, and takes
-    this run's attack seconds and one-pixel generations."""
+    model's done.json keeps its hash, seeds, training seconds and data kind,
+    and takes this run's attack seconds, generations and settings. Refuses,
+    before any load or write, a data kind other than the study's done.json
+    files name (one that names none passes)."""
+    done_records = store.done_records(store.study_hash(manifest.manifest_hash))
+    kinds = {d["dataset"] for d in done_records if "dataset" in d}
+    if kinds - {data_source[0]}:
+        raise ExperimentError(f"the study was scored on {', '.join(sorted(kinds))} "
+                              f"data; refusing to re-attack it on {data_source[0]}")
     test_n = manifest.subset_sizes(data_source)[1]
     test_set = load_split(data_source, "test", test_n)
-    done_records = store.done_records(store.study_hash(manifest.manifest_hash))
+    settings = manifest.attack_settings(test_n)
     for done in done_records:
         graph_id, init_method = done["graph_id"], done["init_method"]
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
@@ -594,10 +580,10 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
                    "one_pixel": 0.0}
         outcomes = run_attacks(net, test_set, predictions, manifest,
                                (graph_id, init_method), seconds)
-        _save_attacks(store, {**done, "seconds": seconds}, outcomes)
+        _save_attacks(store, {**done, "seconds": seconds, "attacks": settings}, outcomes)
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
                             models=len(done_records), dataset=data_source[0],
-                            settings=manifest.attack_settings(test_n))
+                            settings=settings)
     return len(done_records)
 
 
@@ -823,19 +809,22 @@ def _property_confounds(properties: list[str], models: list[str],
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     """Human-readable summary of the study's models (ResultsStore.study_hash;
     the models line counts the rest): the study's manifest (the last
-    gen-graphs' or sweep's, else the given one), the settings of an `attack`
-    run after the last sweep, the dataset the latest stage ran on, counts
-    (per generator combo, with gen-graphs' time), censored epsilon searches,
-    failed tasks not completed since, the spread of each correlated property
-    and the properties that rank the models alike, the stage seconds and
-    one-pixel generations their done.json files record, summed, and the two
-    strongest graph properties per robustness measure (computed as correlate
-    does, but only report.txt is written), or why they are withheld."""
-    events = store.load_provenance()
-    used = [e["dataset"] for e in events if "dataset" in e]
+    gen-graphs' or sweep's, else the given one), the data kinds and each
+    distinct attack setting the models' done.json files name, counts (per
+    generator combo, with gen-graphs' time), censored epsilon searches,
+    failed tasks not completed since (the one thing read from
+    provenance.json), the spread of each correlated property and the
+    properties that rank the models alike, the stage seconds and one-pixel
+    generations their done.json files record, summed, and the two strongest
+    graph properties per robustness measure (computed as correlate does,
+    but only report.txt is written), or why they are withheld."""
     stored = store.load_manifest()
     run = ExperimentManifest.from_dict(stored["manifest"]) if stored else manifest
     run_hash = store.study_hash(manifest.manifest_hash)
+    done = store.done_records(run_hash)
+    kinds = sorted({d["dataset"] for d in done if "dataset" in d})
+    settings = Counter(json.dumps(d["attacks"], sort_keys=True)
+                       for d in done if "attacks" in d)
     lines = ["Sparse network robustness study", "=" * 34,
              f"manifest_hash: {run_hash}"]
     if run_hash != manifest.manifest_hash:
@@ -843,17 +832,12 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
                      "from the one the models were trained under")
     lines += [
         f"mode: {run.mode} (scale factors {asdict(run.scale)})",
-        f"dataset: {used[-1] if used else 'none recorded'} "
+        f"dataset: {', '.join(kinds) or 'none recorded'} "
         f"(manifest requests {run.dataset})",
         "note: parameter counts include biases",
     ]
-    last_sweep = max((i for i, e in enumerate(events) if e["event"] == "sweep"),
-                     default=-1)
-    attacks = [e for e in events[last_sweep + 1:] if e["event"] == "attack"]
-    if attacks:
-        lines += [f"note: the attack records were re-attacked after the last sweep, "
-                  f"under manifest {attacks[-1]['manifest_hash']} with settings:",
-                  f"  {json.dumps(attacks[-1]['settings'], sort_keys=True)}"]
+    lines += [f"attack settings of {n} models: {text}"
+              for text, n in sorted(settings.items())]
     lines.append("")
     gen = store.load_generation_log()
     if gen is not None:
@@ -868,7 +852,6 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     records = store.load_robustness(run_hash)
     models = sorted({r.model_id for r in records})
     inits = sorted({r.init_method for r in records})
-    done = store.done_records(run_hash)
     left_out = store.left_out(run_hash)
     lines.append(f"models: {len(models)} graphs x {len(inits)} initializations"
                  + (f", {left_out} left out (completed under another manifest)"
@@ -884,7 +867,7 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     lines.append(f"epsilon search: {sum(r.n_censored for r in searched)} of "
                  f"{sum(r.n_attacked for r in searched)} searched images censored "
                  "(no flip within the cap)")
-    failed = [e for e in events if e["event"] == "task-failed"
+    failed = [e for e in store.load_provenance() if e["event"] == "task-failed"
               and not store.pair_done(e["graph_id"], e["init_method"], run_hash)]
     lines.append(f"failed tasks: {len(failed)}")
     for e in failed:

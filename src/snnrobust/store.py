@@ -11,13 +11,18 @@ Layout under the output directory:
 
 done.json is written last for a (graph, init) pair, by the sweep and again
 by a re-attack. It holds the pair's manifest hash, seeds, wall seconds per
-stage and summed one-pixel generations. A pair belongs to the study when its
-done.json carries the study hash: manifest.json's, which the last gen-graphs
-or sweep wrote, or before either the given manifest's (study_hash). Resume,
-re-attack, correlate and the report read only the study's pairs;
-_completed_under is the one place that compares the hashes. Every file is
-written to a temporary name in its directory and renamed over the target, so
-a crash mid-write leaves the previous version intact.
+stage, summed one-pixel generations, and the data kind (`dataset`) and
+attack settings (`attacks`) that scored it: the one record of both that the
+report and the re-attack read. A crash inside one model's re-attack, after
+its robustness.json write and before its done.json write, leaves `attacks`
+naming the earlier settings until the next re-attack; robustness.json is not
+stamped instead, as its bytes are fingerprinted. A pair belongs to the study
+when its done.json carries the study hash: manifest.json's, which the last
+gen-graphs or sweep wrote, or before either the given manifest's
+(study_hash). Resume, re-attack, correlate and the report read only the
+study's pairs; _completed_under is the one place that compares the hashes.
+Every file is written to a temporary name in its directory and renamed over
+the target, so a crash mid-write leaves the previous version intact.
 
 ResultsStore is the only reader of every results file, as it is their only
 writer: the pipeline stages and the report ask it for typed records and

@@ -128,7 +128,9 @@ def test_report_shows_the_settings_of_a_later_attack(desk_manifest_path, tmp_pat
     given = ExperimentManifest.from_file(desk_manifest_path)
     swept = given.attack_settings(given.test_subset_n(given.synthetic_test_n))
     assert attack["settings"]["images"]["fgsm_search"] > swept["images"]["fgsm_search"]
-    lines = (out / "report.txt").read_text().splitlines()
-    at = lines.index("note: the attack records were re-attacked after the last "
-                     f"sweep, under manifest {attack['manifest_hash']} with settings:")
-    assert json.loads(lines[at + 1]) == attack["settings"]
+    # every model now carries the re-attack's settings, as the report says
+    prefix = "attack settings of 3 models: "
+    [line] = [line for line in (out / "report.txt").read_text().splitlines()
+              if line.startswith("attack settings of ")]
+    assert line.startswith(prefix)
+    assert json.loads(line[len(prefix):]) == attack["settings"]

@@ -243,10 +243,7 @@ class TestRunSweep:
         store = ResultsStore(tmp_path)
         build_graph_dataset(manifest, store)
         source = resolve_data_source(manifest, None)
-        done = _sweep_task({"graph_id": "g0000", "init_method": "He_N",
-                            "manifest": manifest, "data_source": source,
-                            "subset_sizes": manifest.subset_sizes(source),
-                            "out_dir": str(tmp_path)})
+        done = _sweep_task(manifest, source, str(tmp_path), "g0000", "He_N")
         assert done["manifest_hash"] == manifest.manifest_hash
         assert json.loads((store.model_dir("g0000", "He_N")
                            / "done.json").read_text()) == done
@@ -313,10 +310,10 @@ class TestCorrelate:
         build_graph_dataset(manifest, store)
         real_task = exp_mod._sweep_task
 
-        def flaky(payload):
-            if payload["graph_id"] == "g0000":
+        def flaky(manifest, data_source, out_dir, graph_id, init_method):
+            if graph_id == "g0000":
                 raise RuntimeError("injected task failure")
-            return real_task(payload)
+            return real_task(manifest, data_source, out_dir, graph_id, init_method)
 
         monkeypatch.setattr(exp_mod, "_sweep_task", flaky)
         summaries = run_sweep(manifest, store,
@@ -707,6 +704,53 @@ class TestRerunAttacks:
         }
 
 
+    def test_a_resumed_sweep_keeps_the_reattack_settings_in_the_report(
+            self, three_models):
+        # a re-attack under a larger DE budget, then a resume with nothing
+        # pending: the stored records are still the re-attack's, and the
+        # report names their settings
+        manifest, store, source = three_models
+        attacker = tiny_manifest(target_graph_count=3)
+        attacker.attacks.de_max_iter = 5000
+        assert rerun_attacks(attacker, store, source) == 3
+        assert run_sweep(manifest, store, source) == []
+        settings = json.dumps(attacker.attack_settings(90), sort_keys=True)
+        lines = render_report(manifest, store).splitlines()
+        assert [line for line in lines if line.startswith("attack settings of ")] == [
+            f"attack settings of 3 models: {settings}"]
+
+    @pytest.fixture
+    def idx_study(self, tmp_path):
+        """A sweep of 2 models on IDX files, then a pruning baseline on the
+        synthetic fallback into the same store."""
+        write_synthetic_idx(tmp_path / "idx", train_n=220, test_n=90, seed=0)
+        manifest = tiny_manifest(dataset="auto")
+        manifest.pruning.hidden_layers = [4, 6, 4]
+        manifest.pruning.steps = 1
+        manifest.pruning.retrain_epochs = 1
+        store = ResultsStore(tmp_path / "out")
+        build_graph_dataset(manifest, store)
+        run_sweep(manifest, store, resolve_data_source(manifest, tmp_path / "idx"))
+        fallback = resolve_data_source(manifest, None)
+        assert fallback[0] == "synthetic"
+        run_pruning_baseline(manifest, store, fallback)
+        return manifest, store, fallback
+
+    def test_the_dataset_line_names_the_data_that_scored_the_models(self, idx_study):
+        manifest, store, _ = idx_study
+        assert ("dataset: mnist (manifest requests auto)"
+                in render_report(manifest, store).splitlines())
+
+    def test_refuses_to_reattack_on_other_data(self, idx_study):
+        manifest, store, fallback = idx_study
+        files = sorted(store.root.glob("models/*/robustness.json"))
+        before = [f.read_bytes() for f in files]
+        assert len(files) == 2
+        with pytest.raises(ExperimentError, match="scored on mnist data"):
+            rerun_attacks(manifest, store, fallback)
+        assert [f.read_bytes() for f in files] == before
+
+
 class TestOneCleanPass:
     """Each model's clean test prefix runs through predict once: the
     predictions that score it also pick the images the attacks target."""
@@ -819,17 +863,15 @@ class TestGoldenFingerprint:
 
 
 class TestCrashAtAnyPoint:
-    """A one-task sweep that fails at any one of its file writes, then
-    resumes, leaves the outputs of an uninterrupted run."""
+    """A one-task sweep, or a re-attack of its model, that fails at any one
+    of its file writes and then runs again leaves the outputs of an
+    uninterrupted run."""
 
-    def sweep(self, root, fail_at: int | None, monkeypatch) -> int:
-        """Sweep one (graph, init) pair into root, the graph generated
-        first; atomic_open raises after writing the body of its fail_at-th
-        call of the sweep, before the rename. Returns the sweep's call count."""
+    @staticmethod
+    def crashing(stage, fail_at: int | None, monkeypatch) -> int:
+        """Run stage() with atomic_open raising after writing the body of its
+        fail_at-th call, before the rename; returns the call count."""
         from snnrobust import network, store as store_mod
-        manifest = tiny_manifest(target_graph_count=1)
-        store = ResultsStore(root)
-        build_graph_dataset(manifest, store)
         real = store_mod.atomic_open
         calls = 0
 
@@ -846,9 +888,21 @@ class TestCrashAtAnyPoint:
             for module in (store_mod, network):
                 mp.setattr(module, "atomic_open", crashing)
             try:
-                run_sweep(manifest, store, resolve_data_source(manifest, None))
+                stage()
             except OSError:
                 pass
+        return calls
+
+    def sweep(self, root, fail_at: int | None, monkeypatch) -> int:
+        """Sweep one (graph, init) pair into root, the graph generated
+        first, crashing at the sweep's fail_at-th write; returns the sweep's
+        write count."""
+        manifest = tiny_manifest(target_graph_count=1)
+        store = ResultsStore(root)
+        build_graph_dataset(manifest, store)
+        calls = self.crashing(
+            lambda: run_sweep(manifest, store, resolve_data_source(manifest, None)),
+            fail_at, monkeypatch)
         assert not list(root.rglob("*.tmp"))
         return calls
 
@@ -864,6 +918,39 @@ class TestCrashAtAnyPoint:
             assert self.sweep(root, k, monkeypatch) >= k  # the crash happened
             run_sweep(manifest, ResultsStore(root), resolve_data_source(manifest, None))
             assert TestGoldenFingerprint.fingerprint(root) == want, f"crash at write {k}"
+
+    def test_reattack_again_after_a_crash_at_every_write(self, tmp_path, monkeypatch):
+        # a re-attack under a larger DE budget crashes; the next one leaves
+        # the records and done.json (but for its timings) of one that did not
+        attacker = tiny_manifest(target_graph_count=1)
+        attacker.scale.de_iter = 0.04
+        source = resolve_data_source(attacker, None)
+
+        def reattack(root, fail_at: int | None) -> int:
+            self.sweep(root, None, monkeypatch)
+            store = ResultsStore(root)
+            calls = self.crashing(lambda: rerun_attacks(attacker, store, source),
+                                  fail_at, monkeypatch)
+            assert not list(root.rglob("*.tmp"))
+            return calls
+
+        def outputs(root):
+            [done] = ResultsStore(root).done_records(None)
+            del done["seconds"]
+            model = root / "models" / "g0000__He_N"
+            return (TestGoldenFingerprint.fingerprint(root), done,
+                    [(model / f"{kind}.csv").read_bytes()
+                     for kind in ("fgsm", "fgsm_search", "one_pixel")])
+
+        # three attack CSVs, robustness.json, done.json, the provenance event
+        assert reattack(tmp_path / "clean", None) == 6
+        want = outputs(tmp_path / "clean")
+        assert want[1]["attacks"] == attacker.attack_settings(90)
+        for k in range(1, 7):
+            root = tmp_path / f"crash{k}"
+            assert reattack(root, k) >= k  # the crash happened
+            assert rerun_attacks(attacker, ResultsStore(root), source) == 1
+            assert outputs(root) == want, f"crash at write {k}"
 
 
 def test_desk_pipeline_report_text(tmp_path):
@@ -889,6 +976,9 @@ def test_desk_pipeline_report_text(tmp_path):
         "'one_pixel': 0.03, 'de_pop': 0.016, 'de_iter': 0.004})",
         "dataset: synthetic (manifest requests synthetic)",
         "note: parameter counts include biases",
+        'attack settings of 6 models: {"de": {"CR": 0.9, "F": 0.5, "max_iter": 2, '
+        '"pop_size": 8}, "eps_grid": {"cap": 1.0, "start": 0.001, "step": 0.01}, '
+        '"fgsm_eps": 0.1, "images": {"fgsm": 90, "fgsm_search": 4, "one_pixel": 3}}',
         "",
         "graphs: 3 accepted, 0 rejected by the parameter filter",
         "  size=250,nei=2,p=0.5: 2 accepted, 0 rejected",

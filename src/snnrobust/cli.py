@@ -11,7 +11,7 @@ import argparse
 import logging
 import sys
 
-from .experiment import (CorrelationWithheldError, ExperimentManifest,
+from .experiment import (ExperimentError, ExperimentManifest,
                          ScaleFactors, build_graph_dataset, correlate,
                          render_report, rerun_attacks, resolve_data_source,
                          run_pruning_baseline, run_sweep)
@@ -28,13 +28,6 @@ def _add_common(p: argparse.ArgumentParser, data: bool = False) -> None:
                        help="directory holding the MNIST IDX files")
         p.add_argument("--scale", type=float, default=None,
                        help="multiply every manifest scale factor by this")
-
-
-def _load_manifest(args) -> ExperimentManifest:
-    manifest = ExperimentManifest.from_file(args.manifest)
-    if getattr(args, "scale", None) is not None:
-        manifest.scale = manifest.scale.scaled_by(args.scale)
-    return manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,62 +78,51 @@ def desk_manifest() -> ExperimentManifest:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an ExperimentError is logged as one line and
+    exits 1."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
+    try:
+        _dispatch(args)
+    except ExperimentError as exc:
+        log.error("%s failed: %s", args.command, exc)
+        return 1
+    return 0
 
+
+def _dispatch(args) -> None:
     if args.command == "init-manifest":
         manifest = desk_manifest() if args.desk else ExperimentManifest()
         manifest.save(args.out)
         log.info("wrote %s manifest to %s",
                  "desk-scale" if args.desk else "full-scale", args.out)
-        return 0
+        return
 
-    manifest = _load_manifest(args)
+    manifest = ExperimentManifest.from_file(args.manifest)
+    if getattr(args, "scale", None) is not None:
+        manifest.scale = manifest.scale.scaled_by(args.scale)
     store = ResultsStore(args.out_dir)
-
+    # the subcommands that train or attack take a --data-dir
+    source = resolve_data_source(manifest, args.data_dir) if "data_dir" in args else None
     if args.command == "gen-graphs":
-        entries = build_graph_dataset(manifest, store)
-        log.info("accepted %d graphs", len(entries))
-        return 0
-
-    if args.command == "sweep":
-        source = resolve_data_source(manifest, args.data_dir)
+        log.info("accepted %d graphs", len(build_graph_dataset(manifest, store)))
+    elif args.command == "sweep":
         summaries = run_sweep(manifest, store, source,
                               workers=args.workers, resume=args.resume)
         log.info("sweep finished: %d models", len(summaries))
-        return 0
-
-    if args.command == "attack":
-        source = resolve_data_source(manifest, args.data_dir)
-        n = rerun_attacks(manifest, store, source)
-        log.info("re-attacked %d models", n)
-        return 0
-
-    if args.command == "correlate":
-        try:
-            table = correlate(manifest, store)
-        except CorrelationWithheldError as exc:
-            log.error("correlation withheld: %s", exc)
-            return 1
-        defined = sum(1 for c in table.cells if c.defined)
+    elif args.command == "attack":
+        log.info("re-attacked %d models", rerun_attacks(manifest, store, source))
+    elif args.command == "correlate":
+        table = correlate(manifest, store)
         log.info("correlations written (%d/%d cells defined)",
-                 defined, len(table.cells))
-        return 0
-
-    if args.command == "prune-baseline":
-        source = resolve_data_source(manifest, args.data_dir)
+                 sum(c.defined for c in table.cells), len(table.cells))
+    elif args.command == "prune-baseline":
         steps = run_pruning_baseline(manifest, store, source)
         log.info("pruning baseline finished: %d step records", len(steps))
-        return 0
-
-    if args.command == "report":
-        text = render_report(manifest, store)
-        sys.stdout.write(text)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+    else:  # report
+        sys.stdout.write(render_report(manifest, store))
 
 
 if __name__ == "__main__":

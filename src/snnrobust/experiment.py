@@ -11,7 +11,8 @@ loaded (``subset_sizes``, then ``load_split``): the loaders build only that
 prefix, and every stage uses the loaded split whole, as a view of the one
 read-only array a process caches per (source, split, prefix). The sweep
 and the re-attack commit each model through one writer, ``_save_attacks``,
-whose done.json names the data kind and attack settings that scored it.
+whose done.json names the data kind and attack plan that scored it: the
+``attack_settings`` dict, all that ``run_attacks`` reads of the manifest.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class ExperimentError(RuntimeError):
 
 
 class CorrelationWithheldError(ExperimentError):
-    """Too few surviving models to report correlations."""
+    """Too few models, or models scored under mixed plans, to correlate."""
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -241,12 +242,6 @@ class ExperimentManifest:
     def test_subset_n(self, full_n: int) -> int:
         return max(1, min(full_n, round(full_n * self.scale.test_subset)))
 
-    def search_subset_n(self, test_n: int) -> int:
-        return max(1, round(test_n * self.scale.search_subset))
-
-    def one_pixel_n(self) -> int:
-        return max(1, round(self.attacks.one_pixel_images * self.scale.one_pixel))
-
     def de_config(self, seed: int) -> DEConfig:
         return DEConfig(
             pop_size=max(4, round(self.attacks.de_pop_size * self.scale.de_pop)),
@@ -255,10 +250,11 @@ class ExperimentManifest:
         )
 
     def attack_settings(self, test_n: int) -> dict:
-        """The attack settings in effect, scaling applied, for a test prefix
-        of test_n images; image counts are upper bounds, since only
-        correctly classified images are attacked."""
-        atk = self.attacks
+        """The attack plan, scaling applied, for a test prefix of test_n
+        images: what run_attacks runs and done.json records. Image counts
+        are upper bounds, since only correctly classified images are
+        attacked."""
+        atk, scale = self.attacks, self.scale
         de = self.de_config(seed=0)
         return {
             "fgsm_eps": atk.fgsm_eps,
@@ -266,8 +262,9 @@ class ExperimentManifest:
                          "cap": atk.search_cap},
             "de": {"pop_size": de.pop_size, "max_iter": de.max_iter,
                    "F": de.F, "CR": de.CR},
-            "images": {"fgsm": test_n, "fgsm_search": self.search_subset_n(test_n),
-                       "one_pixel": self.one_pixel_n()},
+            "images": {"fgsm": test_n,
+                       "fgsm_search": max(1, round(test_n * scale.search_subset)),
+                       "one_pixel": max(1, round(atk.one_pixel_images * scale.one_pixel))},
         }
 
     def train_config(self, epochs: int, seed: int) -> TrainConfig:
@@ -421,37 +418,38 @@ SWEEP_STAGES = ("train", "evaluate", "fgsm", "fgsm_search", "one_pixel", "checkp
 
 
 def run_attacks(net: MaskedNetwork, test_set: Dataset, predictions: np.ndarray,
-                manifest: ExperimentManifest, seed_path: tuple,
+                settings: dict, seed_path: tuple,
                 seconds: dict[str, float] | None = None) -> dict[str, list]:
-    """Run the three attacks against one trained model; returns each kind's
-    outcomes.
+    """Run the three attacks of one plan (ExperimentManifest.attack_settings)
+    against one trained model; returns each kind's outcomes.
 
-    test_set is the manifest's test prefix, taken whole, and predictions the
+    test_set is the plan's test prefix, taken whole, and predictions the
     model's class for each of its images (EvalReport.predictions). FGSM
     targets every correctly classified image; epsilon search and the
-    one-pixel attack the first ones in dataset order. `seconds`, when given,
-    accumulates each attack's wall seconds under its kind.
+    one-pixel attack the first ones in dataset order, up to the plan's
+    image counts. Each one-pixel seed derives from seed_path, which starts
+    with the master seed. `seconds`, when given, accumulates each attack's
+    wall seconds under its kind.
     """
     seconds = {} if seconds is None else seconds
-    atk = manifest.attacks
+    images = settings["images"]
     correct = np.flatnonzero(predictions == test_set.labels)
 
     outcomes: dict[str, list] = {"fgsm": [], "fgsm_search": [], "one_pixel": []}
     if correct.size:
         with _timed(seconds, "fgsm"):
             outcomes["fgsm"] = fgsm_many(net, test_set.images[correct],
-                                         test_set.labels[correct], atk.fgsm_eps,
-                                         indices=correct)
+                                         test_set.labels[correct],
+                                         settings["fgsm_eps"], indices=correct)
         with _timed(seconds, "fgsm_search"):
-            for i in correct[:manifest.search_subset_n(test_set.n)]:
+            for i in correct[:images["fgsm_search"]]:
                 outcomes["fgsm_search"].append(fgsm_eps_search(
                     net, test_set.images[i], int(test_set.labels[i]),
-                    start=atk.search_start, step=atk.search_step,
-                    cap=atk.search_cap, index=int(i)))
+                    **settings["eps_grid"], index=int(i)))
         with _timed(seconds, "one_pixel"):
-            for i in correct[:manifest.one_pixel_n()]:
-                cfg = manifest.de_config(
-                    derive_seed(manifest.master_seed, *seed_path, "one_pixel", int(i)))
+            for i in correct[:images["one_pixel"]]:
+                cfg = DEConfig(**settings["de"],
+                               seed=derive_seed(*seed_path, "one_pixel", int(i)))
                 outcomes["one_pixel"].append(one_pixel(
                     net, test_set.images[i], int(test_set.labels[i]), cfg,
                     index=int(i), keep_image=False))
@@ -500,8 +498,9 @@ def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
         history = train(net, train_set, cfg)
     with _timed(seconds, "evaluate"):
         report = evaluate_f1(net, test_set)
-    outcomes = run_attacks(net, test_set, report.predictions, manifest,
-                           (graph_id, init_method), seconds)
+    settings = manifest.attack_settings(test_set.n)
+    outcomes = run_attacks(net, test_set, report.predictions, settings,
+                           (manifest.master_seed, graph_id, init_method), seconds)
 
     with _timed(seconds, "checkpoint"):
         save_checkpoint(net, store.checkpoint_path(graph_id, init_method),
@@ -514,7 +513,7 @@ def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
                                  "manifest_hash": manifest.manifest_hash,
                                  "seeds": {"init": init_seed, "train": cfg.seed},
                                  "seconds": seconds, "dataset": data_source[0],
-                                 "attacks": manifest.attack_settings(test_set.n)},
+                                 "attacks": settings},
                          outcomes)
 
 
@@ -578,8 +577,8 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
         # zeroed, as _timed adds to them and a model with no correct image times none
         seconds = {**done.get("seconds", {}), "fgsm": 0.0, "fgsm_search": 0.0,
                    "one_pixel": 0.0}
-        outcomes = run_attacks(net, test_set, predictions, manifest,
-                               (graph_id, init_method), seconds)
+        outcomes = run_attacks(net, test_set, predictions, settings,
+                               (manifest.master_seed, graph_id, init_method), seconds)
         _save_attacks(store, {**done, "seconds": seconds, "attacks": settings}, outcomes)
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
                             models=len(done_records), dataset=data_source[0],
@@ -649,9 +648,18 @@ def _correlation_table(properties: list[str], props_by_unit: dict,
 
 
 def _study_table(manifest: ExperimentManifest, records: list[RobustnessRecord],
-                 props: dict[str, dict]) -> tuple[CorrelationTable, list[dict]]:
+                 done: list[dict], props: dict[str, dict],
+                 ) -> tuple[CorrelationTable, list[dict]]:
     """The table of correlate and the report, with each column's outlier
-    log, over the models of records; withheld for fewer than 3 models."""
+    log, over the models of records; withheld when their done.json files
+    (done) name more than one (dataset, attacks) value, a missing field
+    counting as its own, or for fewer than 3 models."""
+    plans = {json.dumps([d.get("dataset"), d.get("attacks")], sort_keys=True)
+             for d in done}
+    if len(plans) > 1:
+        raise CorrelationWithheldError(
+            f"the study's {len(done)} models were scored under {len(plans)} "
+            "different data kinds or attack settings")
     if not records:
         raise CorrelationWithheldError("no robustness records in store")
     n_models = len({r.model_id for r in records})
@@ -669,10 +677,11 @@ def _study_table(manifest: ExperimentManifest, records: list[RobustnessRecord],
 def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationTable:
     """Correlate every configured property against every measure over the
     study; save the table, and a log naming the study hash and counting the
-    completed pairs left out. The report computes the same table itself."""
+    completed pairs left out. The report computes the same table itself.
+    Raises CorrelationWithheldError as _study_table does."""
     study = store.study_hash(manifest.manifest_hash)
     table, logs = _study_table(manifest, store.load_robustness(study),
-                               stored_properties(store))
+                               store.done_records(study), stored_properties(store))
     store.save_correlations(table)
     store.save_correlation_log({"columns": logs, "left_out": store.left_out(study),
                                 "manifest_hash": study,
@@ -708,9 +717,10 @@ PRUNING_STEP_HEADER = [
 
 
 def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
-                         manifest: ExperimentManifest) -> dict:
+                         settings: dict, master_seed: int) -> dict:
     report = evaluate_f1(net, test_set)
-    outcomes = run_attacks(net, test_set, report.predictions, manifest, ("prune", step))
+    outcomes = run_attacks(net, test_set, report.predictions, settings,
+                           (master_seed, "prune", step))
     record = {
         "step": step,
         "param_count": param_count(net),
@@ -735,7 +745,8 @@ def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
 def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
                          data_source: tuple) -> list[dict]:
     """Dense reference model pruned randomly for the configured number of
-    steps, with retraining, attacks, and hidden-structure metrics per step."""
+    steps, with retraining, attacks (one plan for every step, which the
+    provenance event records), and hidden-structure metrics per step."""
     train_set, test_set = load_data_source(data_source,
                                            manifest.subset_sizes(data_source))
     p = manifest.pruning
@@ -749,7 +760,8 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
         seed=derive_seed(manifest.master_seed, "prune", "train", 0))
     train(net, train_set, base_cfg)
 
-    steps = [_pruning_step_record(0, net, test_set, manifest)]
+    settings = manifest.attack_settings(test_set.n)
+    steps = [_pruning_step_record(0, net, test_set, settings, manifest.master_seed)]
     for step in range(1, p.steps + 1):
         net = prune_random(net, p.alpha,
                            derive_seed(manifest.master_seed, "prune", "mask", step))
@@ -757,7 +769,8 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
             epochs=manifest.effective_retrain_epochs(),
             seed=derive_seed(manifest.master_seed, "prune", "train", step))
         train(net, train_set, retrain_cfg)
-        steps.append(_pruning_step_record(step, net, test_set, manifest))
+        steps.append(_pruning_step_record(step, net, test_set, settings,
+                                          manifest.master_seed))
         log.info("pruning step %d: %d hidden edges, f1=%.4f", step,
                  steps[-1]["hidden_edges"], steps[-1]["macro_f1"])
 
@@ -776,7 +789,7 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
     store.append_provenance("prune-baseline", manifest_hash=manifest.manifest_hash,
                             steps=p.steps, alpha=p.alpha,
                             retrain_epochs=manifest.effective_retrain_epochs(),
-                            dataset=data_source[0])
+                            dataset=data_source[0], attacks=settings)
     return steps
 
 
@@ -877,7 +890,7 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     lines.append("")
 
     try:
-        table, _ = _study_table(manifest, records, props)
+        table, _ = _study_table(manifest, records, done, props)
     except CorrelationWithheldError as exc:
         lines.append(f"correlations withheld: {exc}")
     else:

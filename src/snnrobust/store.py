@@ -13,8 +13,9 @@ done.json is written last for a (graph, init) pair, by the sweep and again
 by a re-attack. It holds the pair's manifest hash, seeds, wall seconds per
 stage, summed one-pixel generations, and the data kind (`dataset`) and
 attack settings (`attacks`) that scored it: the one record of both that the
-report and the re-attack read. A crash inside one model's re-attack, after
-its robustness.json write and before its done.json write, leaves `attacks`
+report, the re-attack and correlate read; correlations are withheld for a
+study mixing them. A crash inside one model's re-attack, after its
+robustness.json write and before its done.json write, leaves `attacks`
 naming the earlier settings until the next re-attack; robustness.json is not
 stamped instead, as its bytes are fingerprinted. A pair belongs to the study
 when its done.json carries the study hash: manifest.json's, which the last

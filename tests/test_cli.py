@@ -9,6 +9,8 @@ import pytest
 from snnrobust.cli import main
 from snnrobust.experiment import ExperimentManifest
 
+from tests.oracles import write_synthetic_idx
+
 
 @pytest.fixture
 def desk_manifest_path(tmp_path):
@@ -86,6 +88,31 @@ def test_correlate_withheld_is_an_error(desk_manifest_path, tmp_path):
     code = main(["correlate", "--manifest", str(desk_manifest_path),
                  "--out-dir", str(out)])
     assert code == 1
+
+
+def errors(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+
+def test_a_sweep_with_no_graphs_is_one_error_line(desk_manifest_path, tmp_path, caplog):
+    code = main(["sweep", "--manifest", str(desk_manifest_path),
+                 "--out-dir", str(tmp_path / "empty"),
+                 "--data-dir", str(tmp_path / "nodata")])
+    assert code == 1
+    assert errors(caplog) == ["sweep failed: no graphs in store; run gen-graphs first"]
+
+
+def test_attack_on_other_data_is_one_error_line(desk_manifest_path, tmp_path, caplog):
+    write_synthetic_idx(tmp_path / "idx", train_n=200, test_n=80, seed=0)
+    m = ExperimentManifest.from_file(desk_manifest_path)
+    m.dataset = "auto"
+    m.save(desk_manifest_path)
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(tmp_path / "results")]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, "--data-dir", str(tmp_path / "idx")]) == 0
+    assert main(["attack", *args, "--data-dir", str(tmp_path / "nodata")]) == 1
+    assert errors(caplog) == ["attack failed: the study was scored on mnist data; "
+                              "refusing to re-attack it on synthetic"]
 
 
 def test_scale_flag_shrinks_run(desk_manifest_path, tmp_path):

@@ -21,9 +21,10 @@ from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
                                   run_sweep)
 from snnrobust.graph import generate_ws, layer_dag, to_dag
 from snnrobust.measure import MEASURE_COLUMNS, RobustnessRecord, tukey_fences
-from snnrobust.network import (build_network, init_weights, param_count,
-                               save_checkpoint)
+from snnrobust.network import (build_network, init_weights, load_checkpoint,
+                               param_count, save_checkpoint)
 from snnrobust.store import ResultsStore
+from snnrobust.train import predict
 
 from tests.conftest import random_small_graph
 from tests.oracles import write_synthetic_idx
@@ -605,6 +606,29 @@ class TestPruningBaseline:
             rows = list(csv.reader(f))
         assert [r[0] for r in rows[1:]] == manifest.properties
 
+    def test_provenance_records_the_plan_every_step_ran(self, tmp_path, monkeypatch):
+        from snnrobust import experiment as exp_mod
+        configs = []
+        real = exp_mod.one_pixel
+
+        def recording(net, x, y, cfg, **kwargs):
+            configs.append(cfg)
+            return real(net, x, y, cfg, **kwargs)
+
+        monkeypatch.setattr(exp_mod, "one_pixel", recording)
+        manifest = tiny_manifest()
+        manifest.pruning.hidden_layers = [4, 6, 4]
+        manifest.pruning.steps = 1
+        manifest.pruning.retrain_epochs = 1
+        store = ResultsStore(tmp_path)
+        run_pruning_baseline(manifest, store, resolve_data_source(manifest, None))
+        event = store.load_provenance()[-1]
+        assert event["event"] == "prune-baseline"
+        assert event["attacks"] == manifest.attack_settings(90)
+        assert configs
+        assert all({k: getattr(cfg, k) for k in event["attacks"]["de"]}
+                   == event["attacks"]["de"] for cfg in configs)
+
     def test_reuses_the_sweep_data(self, tmp_path, monkeypatch):
         # a sweep, a pruning baseline and a re-attack in one process build
         # each split once
@@ -719,6 +743,49 @@ class TestRerunAttacks:
         assert [line for line in lines if line.startswith("attack settings of ")] == [
             f"attack settings of 3 models: {settings}"]
 
+    def test_correlations_are_withheld_for_a_study_scored_under_two_plans(
+            self, three_models, monkeypatch):
+        # a re-attack under a larger DE budget stops at its 2nd model, so the
+        # study's 3 models carry two plans: no table mixes them, and the
+        # report shows both
+        from snnrobust import experiment as exp_mod
+        manifest, store, source = three_models
+        attacker = tiny_manifest(target_graph_count=3)
+        attacker.attacks.de_max_iter = 5000
+        loads = []
+
+        def failing(path):
+            loads.append(path)
+            if len(loads) == 2:
+                raise OSError(f"injected failure loading {path}")
+            return load_checkpoint(path)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(exp_mod, "load_checkpoint", failing)
+            with pytest.raises(OSError):
+                rerun_attacks(attacker, store, source)
+        reason = ("the study's 3 models were scored under 2 different data "
+                  "kinds or attack settings")
+        with pytest.raises(CorrelationWithheldError, match=reason):
+            correlate(manifest, store)
+        lines = render_report(manifest, store).splitlines()
+        assert f"correlations withheld: {reason}" in lines
+        assert sorted(line for line in lines if line.startswith("attack settings of ")) == [
+            f"attack settings of {n} models: {json.dumps(m.attack_settings(90), sort_keys=True)}"
+            for n, m in ((1, attacker), (2, manifest))]
+
+    def test_a_missing_stamp_counts_as_its_own_plan(self, three_models):
+        # done.json files written before the stamps lack both fields: a study
+        # of such files alone is one plan, one beside stamped files another
+        manifest, store, _ = three_models
+        for k, done in enumerate(store.done_records(None)):
+            store.mark_pair_done(**{f: v for f, v in done.items()
+                                    if f not in ("dataset", "attacks")})
+            if k == 0:
+                with pytest.raises(CorrelationWithheldError, match="scored under 2 "):
+                    correlate(manifest, store)
+        assert correlate(manifest, store).cells
+
     @pytest.fixture
     def idx_study(self, tmp_path):
         """A sweep of 2 models on IDX files, then a pruning baseline on the
@@ -791,6 +858,80 @@ class TestOneCleanPass:
                                      resolve_data_source(manifest, None))
         assert len(steps) == 2
         assert predicted == [90, 90]
+
+
+class TestThePlanIsWhatRan:
+    """The epsilon searches and DE runs of a sweep and of a re-attack are
+    the ones each model's done.json records: its first correct images, up
+    to the plan's image counts, under the plan's grid and DE settings."""
+
+    @pytest.fixture
+    def attacked(self, monkeypatch):
+        """Each model's wrapped attack calls, by pair: (kind, image index,
+        epsilon grid or DEConfig), closed when the model is committed."""
+        from snnrobust import experiment as exp_mod
+        calls, by_pair = [], {}
+        real_search, real_de = exp_mod.fgsm_eps_search, exp_mod.one_pixel
+        real_save = exp_mod._save_attacks
+
+        def search(net, x, y, start, step, cap, index, **kwargs):
+            calls.append(("fgsm_search", index, {"start": start, "step": step, "cap": cap}))
+            return real_search(net, x, y, start=start, step=step, cap=cap,
+                               index=index, **kwargs)
+
+        def de(net, x, y, cfg, **kwargs):
+            calls.append(("one_pixel", kwargs["index"], cfg))
+            return real_de(net, x, y, cfg, **kwargs)
+
+        def save(store, done, outcomes):
+            by_pair[done["graph_id"], done["init_method"]] = calls[:]
+            calls.clear()
+            return real_save(store, done, outcomes)
+
+        monkeypatch.setattr(exp_mod, "fgsm_eps_search", search)
+        monkeypatch.setattr(exp_mod, "one_pixel", de)
+        monkeypatch.setattr(exp_mod, "_save_attacks", save)
+        return by_pair
+
+    @staticmethod
+    def check(store, source, by_pair) -> None:
+        test_set = load_split(source, "test", 90)
+        dones = store.done_records(None)
+        assert sorted(by_pair) == sorted((d["graph_id"], d["init_method"]) for d in dones)
+        for done in dones:
+            plan = done["attacks"]
+            net, _ = load_checkpoint(store.checkpoint_path(done["graph_id"],
+                                                           done["init_method"]))
+            correct = np.flatnonzero(predict(net, test_set.images).argmax(axis=1)
+                                     == test_set.labels).tolist()
+            calls = by_pair[done["graph_id"], done["init_method"]]
+            for kind in ("fgsm_search", "one_pixel"):
+                cap = plan["images"][kind]
+                assert len(correct) > cap  # the count binds
+                assert [i for k, i, _ in calls if k == kind] == correct[:cap]
+            assert all(grid == plan["eps_grid"]
+                       for k, _, grid in calls if k == "fgsm_search")
+            assert all({f: getattr(cfg, f) for f in plan["de"]} == plan["de"]
+                       for k, _, cfg in calls if k == "one_pixel")
+
+    def test_sweep_then_reattack(self, tmp_path, attacked):
+        manifest = tiny_manifest()
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        source = resolve_data_source(manifest, None)
+        run_sweep(manifest, store, source)
+        self.check(store, source, attacked)
+
+        attacked.clear()
+        attacker = tiny_manifest()
+        attacker.attacks.de_F = 0.7
+        attacker.scale.search_subset = 0.03
+        attacker.scale.one_pixel = 0.04
+        attacker.scale.de_iter = 0.008
+        assert rerun_attacks(attacker, store, source) == 2
+        assert all(d["attacks"] == attacker.attack_settings(90)
+                   for d in store.done_records(None))
+        self.check(store, source, attacked)
 
 
 class TestDeterminism:

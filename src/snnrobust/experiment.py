@@ -43,7 +43,7 @@ from .measure import (MEASURE_COLUMNS, CorrelationTable, RobustnessRecord,
 from .network import (MaskedNetwork, build_network, init_weights,
                       load_checkpoint, network_to_graph, param_count,
                       prune_random, save_checkpoint)
-from .store import GraphEntry, ResultsStore
+from .store import GraphEntry, ResultsStore, Study
 from .train import TrainConfig, evaluate_f1, predict, train
 
 log = logging.getLogger("snnrobust")
@@ -517,21 +517,33 @@ def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
                          outcomes)
 
 
+def _refuse_other_data(study: Study, kind: str, refusal: str) -> None:
+    """Raise ExperimentError when the study names a data kind other than kind."""
+    if study.kinds - {kind}:
+        raise ExperimentError(f"the study was scored on {', '.join(sorted(study.kinds))} "
+                              f"data; {refusal}")
+
+
 def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
               data_source: tuple, workers: int = 1,
               resume: bool = True) -> list[dict]:
-    """Train and attack every (graph, init_method) pair, resumably; returns
-    the done.json contents of each pair this call completed, each committed
-    by its own task."""
+    """Train and attack every (graph, init_method) pair; returns the done.json
+    contents of each pair this call completed, each committed by its own task.
+    The manifest is stored first, as the study's. A resume skips the study's
+    pairs, and before any task runs refuses a data kind other than theirs."""
     entries = store.load_graph_entries()
     if not entries:
         raise ExperimentError("no graphs in store; run gen-graphs first")
     mhash = manifest.manifest_hash
     store.save_manifest(manifest.to_dict(), mhash)
-
-    pending = [(entry.graph_id, init_method) for entry in entries
-               for init_method in manifest.init_methods
-               if not (resume and store.pair_done(entry.graph_id, init_method, mhash))]
+    completed = set()
+    if resume:
+        study = store.study(mhash)
+        _refuse_other_data(study, data_source[0], f"refusing to resume it on "
+                           f"{data_source[0]}; sweep --no-resume retrains every pair")
+        completed = study.pairs
+    pending = [pair for pair in product([e.graph_id for e in entries], manifest.init_methods)
+               if pair not in completed]
     log.info("sweep: %d pairs pending (%d graphs x %d inits, resume=%s)",
              len(pending), len(entries), len(manifest.init_methods), resume)
     task = functools.partial(_sweep_task, manifest, data_source, str(store.root))
@@ -556,21 +568,17 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
 def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
                   data_source: tuple) -> int:
     """Re-run attacks against the study's checkpoints (models stay untouched)
-    and return their count. The study is manifest.json's (study_hash), so the
-    given manifest may change the attack settings without retraining. Each
-    model's done.json keeps its hash, seeds, training seconds and data kind,
-    and takes this run's attack seconds, generations and settings. Refuses,
-    before any load or write, a data kind other than the study's done.json
-    files name (one that names none passes)."""
-    done_records = store.done_records(store.study_hash(manifest.manifest_hash))
-    kinds = {d["dataset"] for d in done_records if "dataset" in d}
-    if kinds - {data_source[0]}:
-        raise ExperimentError(f"the study was scored on {', '.join(sorted(kinds))} "
-                              f"data; refusing to re-attack it on {data_source[0]}")
+    and return their count. The study is manifest.json's (ResultsStore.study),
+    so the given manifest may change the attack settings without retraining.
+    Each model's done.json keeps its hash, seeds, training seconds and data
+    kind, and takes this run's attack seconds, generations and settings.
+    Refuses, before any load or write, another data kind than the study's."""
+    study = store.study(manifest.manifest_hash)
+    _refuse_other_data(study, data_source[0], f"refusing to re-attack it on {data_source[0]}")
     test_n = manifest.subset_sizes(data_source)[1]
     test_set = load_split(data_source, "test", test_n)
     settings = manifest.attack_settings(test_n)
-    for done in done_records:
+    for done in study.done:
         graph_id, init_method = done["graph_id"], done["init_method"]
         net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
         predictions = predict(net, test_set.images).argmax(axis=1)
@@ -581,9 +589,9 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
                                (manifest.master_seed, graph_id, init_method), seconds)
         _save_attacks(store, {**done, "seconds": seconds, "attacks": settings}, outcomes)
     store.append_provenance("attack", manifest_hash=manifest.manifest_hash,
-                            models=len(done_records), dataset=data_source[0],
+                            models=len(study.done), dataset=data_source[0],
                             settings=settings)
-    return len(done_records)
+    return len(study.done)
 
 
 # --- correlation ----------------------------------------------------------
@@ -647,44 +655,42 @@ def _correlation_table(properties: list[str], props_by_unit: dict,
     return CorrelationTable(cells=cells, properties=list(properties))
 
 
-def _study_table(manifest: ExperimentManifest, records: list[RobustnessRecord],
-                 done: list[dict], props: dict[str, dict],
+def _study_table(manifest: ExperimentManifest, study: Study, props: dict[str, dict],
                  ) -> tuple[CorrelationTable, list[dict]]:
     """The table of correlate and the report, with each column's outlier
-    log, over the models of records; withheld when their done.json files
-    (done) name more than one (dataset, attacks) value, a missing field
-    counting as its own, or for fewer than 3 models."""
+    log, over the study's models; withheld when their done.json files name
+    more than one (dataset, attacks) value, a missing field counting as its
+    own, or for fewer than 3 models."""
     plans = {json.dumps([d.get("dataset"), d.get("attacks")], sort_keys=True)
-             for d in done}
+             for d in study.done}
     if len(plans) > 1:
         raise CorrelationWithheldError(
-            f"the study's {len(done)} models were scored under {len(plans)} "
+            f"the study's {len(study.done)} models were scored under {len(plans)} "
             "different data kinds or attack settings")
-    if not records:
+    if not study.records:
         raise CorrelationWithheldError("no robustness records in store")
-    n_models = len({r.model_id for r in records})
+    n_models = len({r.model_id for r in study.records})
     if n_models < 3:
         raise CorrelationWithheldError(f"only {n_models} models have records; need >= 3")
 
     columns, logs = {}, []
     for attack, measure in MEASURE_COLUMNS:
         columns[attack, measure], info = _aggregate_column(
-            records, attack, measure, manifest.outlier_mode)
+            study.records, attack, measure, manifest.outlier_mode)
         logs.append(info)
     return _correlation_table(manifest.properties, props, columns), logs
 
 
 def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationTable:
     """Correlate every configured property against every measure over the
-    study; save the table, and a log naming the study hash and counting the
-    completed pairs left out. The report computes the same table itself.
-    Raises CorrelationWithheldError as _study_table does."""
-    study = store.study_hash(manifest.manifest_hash)
-    table, logs = _study_table(manifest, store.load_robustness(study),
-                               store.done_records(study), stored_properties(store))
+    study (ResultsStore.study), as the given manifest's `properties` and
+    `outlier_mode` say; save the table, and a log of the study hash and the
+    pairs left out. Raises CorrelationWithheldError as _study_table does."""
+    study = store.study(manifest.manifest_hash)
+    table, logs = _study_table(manifest, study, stored_properties(store))
     store.save_correlations(table)
-    store.save_correlation_log({"columns": logs, "left_out": store.left_out(study),
-                                "manifest_hash": study,
+    store.save_correlation_log({"columns": logs, "left_out": study.left_out,
+                                "manifest_hash": study.manifest_hash,
                                 "outlier_mode": manifest.outlier_mode})
     return table
 
@@ -820,32 +826,30 @@ def _property_confounds(properties: list[str], models: list[str],
 
 
 def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
-    """Human-readable summary of the study's models (ResultsStore.study_hash;
-    the models line counts the rest): the study's manifest (the last
-    gen-graphs' or sweep's, else the given one), the data kinds and each
-    distinct attack setting the models' done.json files name, counts (per
-    generator combo, with gen-graphs' time), censored epsilon searches,
-    failed tasks not completed since (the one thing read from
-    provenance.json), the spread of each correlated property and the
-    properties that rank the models alike, the stage seconds and one-pixel
-    generations their done.json files record, summed, and the two strongest
-    graph properties per robustness measure (computed as correlate does,
-    but only report.txt is written), or why they are withheld."""
-    stored = store.load_manifest()
-    run = ExperimentManifest.from_dict(stored["manifest"]) if stored else manifest
-    run_hash = store.study_hash(manifest.manifest_hash)
-    done = store.done_records(run_hash)
-    kinds = sorted({d["dataset"] for d in done if "dataset" in d})
+    """Human-readable summary of the study's models (ResultsStore.study; the
+    models line counts the rest): the study's manifest (the last gen-graphs'
+    or sweep's, else the given one), the data kinds and each distinct attack
+    setting the models' done.json files name, counts (per generator combo,
+    with gen-graphs' time), censored epsilon searches, failed tasks not
+    completed since (the one thing read from provenance.json), the spread of
+    each correlated property and the properties that rank the models alike,
+    the stage seconds and one-pixel generations their done.json files
+    record, summed, and the two strongest graph properties per robustness
+    measure (computed as correlate does, but only report.txt is written), or
+    why they are withheld. The table takes `properties` and `outlier_mode`
+    from the given manifest."""
+    study = store.study(manifest.manifest_hash)
+    run = ExperimentManifest.from_dict(study.manifest) if study.manifest else manifest
     settings = Counter(json.dumps(d["attacks"], sort_keys=True)
-                       for d in done if "attacks" in d)
+                       for d in study.done if "attacks" in d)
     lines = ["Sparse network robustness study", "=" * 34,
-             f"manifest_hash: {run_hash}"]
-    if run_hash != manifest.manifest_hash:
+             f"manifest_hash: {study.manifest_hash}"]
+    if study.manifest_hash != manifest.manifest_hash:
         lines.append(f"note: the given manifest ({manifest.manifest_hash}) differs "
                      "from the one the models were trained under")
     lines += [
         f"mode: {run.mode} (scale factors {asdict(run.scale)})",
-        f"dataset: {', '.join(kinds) or 'none recorded'} "
+        f"dataset: {', '.join(sorted(study.kinds)) or 'none recorded'} "
         f"(manifest requests {run.dataset})",
         "note: parameter counts include biases",
     ]
@@ -862,26 +866,24 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
         if "seconds" in gen:
             lines.append("  time: " + ", ".join(f"{name} {s:.3f} s"
                                                 for name, s in gen["seconds"].items()))
-    records = store.load_robustness(run_hash)
-    models = sorted({r.model_id for r in records})
-    inits = sorted({r.init_method for r in records})
-    left_out = store.left_out(run_hash)
+    models = sorted({r.model_id for r in study.records})
+    inits = sorted({r.init_method for r in study.records})
     lines.append(f"models: {len(models)} graphs x {len(inits)} initializations"
-                 + (f", {left_out} left out (completed under another manifest)"
-                    if left_out else ""))
-    timed = [d for d in done if "seconds" in d]
+                 + (f", {study.left_out} left out (completed under another manifest)"
+                    if study.left_out else ""))
+    timed = [d for d in study.done if "seconds" in d]
     if timed:
         lines.append("  time: " + ", ".join(
             f"{stage} {sum(d['seconds'].get(stage, 0.0) for d in timed):.3f} s"
             for stage in SWEEP_STAGES)
             + f" over {len(timed)} models; one-pixel ran "
             f"{sum(d['generations_used'] for d in timed)} generations")
-    searched = [r for r in records if r.attack == "fgsm_search"]
+    searched = [r for r in study.records if r.attack == "fgsm_search"]
     lines.append(f"epsilon search: {sum(r.n_censored for r in searched)} of "
                  f"{sum(r.n_attacked for r in searched)} searched images censored "
                  "(no flip within the cap)")
     failed = [e for e in store.load_provenance() if e["event"] == "task-failed"
-              and not store.pair_done(e["graph_id"], e["init_method"], run_hash)]
+              and (e["graph_id"], e["init_method"]) not in study.pairs]
     lines.append(f"failed tasks: {len(failed)}")
     for e in failed:
         lines.append(f"  {e['graph_id']} / {e['init_method']}: {e['error']}")
@@ -890,7 +892,7 @@ def render_report(manifest: ExperimentManifest, store: ResultsStore) -> str:
     lines.append("")
 
     try:
-        table, _ = _study_table(manifest, records, done, props)
+        table, _ = _study_table(manifest, study, props)
     except CorrelationWithheldError as exc:
         lines.append(f"correlations withheld: {exc}")
     else:

@@ -19,9 +19,9 @@ robustness.json write and before its done.json write, leaves `attacks`
 naming the earlier settings until the next re-attack; robustness.json is not
 stamped instead, as its bytes are fingerprinted. A pair belongs to the study
 when its done.json carries the study hash: manifest.json's, which the last
-gen-graphs or sweep wrote, or before either the given manifest's
-(study_hash). Resume, re-attack, correlate and the report read only the
-study's pairs; _completed_under is the one place that compares the hashes.
+gen-graphs or sweep wrote, or before either the given manifest's. Each
+command reads it once, as one Study (ResultsStore.study), and uses only its
+pairs; _completed_under is the one place that compares the hashes.
 Every file is written to a temporary name in its directory and renamed over
 the target, so a crash mid-write leaves the previous version intact.
 
@@ -72,6 +72,26 @@ class GraphEntry:
     param_count: int
 
 
+@dataclass(frozen=True)
+class Study:
+    """A study's hash, stored manifest (None before any), its pairs' done.json
+    and robustness records, and the count of other completed pairs (left out)."""
+
+    manifest_hash: str
+    manifest: dict | None
+    done: tuple[dict, ...]
+    records: tuple[RobustnessRecord, ...]
+    left_out: int
+
+    @property
+    def pairs(self) -> set[tuple[str, str]]:
+        return {(d["graph_id"], d["init_method"]) for d in self.done}
+
+    @property
+    def kinds(self) -> set[str]:
+        return {d["dataset"] for d in self.done if "dataset" in d}
+
+
 class ResultsStore:
     def __init__(self, out_dir):
         self.root = Path(out_dir)
@@ -101,11 +121,6 @@ class ResultsStore:
     def save_manifest(self, manifest_dict: dict, manifest_hash: str) -> None:
         self._write_json(self.root / "manifest.json",
                          {"manifest": manifest_dict, "manifest_hash": manifest_hash})
-
-    def load_manifest(self) -> dict | None:
-        """The manifest document the last gen-graphs or sweep saved; None
-        before either."""
-        return self._read_json("manifest.json")
 
     def load_provenance(self) -> list[dict]:
         """Every recorded event, oldest first."""
@@ -169,11 +184,6 @@ class ResultsStore:
     def _completed_under(done: dict, manifest_hash: str | None) -> bool:
         return manifest_hash is None or done.get("manifest_hash") == manifest_hash
 
-    def study_hash(self, manifest_hash: str) -> str:
-        """manifest.json's hash, which the last gen-graphs or sweep wrote;
-        before either, manifest_hash."""
-        return (self.load_manifest() or {}).get("manifest_hash", manifest_hash)
-
     def pair_done(self, graph_id: str, init_method: str, manifest_hash: str) -> bool:
         done = self._read_json(f"models/{graph_id}__{init_method}/done.json")
         return done is not None and self._completed_under(done, manifest_hash)
@@ -201,12 +211,6 @@ class ResultsStore:
         self._write_json(self.model_dir(graph_id, init_method) / "robustness.json",
                          [r.to_dict() for r in records])
 
-    def load_robustness(self, manifest_hash: str) -> list[RobustnessRecord]:
-        """The robustness records of the pairs completed under manifest_hash."""
-        return [RobustnessRecord.from_dict(d)
-                for g, init in self.completed_pairs(manifest_hash)
-                for d in self._read_json(f"models/{g}__{init}/robustness.json", [])]
-
     def checkpoint_path(self, graph_id: str, init_method: str) -> Path:
         return self.model_dir(graph_id, init_method) / "checkpoint.bin"
 
@@ -221,10 +225,17 @@ class ResultsStore:
         return [(doc["graph_id"], doc["init_method"])
                 for doc in self.done_records(manifest_hash)]
 
-    def left_out(self, manifest_hash: str) -> int:
-        """The count of pairs completed under another manifest hash."""
-        return sum(not self._completed_under(doc, manifest_hash)
-                   for doc in self.done_records(None))
+    def study(self, manifest_hash: str) -> Study:
+        """The study of manifest.json's hash, or before any of manifest_hash;
+        reads manifest.json, each done.json and each pair's robustness.json once."""
+        stored = self._read_json("manifest.json")
+        study_hash = stored["manifest_hash"] if stored else manifest_hash
+        docs = self.done_records(None)
+        done = tuple(d for d in docs if self._completed_under(d, study_hash))
+        records = tuple(RobustnessRecord.from_dict(r) for d in done for r in self._read_json(
+            f"models/{d['graph_id']}__{d['init_method']}/robustness.json", []))
+        return Study(study_hash, stored and stored["manifest"], done, records,
+                     len(docs) - len(done))
 
     # --- correlations, pruning, report ---------------------------------
 

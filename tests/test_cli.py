@@ -115,6 +115,27 @@ def test_attack_on_other_data_is_one_error_line(desk_manifest_path, tmp_path, ca
                               "refusing to re-attack it on synthetic"]
 
 
+def test_a_resume_on_other_data_is_one_error_line(desk_manifest_path, tmp_path, caplog):
+    # a sweep on IDX files, then one on the synthetic fallback: refused with
+    # resume on, and with --no-resume every pair is swept again
+    write_synthetic_idx(tmp_path / "idx", train_n=200, test_n=80, seed=0)
+    m = ExperimentManifest.from_file(desk_manifest_path)
+    m.dataset = "auto"
+    m.save(desk_manifest_path)
+    out = tmp_path / "results"
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, "--data-dir", str(tmp_path / "idx")]) == 0
+    (out / "models" / "g0001__He_N" / "done.json").unlink()
+    assert main(["sweep", *args, "--data-dir", str(tmp_path / "nodata")]) == 1
+    assert errors(caplog) == ["sweep failed: the study was scored on mnist data; "
+                              "refusing to resume it on synthetic; sweep --no-resume "
+                              "retrains every pair"]
+    assert main(["sweep", *args, "--data-dir", str(tmp_path / "nodata"), "--no-resume"]) == 0
+    assert {json.loads(p.read_text())["dataset"]
+            for p in out.glob("models/*/done.json")} == {"synthetic"}
+
+
 def test_scale_flag_shrinks_run(desk_manifest_path, tmp_path):
     m = ExperimentManifest.from_file(desk_manifest_path)
     scaled = m.scale.scaled_by(0.5)

@@ -5,6 +5,8 @@ import csv
 import hashlib
 import importlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,7 +204,7 @@ class TestRunSweep:
 
     def test_records_written(self, sweep_run):
         manifest, store, _ = sweep_run
-        records = store.load_robustness(manifest.manifest_hash)
+        records = store.study(manifest.manifest_hash).records
         assert {r.attack for r in records} >= {"fgsm", "fgsm_search"}
         model_dir = store.model_dir("g0000", "He_N")
         for name in ("checkpoint.bin", "history.csv", "eval.json",
@@ -349,8 +351,8 @@ class TestCorrelate:
         rec = RobustnessRecord("g0", "U", "fgsm", 0.5, 0.9, None, 10, 5, 0)
         store.save_robustness("g0", "U", [rec])
         store.mark_pair_done("g0", "U", "h")
-        assert store.load_robustness("h") == [rec]
-        assert store.load_robustness("another") == []
+        assert store.study("h").records == (rec,)
+        assert store.study("another").records == ()
 
     def test_report_counts_censored_searches_and_failed_tasks(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -415,7 +417,7 @@ def test_regenerated_graphs_start_a_new_study(three_models):
     _, store, _ = three_models
     regenerated = tiny_manifest(target_graph_count=3, master_seed=778)
     build_graph_dataset(regenerated, store)
-    assert store.study_hash("given") == regenerated.manifest_hash
+    assert store.study("given").manifest_hash == regenerated.manifest_hash
     with pytest.raises(CorrelationWithheldError):
         correlate(regenerated, store)
     text = render_report(regenerated, store)
@@ -550,13 +552,33 @@ class TestAtomicWrites:
         assert not list(tmp_path.glob(".*"))
 
 
+@pytest.mark.parametrize("command", [correlate, render_report],
+                         ids=["correlate", "report"])
+def test_a_command_reads_the_study_once(three_models, monkeypatch, command):
+    manifest, store, _ = three_models
+    study_files = [store.root / "manifest.json",
+                   *sorted(store.root.glob("models/*/done.json"))]
+    assert len(study_files) == 4
+    reads = Counter()
+    real = Path.read_text
+
+    def counting(path, *args, **kwargs):
+        reads[path] += 1
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    command(manifest, store)
+    assert {path: reads[path] for path in study_files} == dict.fromkeys(study_files, 1)
+
+
 class TestStoreReaders:
     def test_empty_store(self, tmp_path):
         store = ResultsStore(tmp_path)
         assert store.load_provenance() == []
         assert store.load_generation_log() is None
-        assert store.load_manifest() is None
-        assert store.study_hash("given") == "given"
+        study = store.study("given")
+        assert (study.manifest_hash, study.manifest, study.left_out) == ("given", None, 0)
+        assert study.done == study.records == ()
         assert not store.has_pruning_steps()
 
 
@@ -816,6 +838,20 @@ class TestRerunAttacks:
         with pytest.raises(ExperimentError, match="scored on mnist data"):
             rerun_attacks(manifest, store, fallback)
         assert [f.read_bytes() for f in files] == before
+
+    def test_refuses_to_resume_on_other_data(self, idx_study):
+        # one pair left to resume, on the synthetic fallback: refused before
+        # any task runs; --no-resume sweeps both pairs again on it
+        manifest, store, fallback = idx_study
+        (store.model_dir("g0001", "He_N") / "done.json").unlink()
+        files = sorted(store.root.glob("models/*/*"))
+        before = [f.read_bytes() for f in files]
+        with pytest.raises(ExperimentError, match="; sweep --no-resume retrains every pair"):
+            run_sweep(manifest, store, fallback)
+        assert sorted(store.root.glob("models/*/*")) == files
+        assert [f.read_bytes() for f in files] == before
+        assert len(run_sweep(manifest, store, fallback, resume=False)) == 2
+        assert {d["dataset"] for d in store.done_records(None)} == {"synthetic"}
 
 
 class TestOneCleanPass:

@@ -22,10 +22,17 @@ snnrobust correlate --manifest manifest.json --out-dir results
 snnrobust report --manifest manifest.json --out-dir results
 snnrobust attack --manifest manifest.json --out-dir results
 snnrobust report --manifest manifest.json --out-dir results
-snnrobust attack --manifest manifest.json --out-dir results --scale 2
+python -c "import json; m = json.load(open('manifest.json')); m['scale'].update({k: 2 * m['scale'][k] for k in ('search_subset', 'one_pixel', 'de_pop', 'de_iter')}); json.dump(m, open('manifest_attack.json', 'w'))"
+snnrobust attack --manifest manifest_attack.json --out-dir results
 snnrobust sweep --manifest manifest.json --out-dir results --workers 2
 snnrobust report --manifest manifest.json --out-dir results
 grep -F 'attack settings of 20 models: {"de": {"CR": 0.9, "F": 0.5, "max_iter": 40, "pop_size": 60}' results/report.txt
+python -c "import json; m = json.load(open('manifest.json')); m['master_seed'] += 1; json.dump(m, open('manifest_attack_seed.json', 'w'))"
+code=0; snnrobust attack --manifest manifest_attack_seed.json --out-dir results 2> attack_err.txt || code=$?
+cat attack_err.txt
+test "$code" -eq 1
+grep -F "attack failed: the given manifest differs from the study's in master_seed" attack_err.txt
+if grep -F Traceback attack_err.txt; then exit 1; fi
 python -c "import json; m = json.load(open('manifest.json')); m['init_methods'] = ['G_N']; json.dump(m, open('manifest_gn.json', 'w'))"
 snnrobust sweep --manifest manifest_gn.json --out-dir results --workers 2
 snnrobust report --manifest manifest_gn.json --out-dir results

@@ -26,8 +26,6 @@ def _add_common(p: argparse.ArgumentParser, data: bool = False) -> None:
     if data:
         p.add_argument("--data-dir", default="data",
                        help="directory holding the MNIST IDX files")
-        p.add_argument("--scale", type=float, default=None,
-                       help="multiply every manifest scale factor by this")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +99,6 @@ def _dispatch(args) -> None:
         return
 
     manifest = ExperimentManifest.from_file(args.manifest)
-    if getattr(args, "scale", None) is not None:
-        manifest.scale = manifest.scale.scaled_by(args.scale)
     store = ResultsStore(args.out_dir)
     # the subcommands that train or attack take a --data-dir
     source = resolve_data_source(manifest, args.data_dir) if "data_dir" in args else None

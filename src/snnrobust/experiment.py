@@ -118,8 +118,9 @@ class ScaleFactors:
     def is_full_scale(self) -> bool:
         return all(v == 1.0 for v in asdict(self).values())
 
-    def scaled_by(self, factor: float) -> "ScaleFactors":
-        return ScaleFactors(**{k: v * factor for k, v in asdict(self).items()})
+
+# the scale factors of the attack plan: with `attacks`, all a re-attack may change
+PLAN_SCALES = ("search_subset", "one_pixel", "de_pop", "de_iter")
 
 
 @dataclass
@@ -517,11 +518,23 @@ def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
                          outcomes)
 
 
-def _refuse_other_data(study: Study, kind: str, refusal: str) -> None:
-    """Raise ExperimentError when the study names a data kind other than kind."""
+def _refuse_other_settings(study: Study, manifest: ExperimentManifest, kind: str,
+                           refusal: str) -> None:
+    """The one check of which settings govern a command on a stored study:
+    raise ExperimentError when its models name a data kind other than kind
+    (refusal ends that message), or when its stored manifest, if any, differs
+    from the given one outside the attack plan, which only a sweep changes."""
     if study.kinds - {kind}:
         raise ExperimentError(f"the study was scored on {', '.join(sorted(study.kinds))} "
                               f"data; {refusal}")
+    run = ExperimentManifest.from_dict(study.manifest) if study.manifest else manifest
+    given, stored = ({**d, "attacks": None, "scale": {k: v for k, v in d["scale"].items()
+                                                        if k not in PLAN_SCALES}}
+                     for d in (manifest.to_dict(), run.to_dict()))
+    fields = [k for k in sorted(given) if given[k] != stored[k]]
+    if fields:
+        raise ExperimentError(f"the given manifest differs from the study's in "
+                              f"{', '.join(fields)}; a change to them needs a sweep")
 
 
 def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
@@ -529,19 +542,19 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
               resume: bool = True) -> list[dict]:
     """Train and attack every (graph, init_method) pair; returns the done.json
     contents of each pair this call completed, each committed by its own task.
-    The manifest is stored first, as the study's. A resume skips the study's
-    pairs, and before any task runs refuses a data kind other than theirs."""
+    A resume skips the pairs done under this manifest's hash and refuses
+    another data kind; only then is the manifest stored, as the study's."""
     entries = store.load_graph_entries()
     if not entries:
         raise ExperimentError("no graphs in store; run gen-graphs first")
     mhash = manifest.manifest_hash
-    store.save_manifest(manifest.to_dict(), mhash)
     completed = set()
     if resume:
-        study = store.study(mhash)
-        _refuse_other_data(study, data_source[0], f"refusing to resume it on "
-                           f"{data_source[0]}; sweep --no-resume retrains every pair")
+        study = store.study(mhash, given=True)
+        _refuse_other_settings(study, manifest, data_source[0], f"refusing to resume it "
+                               f"on {data_source[0]}; sweep --no-resume retrains every pair")
         completed = study.pairs
+    store.save_manifest(manifest.to_dict(), mhash)
     pending = [pair for pair in product([e.graph_id for e in entries], manifest.init_methods)
                if pair not in completed]
     log.info("sweep: %d pairs pending (%d graphs x %d inits, resume=%s)",
@@ -568,13 +581,14 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
 def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
                   data_source: tuple) -> int:
     """Re-run attacks against the study's checkpoints (models stay untouched)
-    and return their count. The study is manifest.json's (ResultsStore.study),
-    so the given manifest may change the attack settings without retraining.
+    and return their count. The study is manifest.json's, else the given
+    hash's (ResultsStore.study); before any load or write, another data kind
+    or a change outside the attack plan is refused (_refuse_other_settings).
     Each model's done.json keeps its hash, seeds, training seconds and data
-    kind, and takes this run's attack seconds, generations and settings.
-    Refuses, before any load or write, another data kind than the study's."""
+    kind, and takes this run's attack seconds, generations and settings."""
     study = store.study(manifest.manifest_hash)
-    _refuse_other_data(study, data_source[0], f"refusing to re-attack it on {data_source[0]}")
+    _refuse_other_settings(study, manifest, data_source[0],
+                           f"refusing to re-attack it on {data_source[0]}")
     test_n = manifest.subset_sizes(data_source)[1]
     test_set = load_split(data_source, "test", test_n)
     settings = manifest.attack_settings(test_n)

@@ -18,10 +18,10 @@ study mixing them. A crash inside one model's re-attack, after its
 robustness.json write and before its done.json write, leaves `attacks`
 naming the earlier settings until the next re-attack; robustness.json is not
 stamped instead, as its bytes are fingerprinted. A pair belongs to the study
-when its done.json carries the study hash: manifest.json's, which the last
-gen-graphs or sweep wrote, or before either the given manifest's. Each
-command reads it once, as one Study (ResultsStore.study), and uses only its
-pairs; _completed_under is the one place that compares the hashes.
+when its done.json carries the study hash: manifest.json's, which only
+gen-graphs or an accepted sweep writes, or before either the given manifest's.
+Each command reads it once, as one Study (ResultsStore.study), and uses only
+its pairs; _completed_under is the one place that compares the hashes.
 Every file is written to a temporary name in its directory and renamed over
 the target, so a crash mid-write leaves the previous version intact.
 
@@ -225,10 +225,11 @@ class ResultsStore:
         return [(doc["graph_id"], doc["init_method"])
                 for doc in self.done_records(manifest_hash)]
 
-    def study(self, manifest_hash: str) -> Study:
-        """The study of manifest.json's hash, or before any of manifest_hash;
-        reads manifest.json, each done.json and each pair's robustness.json once."""
-        stored = self._read_json("manifest.json")
+    def study(self, manifest_hash: str, given: bool = False) -> Study:
+        """The study of manifest.json's hash, or of manifest_hash before any or
+        with given (a sweep's own, with no manifest); reads manifest.json, each
+        done.json and each pair's robustness.json once."""
+        stored = None if given else self._read_json("manifest.json")
         study_hash = stored["manifest_hash"] if stored else manifest_hash
         docs = self.done_records(None)
         done = tuple(d for d in docs if self._completed_under(d, study_hash))

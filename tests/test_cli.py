@@ -136,24 +136,53 @@ def test_a_resume_on_other_data_is_one_error_line(desk_manifest_path, tmp_path, 
             for p in out.glob("models/*/done.json")} == {"synthetic"}
 
 
-def test_scale_flag_shrinks_run(desk_manifest_path, tmp_path):
+def changed_manifest(path, out, **scale_factors) -> list[str]:
+    """The --manifest arguments of a copy of the manifest at path, written
+    to out, with each given scale factor multiplied by its value."""
+    m = ExperimentManifest.from_file(path)
+    for name, factor in scale_factors.items():
+        setattr(m.scale, name, getattr(m.scale, name) * factor)
+    m.save(out)
+    return ["--manifest", str(out)]
+
+
+def test_an_attack_under_another_seed_is_one_error_line(desk_manifest_path, tmp_path,
+                                                        caplog):
+    # the master seed picks the synthetic test set, so only a sweep may change it
+    out = tmp_path / "results"
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    data = ["--data-dir", str(tmp_path / "nodata")]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, *data]) == 0
     m = ExperimentManifest.from_file(desk_manifest_path)
-    scaled = m.scale.scaled_by(0.5)
-    assert scaled.epochs == pytest.approx(m.scale.epochs * 0.5)
+    m.master_seed += 1
+    m.save(tmp_path / "seed.json")
+    files = sorted(out.glob("models/*/*"))
+    before = [f.read_bytes() for f in files]
+    assert main(["attack", "--manifest", str(tmp_path / "seed.json"),
+                 "--out-dir", str(out), *data]) == 1
+    assert errors(caplog) == ["attack failed: the given manifest differs from the "
+                              "study's in master_seed; a change to them needs a sweep"]
+    assert sorted(out.glob("models/*/*")) == files
+    assert [f.read_bytes() for f in files] == before
 
 
 def test_report_shows_the_settings_the_sweep_ran_under(desk_manifest_path, tmp_path):
+    # gen-graphs and the report under the given manifest, the sweep under a
+    # copy with every scale factor halved
     out = tmp_path / "results"
     args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    given = ExperimentManifest.from_file(desk_manifest_path)
+    halved = changed_manifest(desk_manifest_path, tmp_path / "halved.json",
+                              **dict.fromkeys(asdict(given.scale), 0.5))
     assert main(["gen-graphs", *args]) == 0
-    assert main(["sweep", *args, "--data-dir", str(tmp_path / "nodata"),
-                 "--scale", "0.5"]) == 0
+    assert main(["sweep", *halved, "--out-dir", str(out),
+                 "--data-dir", str(tmp_path / "nodata")]) == 0
     assert main(["report", *args]) == 0
 
-    given = ExperimentManifest.from_file(desk_manifest_path)
     stored = json.loads((out / "manifest.json").read_text())
     ran = ExperimentManifest.from_dict(stored["manifest"])
-    assert ran.scale == given.scale.scaled_by(0.5)
+    assert asdict(ran.scale) == {k: v * 0.5 for k, v in asdict(given.scale).items()}
     lines = (out / "report.txt").read_text().splitlines()
     assert f"manifest_hash: {stored['manifest_hash']}" in lines
     assert f"mode: desk (scale factors {asdict(ran.scale)})" in lines
@@ -167,7 +196,10 @@ def test_report_shows_the_settings_of_a_later_attack(desk_manifest_path, tmp_pat
     data = ["--data-dir", str(tmp_path / "nodata")]
     assert main(["gen-graphs", *args]) == 0
     assert main(["sweep", *args, *data]) == 0
-    assert main(["attack", *args, *data, "--scale", "4"]) == 0
+    # the four scale factors of the attack plan x 4
+    attacker = changed_manifest(desk_manifest_path, tmp_path / "attacker.json",
+                                search_subset=4, one_pixel=4, de_pop=4, de_iter=4)
+    assert main(["attack", *attacker, "--out-dir", str(out), *data]) == 0
     assert main(["report", *args]) == 0
 
     events = json.loads((out / "provenance.json").read_text())

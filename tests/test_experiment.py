@@ -750,6 +750,23 @@ class TestRerunAttacks:
         }
 
 
+    @pytest.mark.parametrize("change, fields", [
+        ({"master_seed": 778}, "master_seed"),
+        ({"synthetic_test_n": 80, "scale": ScaleFactors(test_subset=0.5)},
+         "scale, synthetic_test_n")], ids=["seed", "test-set"])
+    def test_refuses_a_change_outside_the_attack_plan(self, three_models, change, fields):
+        # another master seed or test prefix would score the stored models on
+        # other images: refused before any file under models/ is written
+        _, store, _ = three_models
+        files = sorted(store.root.glob("models/*/*"))
+        before = [f.read_bytes() for f in files]
+        other = tiny_manifest(target_graph_count=3, **change)
+        with pytest.raises(ExperimentError, match=f"^the given manifest differs from the "
+                           f"study's in {fields}; a change to them needs a sweep$"):
+            rerun_attacks(other, store, resolve_data_source(other, None))
+        assert sorted(store.root.glob("models/*/*")) == files
+        assert [f.read_bytes() for f in files] == before
+
     def test_a_resumed_sweep_keeps_the_reattack_settings_in_the_report(
             self, three_models):
         # a re-attack under a larger DE budget, then a resume with nothing
@@ -852,6 +869,20 @@ class TestRerunAttacks:
         assert [f.read_bytes() for f in files] == before
         assert len(run_sweep(manifest, store, fallback, resume=False)) == 2
         assert {d["dataset"] for d in store.done_records(None)} == {"synthetic"}
+
+    def test_a_refused_resume_leaves_the_study_as_it_was(self, idx_study, tmp_path):
+        # study A on IDX files, then a sweep of B (init U only) as the study:
+        # a resume of A on the synthetic fallback is refused, and B stays it
+        manifest, store, fallback = idx_study
+        other = tiny_manifest(dataset="auto", init_methods=["U"])
+        run_sweep(other, store, resolve_data_source(other, tmp_path / "idx"))
+        stored = (store.root / "manifest.json").read_bytes()
+        with pytest.raises(ExperimentError, match="refusing to resume it on synthetic"):
+            run_sweep(manifest, store, fallback)
+        assert (store.root / "manifest.json").read_bytes() == stored
+        assert json.loads(stored)["manifest_hash"] == other.manifest_hash
+        assert ("models: 2 graphs x 1 initializations, 2 left out (completed under "
+                "another manifest)") in render_report(other, store).splitlines()
 
 
 class TestOneCleanPass:

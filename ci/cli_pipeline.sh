@@ -54,4 +54,10 @@ cat sweep_err.txt
 test "$code" -eq 1
 grep -F "sweep failed: no graphs in store" sweep_err.txt
 if grep -F Traceback sweep_err.txt; then exit 1; fi
+python -c "import json; m = json.load(open('manifest.json')); m['no_such_field'] = 1; json.dump(m, open('manifest_unknown.json', 'w'))"
+code=0; snnrobust gen-graphs --manifest manifest_unknown.json --out-dir results 2> gen_err.txt || code=$?
+cat gen_err.txt
+test "$code" -eq 1
+grep -F "gen-graphs failed: bad manifest manifest_unknown.json" gen_err.txt
+if grep -F Traceback gen_err.txt; then exit 1; fi
 echo "cli_pipeline: every check passed"

@@ -35,12 +35,12 @@ from . import data as data_mod
 from .attack import (ATTACK_CSV_HEADER, DEConfig, fgsm_eps_search, fgsm_many,
                      one_pixel)
 from .data import Dataset
-from .graph import (Dag, GraphMetrics, compute_metrics, generate_ws, layer_dag,
-                    make_graph, to_dag)
+from .graph import (GraphMetrics, UndirectedGraph, compute_metrics, generate_ws,
+                    layer_dag)
 from .measure import (MEASURE_COLUMNS, CorrelationTable, RobustnessRecord,
                       correlation_cell, rank_groups, robustness_record,
                       tukey_fences)
-from .network import (MaskedNetwork, build_network, init_weights,
+from .network import (INIT_METHODS, MaskedNetwork, build_network, init_weights,
                       load_checkpoint, network_to_graph, param_count,
                       prune_random, save_checkpoint)
 from .store import GraphEntry, ResultsStore, Study
@@ -192,6 +192,13 @@ class ExperimentManifest:
         if unknown:
             raise ExperimentError(f"unknown graph properties {unknown}; "
                                   f"allowed: {', '.join(PROPERTY_NAMES)}")
+        unknown = [m for m in [*self.init_methods, self.pruning.init_method]
+                   if m not in INIT_METHODS]
+        if unknown:
+            raise ExperimentError(f"unknown init methods {unknown}; "
+                                  f"allowed: {', '.join(INIT_METHODS)}")
+        if len(set(self.init_methods)) < len(self.init_methods):
+            raise ExperimentError(f"init_methods {self.init_methods} repeats a method")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -213,7 +220,12 @@ class ExperimentManifest:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """The manifest in the JSON file at path; a file that is not valid
+        JSON or holds an unknown field or a bad value raises ExperimentError."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (TypeError, ValueError) as exc:
+            raise ExperimentError(f"bad manifest {path}: {exc}") from exc
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
@@ -485,7 +497,7 @@ def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
     store = ResultsStore(out_dir)
 
     entry = store.load_graph_entry(graph_id)
-    ld = layer_dag(to_dag(entry.graph))
+    ld = layer_dag(entry.graph)
     net = build_network(ld, INPUT_DIM, OUTPUT_DIM)
     init_seed = derive_seed(manifest.master_seed, graph_id, init_method, "init")
     net = init_weights(net, init_method, init_seed)
@@ -712,15 +724,16 @@ def correlate(manifest: ExperimentManifest, store: ResultsStore) -> CorrelationT
 # --- pruning baseline -------------------------------------------------------
 
 
-def dense_stack_dag(hidden_layers: list[int]) -> Dag:
-    """Fully connected consecutive-layer DAG over contiguous vertex blocks."""
+def dense_stack_dag(hidden_layers: list[int]) -> UndirectedGraph:
+    """Fully connected consecutive layers over contiguous vertex blocks, each
+    edge from a lower block to the next."""
     offsets = np.concatenate([[0], np.cumsum(hidden_layers)])
     edges = set()
     for b in range(len(hidden_layers) - 1):
         for u in range(offsets[b], offsets[b + 1]):
             for v in range(offsets[b + 1], offsets[b + 2]):
                 edges.add((int(u), int(v)))
-    return Dag(int(offsets[-1]), frozenset(edges))
+    return UndirectedGraph(int(offsets[-1]), frozenset(edges))
 
 
 def hidden_edge_count(net: MaskedNetwork) -> int:
@@ -754,9 +767,7 @@ def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
         rec = measured.get(attack)
         record[f"{attack}_{measure}"] = getattr(rec, measure) if rec is not None else None
 
-    hidden_dag = network_to_graph(net)
-    hidden_metrics = compute_metrics(
-        make_graph(hidden_dag.vertex_count, hidden_dag.directed_edges))
+    hidden_metrics = compute_metrics(network_to_graph(net))
     record.update(graph_properties(hidden_metrics, record["param_count"]))
     record["disconnected"] = hidden_metrics.disconnected
     return record

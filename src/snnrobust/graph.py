@@ -1,14 +1,17 @@
-"""Watts-Strogatz graph generation, acyclic orientation, layering, and metrics.
+"""Watts-Strogatz graph generation, layering, and metrics.
 
 Undirected graphs are generated from a ring lattice with random rewiring
 (all coins drawn in one call, each new endpoint by rejection from batched
-integer draws), oriented into DAGs by directing every edge from its
-lower-indexed endpoint to its higher-indexed one, and layered by the
-max-predecessor rule. Metric computation (density, distances, centralities)
-runs on the undirected graph; the directed density of the derived DAG is
-recorded alongside. Distances come from a breadth-first search from every
-vertex at once, one bit per source, so no distance matrix is built and
-scipy is not needed.
+integer draws). One UndirectedGraph value runs from the generator to the
+network. It stores every edge as (u, v) with u < v, so directing each edge
+from the lower index to the higher (as Xie et al. 2019 do) gives the same
+edge set: the graph is its own acyclic orientation. layer_dag layers it by
+the max-predecessor rule, and network_to_graph recovers it from a network.
+Metric computation (density, distances, centralities) runs on the
+undirected graph; the directed density of the orientation is recorded
+alongside. Distances come from a breadth-first search from every vertex at
+once, one bit per source, so no distance matrix is built and scipy is not
+needed. The graph file format belongs to the results store.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
-
-GRAPH_SCHEMA_VERSION = 1
 
 
 class GraphError(ValueError):
@@ -68,42 +69,16 @@ def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Undirecte
 
 
 @dataclass(frozen=True)
-class Dag:
-    """Directed acyclic graph; every edge (u, v) satisfies u < v."""
-
-    vertex_count: int
-    directed_edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.vertex_count < 1:
-            raise GraphError("vertex_count must be positive")
-        for u, v in self.directed_edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise GraphError(f"directed edge ({u},{v}) must satisfy 0 <= u < v < n")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.directed_edges)
-
-    def predecessor_lists(self) -> list[list[int]]:
-        preds: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.directed_edges:
-            preds[v].append(u)
-        for lst in preds:
-            lst.sort()
-        return preds
-
-
-@dataclass(frozen=True)
 class LayeredDag:
-    """A DAG with the max-predecessor layering.
+    """A graph, its edges directed from lower to higher index, with the
+    max-predecessor layering.
 
     layer_index maps each vertex to its layer; layers is the corresponding
     ordered partition (vertex ids ascending within each layer). Layer 0 is
     exactly the in-degree-0 vertices; sinks are the out-degree-0 ones.
     """
 
-    dag: Dag
+    graph: UndirectedGraph
     layer_index: dict[int, int]
     layers: tuple[tuple[int, ...], ...]
     sinks: tuple[int, ...]
@@ -159,24 +134,30 @@ def _batched_integers(rng: np.random.Generator, high: int, batch: int):
         yield from rng.integers(high, size=batch).tolist()
 
 
-def to_dag(g: UndirectedGraph) -> Dag:
-    """Orient every undirected edge {i, j} with i < j as the directed edge (i, j).
+def to_dag(g: UndirectedGraph) -> UndirectedGraph:
+    """The acyclic orientation of g, which is g itself.
 
-    Equivalent to keeping only the lower triangle of the adjacency matrix;
-    the result is acyclic because every edge increases the vertex index.
+    Directing every edge {i, j} from i to j with i < j keeps the lower
+    triangle of the adjacency matrix, and an UndirectedGraph already stores
+    each edge as (i, j) with i < j. Every directed edge increases the vertex
+    index, so no cycle exists. Kept for the benchmark workloads, which still
+    call it; the package itself passes the graph to layer_dag directly.
     """
-    return Dag(g.vertex_count, frozenset(g.edges))
+    return g
 
 
-def layer_dag(d: Dag) -> LayeredDag:
+def layer_dag(g: UndirectedGraph) -> LayeredDag:
     """Assign each vertex the layer 1 + max(layer of predecessors); vertices
     with in-degree zero get layer 0.
 
-    Every Dag edge (u, v) has u < v, so vertex order is a topological order:
-    one pass in that order meets each vertex after all its predecessors.
+    Each edge (u, v), u < v, is directed from u to v, so vertex order is a
+    topological order: one pass in that order meets each vertex after all
+    its predecessors.
     """
-    n = d.vertex_count
-    preds = d.predecessor_lists()
+    n = g.vertex_count
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.edges:
+        preds[v].append(u)
     index: dict[int, int] = {}
     for v in range(n):
         index[v] = 1 + max((index[u] for u in preds[v]), default=-1)
@@ -185,9 +166,9 @@ def layer_dag(d: Dag) -> LayeredDag:
     for v in range(n):
         layers_mut[index[v]].append(v)
     layers = tuple(tuple(layer) for layer in layers_mut)
-    tails = {u for u, _ in d.directed_edges}
+    tails = {u for u, _ in g.edges}
     sinks = tuple(v for v in range(n) if v not in tails)
-    return LayeredDag(dag=d, layer_index=index, layers=layers, sinks=sinks)
+    return LayeredDag(graph=g, layer_index=index, layers=layers, sinks=sinks)
 
 
 @dataclass
@@ -306,27 +287,3 @@ def compute_metrics(g: UndirectedGraph) -> GraphMetrics:
         path_length_distribution=pair_counts,
         disconnected=nc < n,
     )
-
-
-def graph_to_doc(
-    g: UndirectedGraph,
-    generator: dict | None = None,
-    metrics: GraphMetrics | None = None,
-) -> dict:
-    """A graph (plus optional generator params and metrics) as a JSON-ready dict."""
-    return {
-        "schema_version": GRAPH_SCHEMA_VERSION,
-        "generator": generator,
-        "vertex_count": g.vertex_count,
-        "edges": sorted([list(e) for e in g.edges]),
-        "metrics": metrics.to_dict() if metrics is not None else None,
-        "disconnected_flag": metrics.disconnected if metrics is not None else None,
-    }
-
-
-def graph_from_doc(doc: dict) -> tuple[UndirectedGraph, dict | None, GraphMetrics | None]:
-    if doc.get("schema_version") != GRAPH_SCHEMA_VERSION:
-        raise GraphError(f"unsupported graph schema version {doc.get('schema_version')!r}")
-    g = make_graph(doc["vertex_count"], [tuple(e) for e in doc["edges"]])
-    metrics = GraphMetrics.from_dict(doc["metrics"]) if doc.get("metrics") else None
-    return g, doc.get("generator"), metrics

@@ -55,7 +55,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import Dag, LayeredDag
+from .graph import LayeredDag, UndirectedGraph
 from .store import atomic_open
 
 CHECKPOINT_MAGIC = b"SNNCKPT1"
@@ -166,7 +166,7 @@ def _from_blocks(input_dim: int, output_dim: int, layer_units: list[int],
 
 def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetwork:
     """Construct the zero-weight masked network induced by a layered DAG."""
-    if ld.dag.vertex_count < 1 or not ld.layers:
+    if ld.graph.vertex_count < 1 or not ld.layers:
         raise NetworkError("layered DAG must contain at least one vertex")
     if input_dim < 1 or output_dim < 1:
         raise NetworkError("input_dim and output_dim must be >= 1")
@@ -179,7 +179,7 @@ def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetw
     masks = [np.zeros(shape, dtype=CHECKPOINT_DTYPE)
              for shape in _layer_shapes(input_dim, output_dim, units)]
     masks[0][:] = 1.0
-    for u, v in ld.dag.directed_edges:
+    for u, v in ld.graph.edges:
         masks[ld.layer_index[v]][row[v], column[u]] = 1.0
     masks[-1][:, [column[v] for v in ld.sinks]] = 1.0
 
@@ -410,16 +410,16 @@ def prune_random(net: MaskedNetwork, alpha: float, seed: int) -> MaskedNetwork:
     return out
 
 
-def network_to_graph(net: MaskedNetwork) -> Dag:
-    """Recover the hidden-structure DAG: one vertex per hidden unit, one
-    directed edge per surviving hidden mask entry."""
+def network_to_graph(net: MaskedNetwork) -> UndirectedGraph:
+    """Recover the hidden-structure graph: one vertex per hidden unit, one
+    edge (u, v), directed from u to v, per surviving hidden mask entry."""
     order = [v for layer in net.layer_vertices for v in layer]
     edges = set()
     for l in range(1, net.n_layers):
         targets = net.layer_vertices[l]
         for j, i in zip(*np.nonzero(net.masks[l])):
             edges.add((order[net.sources[l][i]], targets[j]))
-    return Dag(len(order), frozenset(edges))
+    return UndirectedGraph(len(order), frozenset(edges))
 
 
 def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None:

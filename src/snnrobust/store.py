@@ -2,7 +2,10 @@
 
 Layout under the output directory:
   manifest.json, generation.json, provenance.json
-  graphs/<graph_id>.json       the graphs of the last gen-graphs run
+  graphs/<graph_id>.json       the graphs of the last gen-graphs run: schema
+                               version, graph id, generator parameters,
+                               vertex count, sorted edges, metrics,
+                               disconnected flag and parameter count
   models/<graph_id>__<init>/   checkpoint.bin, history.csv, eval.json,
                                fgsm.csv, fgsm_search.csv, one_pixel.csv,
                                robustness.json, done.json
@@ -44,8 +47,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import GraphMetrics, UndirectedGraph, graph_from_doc, graph_to_doc
+from .graph import GraphError, GraphMetrics, UndirectedGraph, make_graph
 from .measure import CorrelationTable, RobustnessRecord
+
+GRAPH_SCHEMA_VERSION = 1
 
 
 @contextmanager
@@ -134,18 +139,26 @@ class ResultsStore:
     # --- graphs -------------------------------------------------------
 
     def save_graph_entry(self, entry: GraphEntry) -> None:
-        doc = graph_to_doc(entry.graph, entry.generator, entry.metrics)
-        doc["graph_id"] = entry.graph_id
-        doc["param_count"] = entry.param_count
-        self._write_json(self.root / "graphs" / f"{entry.graph_id}.json", doc)
+        g, metrics = entry.graph, entry.metrics
+        self._write_json(self.root / "graphs" / f"{entry.graph_id}.json", {
+            "schema_version": GRAPH_SCHEMA_VERSION,
+            "graph_id": entry.graph_id,
+            "generator": entry.generator,
+            "vertex_count": g.vertex_count,
+            "edges": sorted([list(e) for e in g.edges]),
+            "metrics": metrics.to_dict(),
+            "disconnected_flag": metrics.disconnected,
+            "param_count": entry.param_count,
+        })
 
     def _entry_from_doc(self, doc: dict) -> GraphEntry:
-        g, generator, metrics = graph_from_doc(doc)
+        if doc.get("schema_version") != GRAPH_SCHEMA_VERSION:
+            raise GraphError(f"unsupported graph schema version {doc.get('schema_version')!r}")
         return GraphEntry(
             graph_id=doc["graph_id"],
-            graph=g,
-            generator=generator or {},
-            metrics=metrics,
+            graph=make_graph(doc["vertex_count"], [tuple(e) for e in doc["edges"]]),
+            generator=doc["generator"],
+            metrics=GraphMetrics.from_dict(doc["metrics"]),
             param_count=doc["param_count"],
         )
 

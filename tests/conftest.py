@@ -12,7 +12,7 @@ import snnrobust
 import numpy as np
 import pytest
 
-from snnrobust.graph import generate_ws, layer_dag, to_dag
+from snnrobust.graph import generate_ws, layer_dag
 from snnrobust.network import build_network, init_weights
 
 
@@ -37,9 +37,9 @@ def random_layered_net(rng: np.random.Generator, input_dim: int = 6,
         nei = int(rng.integers(1, min(3, (size - 1) // 2) + 1))
         p = float(rng.uniform(0.2, 0.9))
         g = generate_ws(size, nei, p, seed=int(rng.integers(2**31)))
-        ld = layer_dag(to_dag(g))
+        ld = layer_dag(g)
         has_skip = any(ld.layer_index[v] - ld.layer_index[u] > 1
-                       for u, v in ld.dag.directed_edges)
+                       for u, v in ld.graph.edges)
         if has_skip or not require_skip:
             net = init_weights(build_network(ld, input_dim, output_dim), "He_N",
                                seed=int(rng.integers(2**31)))

@@ -331,8 +331,8 @@ def vertex_forward_logits(net: MaskedNetwork, ld: LayeredDag, x: np.ndarray) -> 
     every pixel, other vertices their DAG predecessors, classes the sinks.
     A DAG edge without an unmasked weight (pruned) counts as weight 0."""
     w = keyed_weights(net)
-    preds: dict[int, list[int]] = {v: [] for v in range(ld.dag.vertex_count)}
-    for u, v in ld.dag.directed_edges:
+    preds: dict[int, list[int]] = {v: [] for v in range(ld.graph.vertex_count)}
+    for u, v in ld.graph.edges:
         preds[v].append(u)
     act: dict[int, float] = {}
     for l, layer in enumerate(ld.layers):

@@ -24,7 +24,7 @@ from snnrobust.data import find_mnist, load_mnist_split, synthetic_dataset
 from snnrobust.experiment import (ExperimentManifest, GridSpec, ScaleFactors,
                                   dense_stack_dag, hidden_edge_count,
                                   resolve_data_source, run_pruning_baseline)
-from snnrobust.graph import compute_metrics, generate_ws, layer_dag, to_dag
+from snnrobust.graph import compute_metrics, generate_ws, layer_dag
 from snnrobust.measure import avg_epsilon, cohen_label, kendall, spearman
 from snnrobust.network import (backward, build_network, forward, init_weights,
                                network_to_graph)
@@ -66,7 +66,7 @@ def trained_model(image_data):
     """Criterion 5's model: WS(300, 2, 0.6) prior, 5 epochs, 10k subset."""
     train_set, test_set, label = image_data
     g = generate_ws(300, 2, 0.6, seed=901)
-    net = build_network(layer_dag(to_dag(g)), 784, 10)
+    net = build_network(layer_dag(g), 784, 10)
     net = init_weights(net, "He_N", seed=7)
     subset = train_set.subset(np.arange(min(10_000, train_set.n)))
     train(net, subset, TrainConfig(epochs=5, batch_size=128, seed=11))
@@ -118,13 +118,12 @@ def test_criterion_03_structural_invariants():
         nei = int(rng.integers(1, min(3, (size - 1) // 2) + 1))
         p = float(rng.uniform(0, 1))
         g = generate_ws(size, nei, p, seed=int(rng.integers(2**31)))
-        d = to_dag(g)
-        assert d.edge_count == g.edge_count == size * nei
-        ld = layer_dag(d)  # raises on any cycle: topological order exists
-        for u, v in d.directed_edges:
+        assert g.edge_count == size * nei
+        ld = layer_dag(g)  # raises on any cycle: topological order exists
+        for u, v in g.edges:
             assert ld.layer_index[u] < ld.layer_index[v]
         net = build_network(ld, 8, 3)
-        assert network_to_graph(net).directed_edges == d.directed_edges
+        assert network_to_graph(net) == g
     report(3, True, "1000 WS graphs: acyclic orientation, edge counts, "
                     "forward layering, exact edge-set round-trip")
 
@@ -232,7 +231,7 @@ def test_criterion_08_one_pixel_contract(trained_model):
 
     # frozen toy net, never trained, for the evolution properties
     g = generate_ws(40, 2, 0.5, seed=7)
-    net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "G_N", seed=3)
+    net = init_weights(build_network(layer_dag(g), 784, 10), "G_N", seed=3)
     x = synthetic_dataset(1, seed=5).images[0]
     _, p0, _ = forward(net, x)
     y = int(p0.argmax())

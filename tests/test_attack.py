@@ -8,7 +8,7 @@ from snnrobust.attack import (AttackError, DEConfig, candidate_probs,
                               init_population, one_pixel, perturbed_batch,
                               rand1_bin_draw)
 from snnrobust.data import synthetic_dataset
-from snnrobust.graph import Dag, layer_dag
+from snnrobust.graph import UndirectedGraph, layer_dag
 from snnrobust.network import build_network, forward, init_weights
 
 from tests.conftest import random_layered_net
@@ -19,7 +19,7 @@ from tests.oracles import float64_copy
 def frozen_net():
     """Small trained-ish 784-input model shared across attack tests."""
     rng = np.random.default_rng(777)
-    ld = layer_dag(Dag(30, frozenset(
+    ld = layer_dag(UndirectedGraph(30, frozenset(
         {(u, v) for u in range(15) for v in range(15, 30) if (u + v) % 3})))
     return init_weights(build_network(ld, 784, 10), "G_N", seed=42)
 
@@ -108,7 +108,7 @@ class TestEpsSearch:
 
     def test_immune_constant_classifier_censored(self):
         # output biases force a constant prediction equal to the label
-        ld = layer_dag(Dag(2, frozenset({(0, 1)})))
+        ld = layer_dag(UndirectedGraph(2, frozenset({(0, 1)})))
         net = build_network(ld, 4, 3)
         net.biases[-1][1] = 5.0
         x = np.array([0.2, 0.4, 0.6, 0.8])
@@ -117,7 +117,7 @@ class TestEpsSearch:
         assert out.epsilon_used is None
 
     def test_constant_classifier_never_flips_below_cap(self):
-        ld = layer_dag(Dag(2, frozenset({(0, 1)})))
+        ld = layer_dag(UndirectedGraph(2, frozenset({(0, 1)})))
         net = build_network(ld, 4, 3)
         net.biases[-1][0] = 1.0
         out = fgsm_eps_search(net, np.full(4, 0.5), 0, start=0.001, step=0.01,

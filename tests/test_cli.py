@@ -136,6 +136,25 @@ def test_a_resume_on_other_data_is_one_error_line(desk_manifest_path, tmp_path, 
             for p in out.glob("models/*/done.json")} == {"synthetic"}
 
 
+@pytest.mark.parametrize("break_manifest", [
+    lambda text: text.replace('"master_seed"', '"no_such_field": 1, "master_seed"'),
+    lambda text: text[:-1],
+    lambda text: text.replace('"batch_size": 128', '"batch_size": 0'),
+], ids=["unknown-field", "invalid-json", "bad-train"])
+def test_a_malformed_manifest_is_one_error_line(desk_manifest_path, tmp_path, caplog,
+                                                capsys, break_manifest):
+    text = desk_manifest_path.read_text()
+    desk_manifest_path.write_text(break_manifest(text))
+    assert desk_manifest_path.read_text() != text
+    out = tmp_path / "results"
+    assert main(["gen-graphs", "--manifest", str(desk_manifest_path),
+                 "--out-dir", str(out)]) == 1
+    [line] = errors(caplog)
+    assert line.startswith(f"gen-graphs failed: bad manifest {desk_manifest_path}: ")
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(out.glob("graphs/*"))
+
+
 def changed_manifest(path, out, **scale_factors) -> list[str]:
     """The --manifest arguments of a copy of the manifest at path, written
     to out, with each given scale factor multiplied by its value."""

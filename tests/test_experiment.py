@@ -21,7 +21,7 @@ from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
                                   load_split, render_report, rerun_attacks,
                                   resolve_data_source, run_pruning_baseline,
                                   run_sweep)
-from snnrobust.graph import generate_ws, layer_dag, to_dag
+from snnrobust.graph import generate_ws, layer_dag
 from snnrobust.measure import MEASURE_COLUMNS, RobustnessRecord, tukey_fences
 from snnrobust.network import (build_network, init_weights, load_checkpoint,
                                param_count, save_checkpoint)
@@ -88,6 +88,16 @@ class TestManifest:
         with pytest.raises(ExperimentError):
             ExperimentManifest.from_dict(d)
         assert ExperimentManifest(properties=list(PROPERTY_NAMES)).properties
+
+    @pytest.mark.parametrize("change, message", [
+        ({"init_methods": ["G_N", "XYZ"]}, r"unknown init methods \['XYZ'\]; allowed: G_N"),
+        ({"init_methods": ["G_N", "U", "G_N"]}, "repeats a method"),
+        ({"pruning": {"init_method": "XYZ"}}, r"unknown init methods \['XYZ'\]"),
+    ], ids=["unknown", "repeated", "pruning"])
+    def test_init_methods_validated(self, change, message):
+        # an unknown name would otherwise fail every one of its tasks at run time
+        with pytest.raises(ExperimentError, match=message):
+            ExperimentManifest.from_dict({**ExperimentManifest().to_dict(), **change})
 
     def test_effective_scaling(self):
         m = tiny_manifest()
@@ -174,13 +184,10 @@ class TestBuildGraphDataset:
         assert 50_000 <= entries[0].param_count <= 91_000
 
     def test_candidate_count_matches_build(self, rng):
-        from snnrobust.graph import make_graph, to_dag
-        dense = dense_stack_dag([50, 100, 50])
-        graphs = ([generate_ws(250, 2, 0.7, seed=0),
-                   make_graph(dense.vertex_count, dense.directed_edges)]
+        graphs = ([generate_ws(250, 2, 0.7, seed=0), dense_stack_dag([50, 100, 50])]
                   + [random_small_graph(rng, max_vertices=12) for _ in range(30)])
         for g in graphs:
-            net = build_network(layer_dag(to_dag(g)), 784, 10)
+            net = build_network(layer_dag(g), 784, 10)
             assert candidate_param_count(g) == param_count(net)
 
 
@@ -688,7 +695,7 @@ class TestRerunAttacks:
     def store_with_model(self, tmp_path):
         manifest = tiny_manifest()
         store = ResultsStore(tmp_path)
-        ld = layer_dag(to_dag(generate_ws(30, 2, 0.5, seed=1)))
+        ld = layer_dag(generate_ws(30, 2, 0.5, seed=1))
         net = init_weights(build_network(ld, 784, 10), "He_N", seed=2)
         save_checkpoint(net, store.checkpoint_path("g0000", "He_N"))
         # as a sweep would: the manifest the model was trained under

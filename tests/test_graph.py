@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnrobust.experiment import dense_stack_dag, derive_seed
-from snnrobust.graph import (Dag, GraphError, UndirectedGraph, compute_metrics,
-                             generate_ws, graph_from_doc, graph_to_doc,
-                             layer_dag, make_graph, to_dag)
+from snnrobust.graph import (GraphError, UndirectedGraph, compute_metrics,
+                             generate_ws, layer_dag, make_graph, to_dag)
+from snnrobust.store import GraphEntry, ResultsStore
 
 from tests.conftest import random_small_graph, run_child
 from tests.oracles import (longest_path_layering, naive_metrics,
@@ -113,45 +113,35 @@ class TestGenerateWS:
 
 
 class TestToDag:
-    def test_triangle_orientation(self):
-        g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-        d = to_dag(g)
-        assert d.directed_edges == frozenset({(0, 1), (0, 2), (1, 2)})
-
-    def test_empty_graph(self):
-        d = to_dag(UndirectedGraph(5, frozenset()))
-        assert d.edge_count == 0
-
-    def test_edge_count_preserved(self):
-        g = generate_ws(10, 2, 0.5, seed=4)
-        assert to_dag(g).edge_count == g.edge_count
-
     def test_acyclic_by_construction(self):
-        # every edge increases the index, so any path strictly increases
+        # every stored edge (u, v) has u < v, so the graph is its own
+        # acyclic orientation: any path strictly increases the index
         g = generate_ws(30, 2, 0.8, seed=5)
-        for u, v in to_dag(g).directed_edges:
-            assert u < v
+        assert to_dag(g) is g
+        for edge in [(1, 0), (2, 2), (0, 5)]:
+            with pytest.raises(GraphError):
+                UndirectedGraph(5, frozenset({edge}))
 
 
 class TestLayerDag:
     def test_chain(self):
-        ld = layer_dag(Dag(3, frozenset({(0, 1), (1, 2)})))
+        ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1), (1, 2)})))
         assert ld.layer_index == {0: 0, 1: 1, 2: 2}
 
     def test_max_predecessor_rule(self):
-        ld = layer_dag(Dag(3, frozenset({(0, 1), (0, 2), (1, 2)})))
+        ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1), (0, 2), (1, 2)})))
         assert ld.layer_index == {0: 0, 1: 1, 2: 2}
         # edge 0->2 spans two layers
         assert ld.layer_index[2] - ld.layer_index[0] == 2
 
     def test_isolated_vertex_is_layer_zero(self):
-        ld = layer_dag(Dag(4, frozenset({(0, 1), (1, 3)})))
+        ld = layer_dag(UndirectedGraph(4, frozenset({(0, 1), (1, 3)})))
         assert ld.layer_index[2] == 0
         assert 2 in ld.layers[0] and 2 in ld.sinks
 
     @staticmethod
     def assert_matches_oracle(ld):
-        want = longest_path_layering(ld.dag.vertex_count, ld.dag.directed_edges)
+        want = longest_path_layering(ld.graph.vertex_count, ld.graph.edges)
         assert ld.layer_index == want["layer_index"]
         assert ld.layers == want["layers"]
         assert ld.layers[0] == want["sources"]
@@ -160,21 +150,21 @@ class TestLayerDag:
     def test_layer_zero_equals_sources(self, rng):
         for _ in range(25):
             g = random_small_graph(rng)
-            ld = layer_dag(to_dag(g))
-            heads = {v for _, v in ld.dag.directed_edges}
+            ld = layer_dag(g)
+            heads = {v for _, v in ld.graph.edges}
             assert set(ld.layers[0]) == set(range(g.vertex_count)) - heads
             self.assert_matches_oracle(ld)
 
     def test_edges_go_strictly_forward(self, rng):
         for _ in range(25):
             g = random_small_graph(rng)
-            ld = layer_dag(to_dag(g))
-            for u, v in ld.dag.directed_edges:
+            ld = layer_dag(g)
+            for u, v in ld.graph.edges:
                 assert ld.layer_index[u] < ld.layer_index[v]
             self.assert_matches_oracle(ld)
 
     def test_benchmark_scale_graph_matches_oracle(self):
-        ld = layer_dag(to_dag(generate_ws(400, 2, 0.9, seed=3)))
+        ld = layer_dag(generate_ws(400, 2, 0.9, seed=3))
         assert len(ld.layers) > 2
         self.assert_matches_oracle(ld)
 
@@ -306,7 +296,7 @@ class TestComputeMetrics:
         UndirectedGraph(1, frozenset()), UndirectedGraph(2, frozenset()),
         make_graph(2, [(0, 1)]),
         make_graph(5, [(0, 1), (0, 2), (1, 2)]), make_graph(5, [(2, 3), (2, 4), (3, 4)]),
-        make_graph(200, dense_stack_dag([50, 100, 50]).directed_edges),
+        dense_stack_dag([50, 100, 50]),
     ], ids=["1-vertex", "2-isolated", "2-edge", "isolated-last", "isolated-first",
             "dense-50-100-50"])
     def test_small_and_dense_equal_shortest_paths(self, g):
@@ -334,20 +324,31 @@ class TestComputeMetrics:
 
 
 class TestPersistence:
-    def test_round_trip(self):
-        g = generate_ws(12, 2, 0.4, seed=2)
-        m = compute_metrics(g)
-        doc = graph_to_doc(g, generator={"size": 12, "nei": 2, "p": 0.4, "seed": 2},
-                           metrics=m)
-        g2, gen, m2 = graph_from_doc(json.loads(json.dumps(doc)))
-        assert g2.edges == g.edges
-        assert gen["nei"] == 2
-        assert m2.to_dict() == m.to_dict()
+    @staticmethod
+    def saved(store, size, nei, p, seed) -> GraphEntry:
+        g = generate_ws(size, nei, p, seed)
+        entry = GraphEntry("g0001", g, {"size": size, "nei": nei, "p": p, "seed": seed},
+                           compute_metrics(g), param_count=1234)
+        store.save_graph_entry(entry)
+        return entry
 
-    def test_schema_fields_present(self):
-        g = generate_ws(8, 1, 0.0, seed=0)
-        doc = graph_to_doc(g)
-        assert {"schema_version", "generator", "vertex_count", "edges",
-                "metrics", "disconnected_flag"} <= set(doc)
+    def test_round_trip(self, tmp_path):
+        entry = self.saved(ResultsStore(tmp_path), 12, 2, 0.4, 2)
+        loaded = ResultsStore(tmp_path).load_graph_entry("g0001")
+        assert loaded.graph == entry.graph
+        assert loaded.generator == {"size": 12, "nei": 2, "p": 0.4, "seed": 2}
+        assert loaded.metrics.to_dict() == entry.metrics.to_dict()
+        assert (loaded.graph_id, loaded.param_count) == ("g0001", 1234)
+
+    def test_schema_fields_present(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        entry = self.saved(store, 8, 1, 0.0, 0)
+        path = tmp_path / "graphs" / "g0001.json"
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"schema_version", "graph_id", "generator", "vertex_count",
+                            "edges", "metrics", "disconnected_flag", "param_count"}
+        assert doc["edges"] == sorted([list(e) for e in entry.graph.edges])
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True)
+        path.write_text(json.dumps({**doc, "schema_version": 99}))
         with pytest.raises(GraphError):
-            graph_from_doc({**doc, "schema_version": 99})
+            store.load_graph_entry("g0001")

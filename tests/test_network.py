@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snnrobust.graph import Dag, generate_ws, layer_dag, to_dag
+from snnrobust.graph import UndirectedGraph, generate_ws, layer_dag
 from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
                                backward, build_network, cross_entropy, forward,
                                init_weights, load_checkpoint, network_to_graph,
@@ -25,7 +25,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def tiny_skip_net():
     """Vertices {0,1,2}, edges 0->1, 1->2, 0->2; 2 inputs, 2 outputs."""
-    ld = layer_dag(Dag(3, frozenset({(0, 1), (1, 2), (0, 2)})))
+    ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1), (1, 2), (0, 2)})))
     return build_network(ld, 2, 2)
 
 
@@ -41,13 +41,13 @@ class TestBuildNetwork:
         assert param_count(net) == 12
 
     def test_chain_has_no_skip_groups(self):
-        ld = layer_dag(Dag(3, frozenset({(0, 1), (1, 2)})))
+        ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1), (1, 2)})))
         net = build_network(ld, 3, 2)
         assert [m.shape for m in net.masks] == [(1, 3), (1, 1), (1, 1), (2, 1)]
         assert net.sources[2].tolist() == [1]  # no skip column for layer 0
 
     def test_isolated_vertex_wired_both_ways(self):
-        ld = layer_dag(Dag(3, frozenset({(0, 1)})))  # vertex 2 isolated
+        ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1)})))  # vertex 2 isolated
         net = build_network(ld, 4, 3)
         # layer 0 holds vertices {0, 2}; the input matrix covers both densely
         assert net.layer_vertices[0] == [0, 2]
@@ -60,12 +60,12 @@ class TestBuildNetwork:
 
     def test_sources_are_the_predecessor_columns(self, rng):
         for _ in range(20):
-            ld = layer_dag(to_dag(random_small_graph(rng, max_vertices=12)))
+            ld = layer_dag(random_small_graph(rng, max_vertices=12))
             net = build_network(ld, 6, 4)
             column = {v: i for i, v in enumerate(v for layer in ld.layers for v in layer)}
             assert net.sources[0].tolist() == list(range(6))
             for l in range(1, net.n_layers):
-                preds = {column[u] for u, v in ld.dag.directed_edges
+                preds = {column[u] for u, v in ld.graph.edges
                          if ld.layer_index[v] == l}
                 assert net.sources[l].tolist() == sorted(preds)
                 assert net.masks[l].shape == (len(ld.layers[l]), len(preds))
@@ -74,22 +74,22 @@ class TestBuildNetwork:
     def test_param_count_formula(self, rng):
         for _ in range(20):
             g = random_small_graph(rng)
-            ld = layer_dag(to_dag(g))
+            ld = layer_dag(g)
             net = build_network(ld, 784, 10)
-            expected = (784 * len(ld.layers[0]) + ld.dag.edge_count
+            expected = (784 * len(ld.layers[0]) + ld.graph.edge_count
                         + len(ld.sinks) * 10 + g.vertex_count + 10)
             assert param_count(net) == expected
 
     def test_dense_reference_count(self):
         # 100 isolated vertices make one hidden layer, fully wired both ways:
         # the classic 784-100-10 stack
-        ld = layer_dag(Dag(100, frozenset()))
+        ld = layer_dag(UndirectedGraph(100, frozenset()))
         net = build_network(ld, 784, 10)
         assert param_count(net) == 784 * 100 + 100 * 10 + 100 + 10
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(NetworkError):
-            build_network(layer_dag(Dag(1, frozenset())), 0, 10)
+            build_network(layer_dag(UndirectedGraph(1, frozenset())), 0, 10)
 
 
 class TestInitWeights:
@@ -121,7 +121,7 @@ class TestInitWeights:
 
     @pytest.mark.parametrize("method", INIT_METHODS)
     def test_golden_digest(self, method):
-        ld = layer_dag(to_dag(sequential_ws(40, 2, 0.5, seed=7)))
+        ld = layer_dag(sequential_ws(40, 2, 0.5, seed=7))
         net = init_weights(build_network(ld, 784, 10), method, seed=2024)
         keyed = keyed_weights(net)
         assert len(keyed) == 1668
@@ -130,20 +130,20 @@ class TestInitWeights:
         assert digest == self.GOLDEN_INIT[method]
 
     def test_normal_std(self):
-        ld = layer_dag(Dag(100, frozenset()))
+        ld = layer_dag(UndirectedGraph(100, frozenset()))
         net = build_network(ld, 100, 10)  # input group alone has 10^4 entries
         net = init_weights(net, "N", seed=7)
         w = net.weights[0].ravel()
         assert abs(w.std() - 0.1) / 0.1 < 0.05
 
     def test_he_normal_scale(self):
-        ld = layer_dag(Dag(200, frozenset()))
+        ld = layer_dag(UndirectedGraph(200, frozenset()))
         net = init_weights(build_network(ld, 400, 10), "He_N", seed=3)
         w = net.weights[0].ravel()  # fan_in = 400
         assert abs(w.std() - np.sqrt(2.0 / 400)) / np.sqrt(2.0 / 400) < 0.05
 
     def test_glorot_uniform_bound(self):
-        ld = layer_dag(Dag(50, frozenset()))
+        ld = layer_dag(UndirectedGraph(50, frozenset()))
         net = init_weights(build_network(ld, 100, 10), "G_U", seed=5)
         w = net.weights[0]
         bound = np.sqrt(2.0) * np.sqrt(6.0 / (100 + 50))
@@ -169,7 +169,7 @@ class TestForward:
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_chain_propagates_value(self):
-        ld = layer_dag(Dag(2, frozenset({(0, 1)})))
+        ld = layer_dag(UndirectedGraph(2, frozenset({(0, 1)})))
         net = build_network(ld, 1, 1)
         net.weights = [m.copy() for m in net.masks]
         _, _, cache = forward(net, np.array([1.0]))
@@ -180,7 +180,7 @@ class TestForward:
         from snnrobust.experiment import dense_stack_dag
         cases = []
         for _ in range(20):
-            ld = layer_dag(to_dag(random_small_graph(rng, max_vertices=12)))
+            ld = layer_dag(random_small_graph(rng, max_vertices=12))
             cases.append((ld, init_weights(build_network(ld, 6, 4), "He_N",
                                            seed=int(rng.integers(2**31)))))
         # a pruned dense stack, where some hidden unit lost its last
@@ -290,7 +290,7 @@ class TestBackward:
         logits, _, _ = forward(net, np.array([0.5, 0.5]))
         assert cross_entropy(logits, 0) == pytest.approx(np.log(2), abs=1e-12)
         # ten-class shape: uniform logits cost ln 10
-        ld = layer_dag(Dag(3, frozenset({(0, 1), (1, 2)})))
+        ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1), (1, 2)})))
         net10 = build_network(ld, 784, 10)
         logits, _, _ = forward(net10, np.full(784, 0.3))
         assert cross_entropy(logits, 7) == pytest.approx(np.log(10), abs=1e-12)
@@ -354,12 +354,12 @@ class TestPruneRandom:
     @pytest.mark.parametrize("kind", GOLDEN_PRUNED)
     def test_golden_pruned_edges(self, kind):
         from snnrobust.experiment import dense_stack_dag
-        d = (to_dag(sequential_ws(60, 3, 0.7, seed=8)) if kind == "ws"
+        g = (sequential_ws(60, 3, 0.7, seed=8) if kind == "ws"
              else dense_stack_dag([5, 8, 6]))
-        net = build_network(layer_dag(d), 784, 10)
+        net = build_network(layer_dag(g), 784, 10)
         for step in range(2):
             net = prune_random(net, 0.4, seed=13 + step)
-        edges = sorted(network_to_graph(net).directed_edges)
+        edges = sorted(network_to_graph(net).edges)
         digest = hashlib.sha256(repr(edges).encode()).hexdigest()
         assert (len(edges), digest) == self.GOLDEN_PRUNED[kind]
 
@@ -373,9 +373,8 @@ class TestNetworkToGraph:
     def test_round_trip_recovers_edges(self, rng):
         for _ in range(20):
             g = random_small_graph(rng)
-            d = to_dag(g)
-            net = build_network(layer_dag(d), 5, 3)
-            assert network_to_graph(net).directed_edges == d.directed_edges
+            net = build_network(layer_dag(g), 5, 3)
+            assert network_to_graph(net) == g
 
     def test_dense_stack_edge_count(self):
         from snnrobust.experiment import dense_stack_dag, hidden_edge_count

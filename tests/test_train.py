@@ -7,7 +7,7 @@ import pytest
 
 from snnrobust.attack import candidate_probs, fgsm_many
 from snnrobust.data import Dataset, synthetic_dataset
-from snnrobust.graph import Dag, generate_ws, layer_dag, to_dag
+from snnrobust.graph import UndirectedGraph, generate_ws, layer_dag
 from snnrobust.network import (backward, build_network, cross_entropy,
                                flatten_params, forward, init_weights,
                                load_checkpoint, param_views, prune_random,
@@ -94,7 +94,7 @@ def two_class_toy(n=200, seed=0):
 class TestTrain:
     def test_toy_problem_reaches_high_accuracy(self):
         ds = two_class_toy()
-        ld = layer_dag(Dag(6, frozenset({(0, 3), (1, 4), (2, 5), (0, 4)})))
+        ld = layer_dag(UndirectedGraph(6, frozenset({(0, 3), (1, 4), (2, 5), (0, 4)})))
         net = init_weights(build_network(ld, 8, 2), "He_N", seed=1)
         history = train(net, ds, TrainConfig(epochs=30, batch_size=16, seed=2))
         assert history.records[-1].accuracy >= 0.95
@@ -109,7 +109,7 @@ class TestTrain:
 
     def test_mask_pattern_unchanged_by_training(self):
         ds = two_class_toy()
-        ld = layer_dag(Dag(6, frozenset({(0, 3), (1, 4), (2, 5), (0, 4)})))
+        ld = layer_dag(UndirectedGraph(6, frozenset({(0, 3), (1, 4), (2, 5), (0, 4)})))
         net = init_weights(build_network(ld, 8, 2), "G_U", seed=4)
         masks_before = [m.copy() for m in net.masks]
         train(net, ds, TrainConfig(epochs=3, batch_size=32, seed=0))
@@ -119,7 +119,7 @@ class TestTrain:
 
     def test_bitwise_deterministic(self):
         ds = two_class_toy()
-        ld = layer_dag(Dag(5, frozenset({(0, 2), (1, 3), (2, 4)})))
+        ld = layer_dag(UndirectedGraph(5, frozenset({(0, 2), (1, 3), (2, 4)})))
         nets = []
         for _ in range(2):
             net = init_weights(build_network(ld, 8, 2), "N", seed=9)
@@ -133,7 +133,7 @@ class TestTrain:
         ds = two_class_toy(64)
         drops = []
         for seed in range(20):
-            ld = layer_dag(Dag(6, frozenset({(0, 3), (1, 4), (2, 5)})))
+            ld = layer_dag(UndirectedGraph(6, frozenset({(0, 3), (1, 4), (2, 5)})))
             net = init_weights(build_network(ld, 8, 2), "He_N", seed=seed)
             params = flatten_params(net)
             grads = np.empty_like(params)
@@ -152,7 +152,7 @@ class TestTrain:
 
     def test_divergence_detected(self):
         ds = two_class_toy(50)
-        ld = layer_dag(Dag(4, frozenset({(0, 2), (1, 3)})))
+        ld = layer_dag(UndirectedGraph(4, frozenset({(0, 2), (1, 3)})))
         net = init_weights(build_network(ld, 8, 2), "He_N", seed=0)
         # the dtype's largest weight overflows: inf logits, nan loss
         net.weights[0][...] = np.finfo(net.weights[0].dtype).max
@@ -174,13 +174,13 @@ GOLDEN_TRAIN = """
 import hashlib
 from snnrobust.data import synthetic_dataset
 from snnrobust.experiment import derive_seed
-from snnrobust.graph import layer_dag, to_dag
+from snnrobust.graph import layer_dag
 from snnrobust.network import build_network, init_weights
 from snnrobust.train import TrainConfig, train
 from tests.oracles import sequential_ws
 
 g = sequential_ws(400, 2, 0.9, derive_seed(2107_06158, "bench-graph", 0))
-net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "G_N", seed=5)
+net = init_weights(build_network(layer_dag(g), 784, 10), "G_N", seed=5)
 train(net, synthetic_dataset(1024, 11), TrainConfig(epochs=2, batch_size=128, seed=12))
 h = hashlib.sha256()
 for p in net.weights + net.biases:
@@ -224,13 +224,13 @@ def test_import_after_numpy_warns_that_the_pin_came_too_late():
 
 def test_one_c_ordered_layout(tmp_path):
     g = generate_ws(60, 2, 0.9, seed=4)
-    net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "G_N", seed=1)
+    net = init_weights(build_network(layer_dag(g), 784, 10), "G_N", seed=1)
     # columns were dropped, which is what once left matrices in Fortran order
     assert any(len(net.sources[l]) < net.offsets[l] for l in range(1, net.n_layers + 1))
     save_checkpoint(net, tmp_path / "net.bin")
     trained = net.copy()
     train(trained, synthetic_dataset(64, 0), TrainConfig(epochs=1, batch_size=32))
-    nets = [build_network(layer_dag(to_dag(g)), 784, 10), net,
+    nets = [build_network(layer_dag(g), 784, 10), net,
             prune_random(net, 0.5, seed=2), load_checkpoint(tmp_path / "net.bin")[0],
             trained]
     for n in nets:
@@ -246,7 +246,7 @@ class TestOnePrecision:
     def trained(self):
         ds = synthetic_dataset(256, seed=4)
         g = generate_ws(60, 2, 0.7, seed=5)
-        net = init_weights(build_network(layer_dag(to_dag(g)), 784, 10), "He_N", seed=6)
+        net = init_weights(build_network(layer_dag(g), 784, 10), "He_N", seed=6)
         seen = {}
         real_forward, real_adam = train_module.forward, train_module.adam_step
 
@@ -331,7 +331,7 @@ class TestEvaluateF1:
     def test_end_to_end_on_trained_model(self):
         train_set = synthetic_dataset(1500, seed=0)
         test_set = synthetic_dataset(300, seed=1, split="test")
-        ld = layer_dag(Dag(40, frozenset()))
+        ld = layer_dag(UndirectedGraph(40, frozenset()))
         net = init_weights(build_network(ld, 784, 10), "He_N", seed=2)
         train(net, train_set, TrainConfig(epochs=3, batch_size=64, seed=3))
         rep = evaluate_f1(net, test_set)

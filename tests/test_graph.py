@@ -113,6 +113,19 @@ class TestGenerateWS:
 
 
 class TestToDag:
+    def test_triangle_orientation(self):
+        g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
+        d = to_dag(g)
+        assert d.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+
+    def test_empty_graph(self):
+        d = to_dag(UndirectedGraph(5, frozenset()))
+        assert d.edge_count == 0
+
+    def test_edge_count_preserved(self):
+        g = generate_ws(10, 2, 0.5, seed=4)
+        assert to_dag(g).edge_count == g.edge_count
+
     def test_acyclic_by_construction(self):
         # every stored edge (u, v) has u < v, so the graph is its own
         # acyclic orientation: any path strictly increases the index

@@ -60,4 +60,9 @@ cat gen_err.txt
 test "$code" -eq 1
 grep -F "gen-graphs failed: bad manifest manifest_unknown.json" gen_err.txt
 if grep -F Traceback gen_err.txt; then exit 1; fi
+code=0; snnrobust gen-graphs --manifest no_such.json --out-dir results 2> missing_err.txt || code=$?
+cat missing_err.txt
+test "$code" -eq 1
+grep -F "gen-graphs failed: bad manifest no_such.json" missing_err.txt
+if grep -F Traceback missing_err.txt; then exit 1; fi
 echo "cli_pipeline: every check passed"

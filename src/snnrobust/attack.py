@@ -169,16 +169,27 @@ def rand1_bin_draw(n: int, CR: float, rng: np.random.Generator
     uniformly random ordered triple of distinct members other than i. Row i
     of the (n, 3) boolean cross marks the coordinates child i takes from its
     mutant: each with probability CR, plus one forced coordinate.
+
+    a, b and c are drawn over n-1, n-2 and n-3 values, and each draw is
+    shifted past the members already taken for its parent (i, then a, then
+    b) in ascending order, which maps it onto the members not yet taken.
+    The ascending order of two or three taken members comes from
+    np.minimum and np.maximum, not from a sort.
     """
-    taken = np.arange(n)[:, None]
-    for k in (1, 2, 3):
-        pick = rng.integers(n - k, size=n)
-        for t in np.sort(taken, axis=1).T:
-            pick += pick >= t
-        taken = np.hstack([taken, pick[:, None]])
+    i = np.arange(n)
+    a = rng.integers(n - 1, size=n)
+    a += a >= i
+    lo, hi = np.minimum(i, a), np.maximum(i, a)
+    b = rng.integers(n - 2, size=n)
+    b += b >= lo
+    b += b >= hi
+    c = rng.integers(n - 3, size=n)
+    c += c >= np.minimum(lo, b)
+    c += c >= np.maximum(lo, np.minimum(hi, b))
+    c += c >= np.maximum(hi, b)
     cross = rng.random((n, 3)) < CR
-    cross[np.arange(n), rng.integers(3, size=n)] = True
-    return taken[:, 1:], cross
+    cross[i, rng.integers(3, size=n)] = True
+    return np.stack([a, b, c], axis=1), cross
 
 
 def de_evolve(
@@ -197,12 +208,10 @@ def de_evolve(
     an (n,) fitness array. Returns the next population and its fitness.
 
     The generation's random choices are drawn for all parents at once
-    (rand1_bin_draw). a, b and c are drawn over n-1, n-2 and n-3 values, and
-    each draw is shifted past the indices already taken for its parent (i,
-    then a, then b), in ascending order. This maps it onto the members not yet
-    taken, so the triple has the distribution of drawing three members other
-    than i without replacement. One call then draws the (n, 3) crossover
-    uniforms and one the forced coordinate of every parent.
+    (rand1_bin_draw): one call each for a, b and c, whose shifts past the
+    members already taken give the distribution of drawing three members
+    other than i without replacement, then one call for the (n, 3) crossover
+    uniforms and one for the forced coordinate of every parent.
     """
     n = population.shape[0]
     if n < 4:
@@ -231,19 +240,21 @@ def candidate_probs(net: MaskedNetwork, x: np.ndarray):
     probabilities, forward(net, perturbed_batch(x, cands))[1] up to rounding.
     A candidate changes one input, so its layer-0 pre-activations are the
     clean image's, computed once, plus one input-matrix column times the
-    change; only the layers above run per candidate. The image is cast to
-    the weights' dtype, as forward casts it, and the change is taken in that
-    dtype, so the whole pass runs in it.
+    change; only the layers above run per candidate. The columns are
+    gathered straight into propagate's (units, n) layout and scaled and
+    shifted there in place. The image is cast to the weights' dtype, as
+    forward casts it, and the change is taken in that dtype, so the whole
+    pass runs in it.
     """
     x = np.asarray(x, dtype=net.weights[0].dtype)
-    w0_rows = net.weights[0].T.copy()
     pre0 = net.weights[0] @ x + net.biases[0]
 
     def probs(cands: np.ndarray) -> np.ndarray:
         flat = _pixel_index(cands)
-        delta = (cands[:, 2] / INTENSITY_MAX).astype(x.dtype) - x[flat]
-        _, logits = propagate(net, (pre0 + w0_rows[flat] * delta[:, None]).T)
-        return softmax(logits)
+        z = np.take(net.weights[0], flat, axis=1)
+        z *= (cands[:, 2] / INTENSITY_MAX).astype(x.dtype) - x[flat]
+        z += pre0[:, None]
+        return softmax(propagate(net, z)[1])
 
     return probs
 

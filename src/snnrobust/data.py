@@ -191,15 +191,20 @@ _CANVAS = 28
 
 
 def _rasterize(segments, size: int = _STENCIL_SIZE, sigma: float = 0.85) -> np.ndarray:
+    """A size x size canvas holding, at each pixel, the largest Gaussian
+    blob of width sigma centered on any of the points spaced along the
+    segments. Each segment's points are evaluated in one (n_pts, size,
+    size) array."""
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     canvas = np.zeros((size, size))
     scale = size - 1
     for x0, y0, x1, y1 in segments:
         n_pts = max(2, int(3 * size * max(abs(x1 - x0), abs(y1 - y0))))
-        for t in np.linspace(0.0, 1.0, n_pts):
-            px = (x0 + t * (x1 - x0)) * scale
-            py = (y0 + t * (y1 - y0)) * scale
-            canvas = np.maximum(canvas, np.exp(-((xx - px) ** 2 + (yy - py) ** 2) / (2 * sigma ** 2)))
+        t = np.linspace(0.0, 1.0, n_pts)[:, None, None]
+        px = (x0 + t * (x1 - x0)) * scale
+        py = (y0 + t * (y1 - y0)) * scale
+        blobs = np.exp(-((xx - px) ** 2 + (yy - py) ** 2) / (2 * sigma ** 2))
+        canvas = np.maximum(canvas, blobs.max(axis=0))
     return canvas
 
 
@@ -209,14 +214,16 @@ _STENCILS: np.ndarray | None = None
 
 def _stencils() -> np.ndarray:
     """(10, 2 * _SHEARS + 1, size, size) glyphs: digit d sheared by s at
-    [d, s + _SHEARS], each row rolled by s * r // size."""
+    [d, s + _SHEARS], each row r rolled right by s * r // size (floored),
+    built on first use. All shears of all glyphs are one gather: the entry
+    at column j of row r comes from column (j - s * r // size) % size."""
     global _STENCILS
     if _STENCILS is None:
-        glyphs = [_rasterize(_GLYPH_SEGMENTS[d]) for d in range(10)]
-        _STENCILS = np.array([[[np.roll(row, shear * r // _STENCIL_SIZE)
-                                for r, row in enumerate(glyph)]
-                               for shear in range(-_SHEARS, _SHEARS + 1)]
-                              for glyph in glyphs])
+        glyphs = np.array([_rasterize(_GLYPH_SEGMENTS[d]) for d in range(10)])
+        rows = np.arange(_STENCIL_SIZE)[:, None]
+        shears = np.arange(-_SHEARS, _SHEARS + 1)[:, None, None]
+        cols = (np.arange(_STENCIL_SIZE) - shears * rows // _STENCIL_SIZE) % _STENCIL_SIZE
+        _STENCILS = np.take_along_axis(glyphs[:, None], cols[None], axis=-1)
     return _STENCILS
 
 

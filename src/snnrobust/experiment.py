@@ -220,11 +220,12 @@ class ExperimentManifest:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentManifest":
-        """The manifest in the JSON file at path; a file that is not valid
-        JSON or holds an unknown field or a bad value raises ExperimentError."""
+        """The manifest in the JSON file at path; a file that cannot be read,
+        is not valid JSON or holds an unknown field or a bad value raises
+        ExperimentError."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text()))
-        except (TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise ExperimentError(f"bad manifest {path}: {exc}") from exc
 
     def save(self, path) -> None:

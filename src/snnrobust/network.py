@@ -241,8 +241,17 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+    """Row-wise softmax of (batch, classes) logits, shifted by the row max.
+
+    The row maximum is reduced over a transposed contiguous copy: one
+    vectorized pass per class instead of one short reduction per row. A
+    maximum does not depend on the order it is taken in, except for which
+    zero it keeps of a tied +0 and -0; subtracting either zero changes only
+    the sign of a zero, and exp maps both zeros to 1. The row sum keeps
+    numpy's own order, so the probabilities are bit for bit those of a
+    plain row-wise max.
+    """
+    e = np.exp(logits - logits.T.copy().max(axis=0)[:, None])
     return e / e.sum(axis=-1, keepdims=True)
 
 

@@ -23,6 +23,15 @@ with another RNG stream, so it is the reference for that distribution and
 the source of the graphs that goldens of other layers (initialization,
 pruning, training, metrics) were recorded on.
 
+`sorted_shift_rand1_bin_draw`, `row_layout_candidate_probs`,
+`row_max_softmax` and `rolled_stencils` are the one-pixel attack's donor
+draw, incremental fitness and softmax, and the synthetic glyph stencils, as
+they were before they were made faster without changing a bit: each taken
+member sorted and stacked per donor, the layer-0 pre-activations built in
+the (n, units) layout and transposed, the row max reduced row by row, and
+one Gaussian blob and one np.roll per point and row. Tests compare the
+fast versions' bits against them.
+
 `write_idx_images`, `write_idx_labels` and `write_synthetic_idx` write IDX
 files byte by byte from the format's header layout, for the loader's tests
 and for tests that need an MNIST-shaped data directory.
@@ -38,10 +47,12 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from snnrobust.data import IMAGE_MAGIC, LABEL_MAGIC, MNIST_FILES, synthetic_dataset
+from snnrobust.attack import INTENSITY_MAX, _pixel_index
+from snnrobust.data import (_GLYPH_SEGMENTS, _SHEARS, _STENCIL_SIZE, IMAGE_MAGIC,
+                            LABEL_MAGIC, MNIST_FILES, synthetic_dataset)
 from snnrobust.graph import (GraphError, GraphMetrics, LayeredDag,
                              UndirectedGraph)
-from snnrobust.network import MaskedNetwork, cross_entropy, forward
+from snnrobust.network import MaskedNetwork, cross_entropy, forward, propagate
 
 INF = float("inf")
 
@@ -360,6 +371,65 @@ def per_array_adam_step(params: list[np.ndarray], grads: list[np.ndarray],
         m_hat = m[i] / bc1
         v_hat = v[i] / bc2
         p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+def sorted_shift_rand1_bin_draw(n: int, CR: float, rng: np.random.Generator
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """rand1_bin_draw with the members taken so far sorted per donor and
+    each new donor stacked beside them."""
+    taken = np.arange(n)[:, None]
+    for k in (1, 2, 3):
+        pick = rng.integers(n - k, size=n)
+        for t in np.sort(taken, axis=1).T:
+            pick += pick >= t
+        taken = np.hstack([taken, pick[:, None]])
+    cross = rng.random((n, 3)) < CR
+    cross[np.arange(n), rng.integers(3, size=n)] = True
+    return taken[:, 1:], cross
+
+
+def row_max_softmax(logits: np.ndarray) -> np.ndarray:
+    """softmax with the row max reduced along each row."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def row_layout_candidate_probs(net: MaskedNetwork, x: np.ndarray):
+    """candidate_probs with the layer-0 pre-activations built as (n, units)
+    rows of a transposed input matrix, then transposed for propagate."""
+    x = np.asarray(x, dtype=net.weights[0].dtype)
+    w0_rows = net.weights[0].T.copy()
+    pre0 = net.weights[0] @ x + net.biases[0]
+
+    def probs(cands: np.ndarray) -> np.ndarray:
+        flat = _pixel_index(cands)
+        delta = (cands[:, 2] / INTENSITY_MAX).astype(x.dtype) - x[flat]
+        _, logits = propagate(net, (pre0 + w0_rows[flat] * delta[:, None]).T)
+        return row_max_softmax(logits)
+
+    return probs
+
+
+def rolled_stencils() -> np.ndarray:
+    """The synthetic corpus's sheared glyph stencils, rasterized one point
+    at a time and sheared one np.roll per row."""
+    size, sigma = _STENCIL_SIZE, 0.85
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    glyphs = []
+    for d in range(10):
+        canvas = np.zeros((size, size))
+        for x0, y0, x1, y1 in _GLYPH_SEGMENTS[d]:
+            n_pts = max(2, int(3 * size * max(abs(x1 - x0), abs(y1 - y0))))
+            for t in np.linspace(0.0, 1.0, n_pts):
+                px = (x0 + t * (x1 - x0)) * (size - 1)
+                py = (y0 + t * (y1 - y0)) * (size - 1)
+                canvas = np.maximum(canvas, np.exp(
+                    -((xx - px) ** 2 + (yy - py) ** 2) / (2 * sigma ** 2)))
+        glyphs.append(canvas)
+    return np.array([[[np.roll(row, shear * r // size) for r, row in enumerate(glyph)]
+                      for shear in range(-_SHEARS, _SHEARS + 1)]
+                     for glyph in glyphs])
 
 
 def spearman_rank_diff(xs, ys) -> float:

@@ -12,7 +12,26 @@ from snnrobust.graph import UndirectedGraph, layer_dag
 from snnrobust.network import build_network, forward, init_weights
 
 from tests.conftest import random_layered_net
-from tests.oracles import float64_copy
+from tests.oracles import (float64_copy, row_layout_candidate_probs,
+                           sorted_shift_rand1_bin_draw)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The array's raw bits, as unsigned integers of its item size."""
+    return a.view(f"u{a.itemsize}")
+
+
+def edge_candidates() -> tuple[np.ndarray, np.ndarray]:
+    """An image whose first and last pixels are 0 and 1, and candidates at
+    its corners and edges: one with a change of 0 and two repeated."""
+    x = synthetic_dataset(1, seed=9).images[0]
+    x[0] = 0.0
+    x[783] = 1.0
+    k = 14 * 28 + 13  # (p_x, p_y) = (14, 15)
+    cands = np.array([[1, 1, 0.0], [1, 1, 255.0], [28, 28, 0.0],
+                      [28, 28, 255.0], [14, 15, x[k] * 255.0],
+                      [5, 9, 200.0], [5, 9, 200.0], [28, 28, 255.0]])
+    return x, cands
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +165,7 @@ class TestOnePixel:
 
     def test_incremental_fitness_matches_full_forward(self):
         rng = np.random.default_rng(31)
-        x = synthetic_dataset(1, seed=9).images[0]
-        x[0] = 0.0
-        x[783] = 1.0
-        k = 14 * 28 + 13  # (p_x, p_y) = (14, 15)
-        cands = np.array([[1, 1, 0.0], [1, 1, 255.0], [28, 28, 0.0],
-                          [28, 28, 255.0], [14, 15, x[k] * 255.0],
-                          [5, 9, 200.0], [5, 9, 200.0], [28, 28, 255.0]])
+        x, cands = edge_candidates()
         for _ in range(4):
             net = random_layered_net(rng, input_dim=784, output_dim=10,
                                      bias_scale=0.1)
@@ -160,6 +173,22 @@ class TestOnePixel:
                 reference = 1.0 - forward(net, perturbed_batch(x, cands))[1][:, y]
                 fitness = 1.0 - candidate_probs(net, x)(cands)[:, y]
                 assert np.abs(fitness - reference).max() <= 1e-12
+
+    def test_incremental_fitness_bits_match_row_layout(self):
+        # the (units, n) layout changes no bit of the probabilities, in
+        # float32 and in float64, on the edge candidates and a random
+        # population
+        rng = np.random.default_rng(32)
+        x, edges = edge_candidates()
+        cands = np.vstack([edges, init_population(DEConfig(seed=3), rng)])
+        for _ in range(4):
+            net = random_layered_net(rng, input_dim=784, output_dim=10,
+                                     bias_scale=0.1)
+            for twin in (net, float64_copy(net)):
+                got = candidate_probs(twin, x)(cands)
+                want = row_layout_candidate_probs(twin, x)(cands)
+                assert got.dtype == want.dtype == twin.weights[0].dtype
+                assert np.array_equal(bits(got), bits(want))
 
     def test_initial_population_distributions(self):
         cfg = DEConfig(pop_size=4000, max_iter=1, seed=0)
@@ -251,6 +280,20 @@ class TestDeEvolve:
         # each member is drawn for n-1 of the n parents: share 1/n per slot
         share = counts / (generations * n)
         assert np.abs(share - 1.0 / n).max() < 0.01
+
+    @pytest.mark.parametrize("n", [4, 5, 30, 500])
+    def test_draw_matches_sorted_shift(self, n):
+        # same donors and crossover, and the generator left in the same
+        # state, so the draws of later generations stay aligned too
+        for seed in range(4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                donors, cross = rand1_bin_draw(n, 0.9, rng)
+                ref_donors, ref_cross = sorted_shift_rand1_bin_draw(n, 0.9, ref)
+                assert donors.shape == (n, 3) and donors.dtype == ref_donors.dtype
+                assert np.array_equal(donors, ref_donors)
+                assert np.array_equal(cross, ref_cross)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_cr_zero_takes_one_mutant_coordinate(self):
         _, cross = rand1_bin_draw(50, 0.0, np.random.default_rng(2))

@@ -155,6 +155,16 @@ def test_a_malformed_manifest_is_one_error_line(desk_manifest_path, tmp_path, ca
     assert not list(out.glob("graphs/*"))
 
 
+def test_a_missing_manifest_is_one_error_line(tmp_path, caplog, capsys):
+    path = tmp_path / "no_such.json"
+    out = tmp_path / "results"
+    assert main(["gen-graphs", "--manifest", str(path), "--out-dir", str(out)]) == 1
+    [line] = errors(caplog)
+    assert line.startswith(f"gen-graphs failed: bad manifest {path}: ")
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def changed_manifest(path, out, **scale_factors) -> list[str]:
     """The --manifest arguments of a copy of the manifest at path, written
     to out, with each given scale factor multiplied by its value."""

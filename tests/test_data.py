@@ -7,10 +7,11 @@ import struct
 import numpy as np
 import pytest
 
-from snnrobust.data import (DataFormatError, Dataset, batches, find_mnist,
-                            load_idx, synthetic_dataset)
+from snnrobust.data import (DataFormatError, Dataset, _stencils, batches,
+                            find_mnist, load_idx, synthetic_dataset)
 
-from tests.oracles import write_idx_images, write_idx_labels, write_synthetic_idx
+from tests.oracles import (rolled_stencils, write_idx_images, write_idx_labels,
+                           write_synthetic_idx)
 
 
 def write_pair(tmp_path, images, labels, gz=False):
@@ -175,6 +176,12 @@ class TestSynthetic:
                 rng.integers(2, 9)
                 rng.normal(0.0, 0.1, size=(28, 28))
         assert drawn >= {(d, s) for d in range(10) for s in (-2, -1, 1, 2)}
+
+    def test_stencils_match_point_by_point_rolls(self):
+        got, want = _stencils(), rolled_stencils()
+        assert got.shape == want.shape == (10, 5, 18, 18)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_classes_are_separable_hint(self):
         # with shifts disabled, a nearest-centroid rule separates the glyphs

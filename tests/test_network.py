@@ -13,12 +13,12 @@ from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
                                backward, build_network, cross_entropy, forward,
                                init_weights, load_checkpoint, network_to_graph,
                                param_count, param_views, prune_random,
-                               save_checkpoint)
+                               save_checkpoint, softmax)
 
 from tests.conftest import kink_free_case, random_layered_net, random_small_graph
 from tests.oracles import (finite_diff_bias_grads, finite_diff_input_grad,
                            finite_diff_weight_grads, float64_copy, keyed_weights,
-                           sequential_ws, vertex_forward_logits)
+                           row_max_softmax, sequential_ws, vertex_forward_logits)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -234,6 +234,34 @@ class TestForward:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(NetworkError):
             forward(tiny_skip_net(), np.zeros(3))
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_match_row_max(self, rng, dtype):
+        # ten classes, as the models have: numpy sums a row of ten in
+        # another order than a row of four
+        inf, nan = np.inf, np.nan
+
+        def row(*head, fill=-1.0):
+            return list(head) + [fill] * (10 - len(head))
+
+        special = [
+            row(fill=2.0), row(3.0, -1.0, 3.0, 0.5, 3.0),           # ties
+            row(0.0, -0.0), row(-0.0, 0.0), row(fill=-0.0),       # tied zeros
+            row(-3.0, 0.0, -0.0, fill=-3.0),
+            row(inf, 1.0), row(inf, inf, -inf),                   # infinities
+            row(-inf, 1.0, 0.0, -0.0), row(fill=-inf),
+            row(nan, 1.0), row(1.0, 0.0, -0.0, nan), row(nan, inf, -inf),
+            row(80.0, -80.0, 1e-30, -1e-30),
+        ]
+        logits = np.vstack([np.array(special), rng.normal(0, 5, (500, 10)),
+                            rng.normal(0, 2, (50, 10)).round()]).astype(dtype)
+        with np.errstate(all="ignore"):
+            got, want = softmax(logits), row_max_softmax(logits)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got.view(f"u{got.itemsize}"),
+                              want.view(f"u{want.itemsize}"))
 
 
 class TestBackward:

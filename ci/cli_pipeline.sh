@@ -54,6 +54,17 @@ cat sweep_err.txt
 test "$code" -eq 1
 grep -F "sweep failed: no graphs in store" sweep_err.txt
 if grep -F Traceback sweep_err.txt; then exit 1; fi
+code=0; snnrobust sweep --manifest manifest.json --out-dir results --workers 0 2> workers_err.txt || code=$?
+cat workers_err.txt
+test "$code" -eq 1
+grep -F "sweep failed: workers must be >= 1" workers_err.txt
+if grep -F Traceback workers_err.txt; then exit 1; fi
+python -c "import json; m = json.load(open('manifest.json')); m['pruning']['alpha'] = 1.5; json.dump(m, open('manifest_alpha.json', 'w'))"
+code=0; snnrobust prune-baseline --manifest manifest_alpha.json --out-dir results 2> prune_err.txt || code=$?
+cat prune_err.txt
+test "$code" -eq 1
+grep -F "prune-baseline failed: pruning" prune_err.txt
+if grep -F Traceback prune_err.txt; then exit 1; fi
 python -c "import json; m = json.load(open('manifest.json')); m['no_such_field'] = 1; json.dump(m, open('manifest_unknown.json', 'w'))"
 code=0; snnrobust gen-graphs --manifest manifest_unknown.json --out-dir results 2> gen_err.txt || code=$?
 cat gen_err.txt

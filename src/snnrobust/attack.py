@@ -27,7 +27,6 @@ class AdversarialExample:
     """Per-image attack record."""
 
     original_index: int
-    original_label: int
     predicted_label: int
     success: bool
     confidence: float
@@ -69,7 +68,6 @@ def _outcome_from_probs(probs: np.ndarray, y: int, index: int, **extra) -> Adver
     pred = int(probs.argmax())
     return AdversarialExample(
         original_index=index,
-        original_label=int(y),
         predicted_label=pred,
         success=pred != int(y),
         confidence=float(probs[pred]),
@@ -78,9 +76,10 @@ def _outcome_from_probs(probs: np.ndarray, y: int, index: int, **extra) -> Adver
 
 
 def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
-              eps: float, indices: np.ndarray | None = None,
+              eps: float, indices: np.ndarray,
               keep_images: bool = False) -> list[AdversarialExample]:
     """Fixed-epsilon FGSM: x + eps * sign(d loss / d x), clipped to [0, 1].
+    indices[i] is the dataset index recorded for images[i].
 
     sign(0) is 0, so untouched-gradient pixels stay put. The mean-loss input
     gradient of a batch scales each per-image gradient by a positive
@@ -90,8 +89,6 @@ def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
     """
     if eps < 0:
         raise AttackError("eps must be >= 0")
-    if indices is None:
-        indices = np.arange(images.shape[0])
     _, _, cache = forward(net, images)
     _, _, input_grads = backward(net, cache, labels, params=False)
     adv = np.clip(images + eps * np.sign(input_grads), 0.0, 1.0)
@@ -196,8 +193,8 @@ def de_evolve(
     population: np.ndarray,
     fitness_fn,
     cfg: DEConfig,
-    rng: np.random.Generator | None = None,
-    fitness: np.ndarray | None = None,
+    rng: np.random.Generator,
+    fitness: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One rand/1/bin generation with greedy >= selection.
 
@@ -205,7 +202,8 @@ def de_evolve(
     other than i, followed by binomial crossover with one forced coordinate;
     children are repaired (coordinates rounded and clamped, intensity
     clamped) before evaluation. fitness_fn maps an (n, 3) candidate array to
-    an (n,) fitness array. Returns the next population and its fitness.
+    an (n,) fitness array, and fitness holds the population's. Returns the
+    next population and its fitness.
 
     The generation's random choices are drawn for all parents at once
     (rand1_bin_draw): one call each for a, b and c, whose shifts past the
@@ -216,10 +214,6 @@ def de_evolve(
     n = population.shape[0]
     if n < 4:
         raise AttackError("population size must be >= 4")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if fitness is None:
-        fitness = fitness_fn(population)
 
     donors, cross = rand1_bin_draw(n, cfg.CR, rng)
     a, b, c = donors.T

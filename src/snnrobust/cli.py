@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="train and attack every (graph, init) pair")
     _add_common(p, data=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--resume", dest="resume", action="store_true", default=True)
     p.add_argument("--no-resume", dest="resume", action="store_false")
 
     p = sub.add_parser("attack", help="re-run attacks on stored checkpoints")

@@ -199,6 +199,11 @@ class ExperimentManifest:
                                   f"allowed: {', '.join(INIT_METHODS)}")
         if len(set(self.init_methods)) < len(self.init_methods):
             raise ExperimentError(f"init_methods {self.init_methods} repeats a method")
+        p = self.pruning
+        if (not 0.0 <= p.alpha <= 1.0 or min(p.steps, p.retrain_epochs) < 0
+                or not p.hidden_layers or min(p.hidden_layers) < 1):
+            raise ExperimentError(f"pruning {asdict(p)}: need alpha in [0, 1], steps and "
+                                  "retrain_epochs >= 0, hidden_layers non-empty and positive")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -242,13 +247,14 @@ class ExperimentManifest:
 
     # effective (scaled) quantities -------------------------------------
 
+    def _scaled_epochs(self, epochs: int) -> int:
+        return 0 if epochs == 0 else max(1, round(epochs * self.scale.epochs))
+
     def effective_epochs(self) -> int:
-        if self.train.epochs == 0:
-            return 0
-        return max(1, round(self.train.epochs * self.scale.epochs))
+        return self._scaled_epochs(self.train.epochs)
 
     def effective_retrain_epochs(self) -> int:
-        return max(1, round(self.pruning.retrain_epochs * self.scale.epochs))
+        return self._scaled_epochs(self.pruning.retrain_epochs)
 
     def train_subset_n(self, full_n: int) -> int:
         return max(1, min(full_n, round(full_n * self.scale.train_subset)))
@@ -370,45 +376,41 @@ def build_graph_dataset(manifest: ExperimentManifest,
     combos = list(product(manifest.grid.size, manifest.grid.nei, manifest.grid.p))
     lo, hi = manifest.param_range
     accepted: list[GraphEntry] = []
-    rejected = 0
     by_combo: dict[tuple, list[int]] = {}  # (size, nei, p) -> [accepted, rejected]
     seconds = {"generate_ws": 0.0, "compute_metrics": 0.0}
     store.save_manifest(manifest.to_dict(), manifest.manifest_hash)
 
-    for round_i in range(manifest.max_generation_rounds):
-        for size, nei, p in combos:
-            if len(accepted) >= manifest.target_graph_count:
-                break
-            counts = by_combo.setdefault((size, nei, p), [0, 0])
-            seed = derive_seed(manifest.master_seed, "gen", round_i, size, nei, p)
-            with _timed(seconds, "generate_ws"):
-                g = generate_ws(size, nei, p, seed)
-            n_params = candidate_param_count(g)
-            if not (lo <= n_params <= hi):
-                rejected += 1
-                counts[1] += 1
-                continue
-            with _timed(seconds, "compute_metrics"):
-                metrics = compute_metrics(g)
-            counts[0] += 1
-            graph_id = f"g{len(accepted):04d}"
-            entry = GraphEntry(
-                graph_id=graph_id,
-                graph=g,
-                generator={"size": size, "nei": nei, "p": p, "seed": seed},
-                metrics=metrics,
-                param_count=n_params,
-            )
-            accepted.append(entry)
-            store.save_graph_entry(entry)
+    for round_i, (size, nei, p) in product(range(manifest.max_generation_rounds), combos):
         if len(accepted) >= manifest.target_graph_count:
             break
+        counts = by_combo.setdefault((size, nei, p), [0, 0])
+        seed = derive_seed(manifest.master_seed, "gen", round_i, size, nei, p)
+        with _timed(seconds, "generate_ws"):
+            g = generate_ws(size, nei, p, seed)
+        n_params = candidate_param_count(g)
+        if not (lo <= n_params <= hi):
+            counts[1] += 1
+            continue
+        with _timed(seconds, "compute_metrics"):
+            metrics = compute_metrics(g)
+        counts[0] += 1
+        graph_id = f"g{len(accepted):04d}"
+        entry = GraphEntry(
+            graph_id=graph_id,
+            graph=g,
+            generator={"size": size, "nei": nei, "p": p, "seed": seed},
+            metrics=metrics,
+            param_count=n_params,
+        )
+        accepted.append(entry)
+        store.save_graph_entry(entry)
 
     if len(accepted) < manifest.target_graph_count:
         log.warning("grid exhausted after %d rounds: accepted %d of %d graphs",
                     manifest.max_generation_rounds, len(accepted),
                     manifest.target_graph_count)
     removed = store.remove_graphs_except({e.graph_id for e in accepted})
+    rejected = sum(n_rej for _, n_rej in by_combo.values())
     store.save_generation_log({
         "accepted": len(accepted),
         "rejected": rejected,
@@ -521,7 +523,7 @@ def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
                         extra={"graph_id": graph_id, "train_seed": cfg.seed,
                                "init_seed": init_seed,
                                "manifest_hash": manifest.manifest_hash})
-    store.save_history(graph_id, init_method, history.rows())
+    store.save_history(graph_id, init_method, history)
     store.save_eval(graph_id, init_method, report.to_dict())
     return _save_attacks(store, {"graph_id": graph_id, "init_method": init_method,
                                  "manifest_hash": manifest.manifest_hash,
@@ -556,7 +558,11 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
     """Train and attack every (graph, init_method) pair; returns the done.json
     contents of each pair this call completed, each committed by its own task.
     A resume skips the pairs done under this manifest's hash and refuses
-    another data kind; only then is the manifest stored, as the study's."""
+    another data kind; only then is the manifest stored, as the study's.
+    The pending pairs run in min(workers, pending) processes, here when that
+    is 1, with the same results; workers < 1 raises ExperimentError."""
+    if workers < 1:
+        raise ExperimentError("workers must be >= 1")
     entries = store.load_graph_entries()
     if not entries:
         raise ExperimentError("no graphs in store; run gen-graphs first")
@@ -574,6 +580,7 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
              len(pending), len(entries), len(manifest.init_methods), resume)
     task = functools.partial(_sweep_task, manifest, data_source, str(store.root))
     summaries: list[dict] = []
+    workers = min(workers, len(pending))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # each pair's result, in order: a pooled future's, or the task run here
         results = [(pair, pool.submit(task, *pair).result if pool
@@ -737,10 +744,6 @@ def dense_stack_dag(hidden_layers: list[int]) -> UndirectedGraph:
     return UndirectedGraph(int(offsets[-1]), frozenset(edges))
 
 
-def hidden_edge_count(net: MaskedNetwork) -> int:
-    return int(sum(m.sum() for m in net.masks[1:-1]))
-
-
 PRUNING_STEP_HEADER = [
     "step", "param_count", "hidden_edges", "accuracy", "macro_f1",
     *(f"{attack}_{measure}" for attack, measure in MEASURE_COLUMNS),
@@ -755,10 +758,11 @@ def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
     report = evaluate_f1(net, test_set)
     outcomes = run_attacks(net, test_set, report.predictions, settings,
                            (master_seed, "prune", step))
+    hidden_metrics = compute_metrics(network_to_graph(net))
     record = {
         "step": step,
         "param_count": param_count(net),
-        "hidden_edges": hidden_edge_count(net),
+        "hidden_edges": hidden_metrics.edge_count,
         "accuracy": report.accuracy,
         "macro_f1": report.macro_f1,
     }
@@ -768,7 +772,6 @@ def _pruning_step_record(step: int, net: MaskedNetwork, test_set: Dataset,
         rec = measured.get(attack)
         record[f"{attack}_{measure}"] = getattr(rec, measure) if rec is not None else None
 
-    hidden_metrics = compute_metrics(network_to_graph(net))
     record.update(graph_properties(hidden_metrics, record["param_count"]))
     record["disconnected"] = hidden_metrics.disconnected
     return record

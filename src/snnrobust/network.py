@@ -76,11 +76,13 @@ class StaleCacheError(RuntimeError):
 
 @dataclass
 class MaskedNetwork:
+    """Its layout is stored once, as each hidden layer's vertex ids in row
+    order (layer_vertices); the unit counts and offsets derive from it, and
+    the sinks the output reads are the columns sources[-1]."""
+
     input_dim: int
     output_dim: int
-    layer_units: list[int]
     layer_vertices: list[list[int]]
-    sinks: list[int]
     weights: list[np.ndarray]  # one per hidden layer, then the output matrix
     masks: list[np.ndarray]    # aligned with weights
     sources: list[np.ndarray]  # aligned with weights: the columns each reads
@@ -89,8 +91,12 @@ class MaskedNetwork:
     version: int = field(default=0, repr=False)
 
     @property
+    def layer_units(self) -> list[int]:
+        return [len(v) for v in self.layer_vertices]
+
+    @property
     def n_layers(self) -> int:
-        return len(self.layer_units)
+        return len(self.layer_vertices)
 
     @property
     def offsets(self) -> list[int]:
@@ -116,7 +122,6 @@ class MaskedNetwork:
 class ForwardCache:
     x: np.ndarray            # (batch, input_dim)
     acts: np.ndarray         # (offsets[-1], batch) post-ReLU activation buffer
-    logits: np.ndarray
     probs: np.ndarray
     single: bool
     version: int
@@ -149,14 +154,13 @@ def _keep_live_columns(net: MaskedNetwork) -> None:
             net.weights[l] = np.ascontiguousarray(net.weights[l][:, live])
 
 
-def _from_blocks(input_dim: int, output_dim: int, layer_units: list[int],
-                layer_vertices: list[list[int]], sinks: list[int],
+def _from_blocks(input_dim: int, output_dim: int, layer_vertices: list[list[int]],
                 weights: list[np.ndarray], masks: list[np.ndarray],
                 biases: list[np.ndarray], init_method: str | None = None
                 ) -> MaskedNetwork:
     """The network of full-width blocks, narrowed to their live columns;
     raises NetworkError on a nonzero weight at a masked position."""
-    net = MaskedNetwork(input_dim, output_dim, layer_units, layer_vertices, sinks,
+    net = MaskedNetwork(input_dim, output_dim, layer_vertices,
                         weights, masks, [np.arange(m.shape[1]) for m in masks],
                         biases, init_method=init_method)
     net.assert_mask_invariant()
@@ -183,7 +187,7 @@ def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetw
         masks[ld.layer_index[v]][row[v], column[u]] = 1.0
     masks[-1][:, [column[v] for v in ld.sinks]] = 1.0
 
-    return _from_blocks(input_dim, output_dim, units, layers, sorted(ld.sinks),
+    return _from_blocks(input_dim, output_dim, layers,
                        [np.zeros_like(m) for m in masks], masks,
                        [np.zeros(n, dtype=CHECKPOINT_DTYPE)
                         for n in units + [output_dim]])
@@ -290,8 +294,7 @@ def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     acts, logits = propagate(net, net.weights[0] @ X.T + net.biases[0][:, None])
     probs = softmax(logits)
 
-    cache = ForwardCache(x=X, acts=acts, logits=logits, probs=probs,
-                         single=single, version=net.version)
+    cache = ForwardCache(x=X, acts=acts, probs=probs, single=single, version=net.version)
     if single:
         return logits[0], probs[0], cache
     return logits, probs, cache
@@ -431,17 +434,25 @@ def network_to_graph(net: MaskedNetwork) -> UndirectedGraph:
     return UndirectedGraph(len(order), frozenset(edges))
 
 
+def _sinks(net: MaskedNetwork) -> list[int]:
+    """Sorted vertex ids of the hidden units the output layer reads."""
+    order = [v for layer in net.layer_vertices for v in layer]
+    return sorted(order[c] for c in net.sources[-1])
+
+
 def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None:
     """Write a checkpoint atomically: magic, JSON header, then per layer the
     weights (CHECKPOINT_DTYPE, float32) and bit-packed mask of its
-    full-width block, then the biases (CHECKPOINT_DTYPE)."""
+    full-width block, then the biases (CHECKPOINT_DTYPE). The header's
+    layer_units and sinks are derived from layer_vertices and the output
+    layer's columns; load_checkpoint checks them against those."""
     header = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "input_dim": net.input_dim,
         "output_dim": net.output_dim,
-        "layer_units": list(net.layer_units),
+        "layer_units": net.layer_units,
         "layer_vertices": [list(v) for v in net.layer_vertices],
-        "sinks": list(net.sinks),
+        "sinks": _sinks(net),
         "init_method": net.init_method,
     }
     if extra:
@@ -466,8 +477,10 @@ def save_checkpoint(net: MaskedNetwork, path, extra: dict | None = None) -> None
 def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
     """Read a checkpoint of schema 2 into a CHECKPOINT_DTYPE net, the
     stored values unchanged; each layer's full-width block is then narrowed
-    to its live columns. Raises NetworkError on a bad magic, any other
-    schema, a truncated file or a nonzero weight at a masked position."""
+    to its live columns. The layer shapes come from layer_vertices. Raises
+    NetworkError on a bad magic, any other schema, a truncated file, a
+    nonzero weight at a masked position, or a header whose layer_units or
+    sinks disagree with layer_vertices and the output layer's columns."""
     with open(path, "rb") as f:
         buf = f.read()
     pos = 0
@@ -492,7 +505,8 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
     version = header.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise NetworkError(f"unsupported checkpoint schema version {version!r}")
-    units = list(header["layer_units"])
+    vertices = [list(v) for v in header["layer_vertices"]]
+    units = [len(v) for v in vertices]
     weights, masks = [], []
     for shape in _layer_shapes(header["input_dim"], header["output_dim"], units):
         size = shape[0] * shape[1]
@@ -501,8 +515,9 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
         masks.append(np.unpackbits(packed, count=size).reshape(shape)
                      .astype(CHECKPOINT_DTYPE))
     biases = [take_values(n) for n in units + [header["output_dim"]]]
-    net = _from_blocks(header["input_dim"], header["output_dim"], units,
-                       [list(v) for v in header["layer_vertices"]],
-                       list(header["sinks"]), weights, masks, biases,
-                       init_method=header.get("init_method"))
+    net = _from_blocks(header["input_dim"], header["output_dim"], vertices,
+                       weights, masks, biases, init_method=header.get("init_method"))
+    if header["layer_units"] != units or header["sinks"] != _sinks(net):
+        raise NetworkError(f"checkpoint {path}: header layer_units or sinks "
+                           "disagree with its layer_vertices")
     return net, header

@@ -88,36 +88,23 @@ def adam_step(
     return params, state
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    loss: float
-    accuracy: float
-
-
-@dataclass
-class TrainHistory:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def rows(self) -> list[tuple[int, float, float]]:
-        return [(r.epoch, r.loss, r.accuracy) for r in self.records]
-
-
-def train(net: MaskedNetwork, train_set: Dataset, cfg: TrainConfig) -> TrainHistory:
+def train(net: MaskedNetwork, train_set: Dataset,
+          cfg: TrainConfig) -> list[tuple[int, float, float]]:
     """Mini-batch Adam on cross-entropy for cfg.epochs passes.
 
-    Mutates `net` in place and returns the per-epoch loss/accuracy history:
-    its weights and biases become views of one flat buffer, which backward
-    fills through a gradient buffer of the same layout and adam_step updates
-    whole. Deterministic for a fixed cfg.seed. Raises TrainingDivergedError
-    if the loss goes non-finite; the mask invariant is asserted every epoch.
+    Mutates `net` in place and returns one (epoch, mean loss, accuracy) row
+    per epoch: its weights and biases become views of one flat buffer, which
+    backward fills through a gradient buffer of the same layout and adam_step
+    updates whole. Deterministic for a fixed cfg.seed. Raises
+    TrainingDivergedError if the loss goes non-finite; the mask invariant is
+    asserted every epoch.
     """
     params = flatten_params(net)
     grads = np.empty_like(params)
     grad_views = param_views(net, grads)
     state = AdamState.for_params(params)
 
-    history = TrainHistory()
+    history = []
     for epoch in range(cfg.epochs):
         epoch_loss = 0.0
         correct = 0
@@ -135,11 +122,7 @@ def train(net: MaskedNetwork, train_set: Dataset, cfg: TrainConfig) -> TrainHist
             adam_step(params, grads, state, cfg)
             net.mark_mutated()
         net.assert_mask_invariant()
-        history.records.append(EpochRecord(
-            epoch=epoch,
-            loss=epoch_loss / train_set.n,
-            accuracy=correct / train_set.n,
-        ))
+        history.append((epoch, epoch_loss / train_set.n, correct / train_set.n))
     return history
 
 

@@ -22,8 +22,8 @@ from snnrobust.attack import (DEConfig, de_evolve, fgsm_eps_search,
 from snnrobust.cli import main as cli_main
 from snnrobust.data import find_mnist, load_mnist_split, synthetic_dataset
 from snnrobust.experiment import (ExperimentManifest, GridSpec, ScaleFactors,
-                                  dense_stack_dag, hidden_edge_count,
-                                  resolve_data_source, run_pruning_baseline)
+                                  dense_stack_dag, resolve_data_source,
+                                  run_pruning_baseline)
 from snnrobust.graph import compute_metrics, generate_ws, layer_dag
 from snnrobust.measure import avg_epsilon, cohen_label, kendall, spearman
 from snnrobust.network import (backward, build_network, forward, init_weights,
@@ -187,7 +187,7 @@ def test_criterion_07_eps_search_minimality(trained_model):
         outcomes.append(out)
         if out.success and out.epsilon_used - 0.01 >= 0.001 - 1e-12:
             prev = fgsm_many(net, test_set.images[i:i + 1], test_set.labels[i:i + 1],
-                             out.epsilon_used - 0.01, keep_images=True)[0]
+                             out.epsilon_used - 0.01, np.array([i]), keep_images=True)[0]
             minimality_ok &= not prev.success
     successes = [o for o in outcomes if o.success]
     censored = [o for o in outcomes if not o.success]
@@ -325,7 +325,7 @@ def test_criterion_10_pruning_baseline(tmp_path):
     steps = run_pruning_baseline(manifest, store, source)
 
     dense = build_network(layer_dag(dense_stack_dag([50, 100, 100, 50])), 784, 10)
-    n = hidden_edge_count(dense)
+    n = network_to_graph(dense).edge_count
     recurrence_ok = steps[0]["hidden_edges"] == n == 20_000
     for k in range(1, 21):
         n = n - int(np.floor(0.1 * n))

@@ -51,7 +51,7 @@ def sample_image():
 class TestFGSM:
     def test_eps_zero_keeps_image(self, frozen_net, sample_image):
         [out] = fgsm_many(frozen_net, sample_image[None], np.array([3]), 0.0,
-                          keep_images=True)
+                          np.array([0]), keep_images=True)
         assert np.array_equal(out.perturbed_image, sample_image)
         _, probs, _ = forward(frozen_net, sample_image)
         assert out.success == (int(probs.argmax()) != 3)
@@ -62,27 +62,28 @@ class TestFGSM:
         _, _, cache = forward(net, x)
         from snnrobust.network import backward
         _, _, g = backward(net, cache, 0)
-        [out] = fgsm_many(net, x[None], np.array([0]), 0.1, keep_images=True)
+        [out] = fgsm_many(net, x[None], np.array([0]), 0.1, np.array([0]),
+                          keep_images=True)
         expected = np.clip(x + 0.1 * np.sign(g), 0, 1)
         assert out.perturbed_image == pytest.approx(expected, abs=1e-12)
 
     def test_linf_bound(self, frozen_net, sample_image):
         for eps in (0.05, 0.1, 0.3):
             [out] = fgsm_many(frozen_net, sample_image[None], np.array([2]), eps,
-                              keep_images=True)
+                              np.array([0]), keep_images=True)
             assert np.abs(out.perturbed_image - sample_image).max() <= eps + 1e-12
             assert out.perturbed_image.min() >= 0.0
             assert out.perturbed_image.max() <= 1.0
 
     def test_negative_eps_rejected(self, frozen_net, sample_image):
         with pytest.raises(AttackError):
-            fgsm_many(frozen_net, sample_image[None], np.array([0]), -0.1)
+            fgsm_many(frozen_net, sample_image[None], np.array([0]), -0.1, np.array([0]))
 
     def test_batch_matches_single(self, frozen_net):
         frozen_net = float64_copy(frozen_net)
         images = synthetic_dataset(6, seed=8).images
         labels = np.array([0, 1, 2, 3, 4, 5])
-        batch = fgsm_many(frozen_net, images, labels, 0.1, keep_images=True)
+        batch = fgsm_many(frozen_net, images, labels, 0.1, np.arange(6), keep_images=True)
         for i, out in enumerate(batch):
             [single] = fgsm_many(frozen_net, images[i:i + 1], labels[i:i + 1], 0.1,
                                  np.array([i]), keep_images=True)
@@ -111,7 +112,8 @@ class TestEpsSearch:
             assert out.epsilon_used == pytest.approx(0.001 + 0.01 * k)
             if k > 0:
                 prev = fgsm_many(frozen_net, x[None], np.array([y]),
-                                 out.epsilon_used - 0.01, keep_images=True)[0]
+                                 out.epsilon_used - 0.01, np.array([0]),
+                                 keep_images=True)[0]
                 assert not prev.success
 
     def test_rejects_misclassified_start(self, frozen_net):
@@ -233,7 +235,8 @@ class TestDeEvolve:
     def test_identical_population_fixed_point(self):
         cfg = DEConfig(pop_size=6, max_iter=1, seed=0)
         pop = np.tile(np.array([5.0, 9.0, 100.0]), (6, 1))
-        nxt, fit = de_evolve(pop.copy(), self.sum_fitness, cfg)
+        nxt, fit = de_evolve(pop.copy(), self.sum_fitness, cfg,
+                             np.random.default_rng(0), self.sum_fitness(pop))
         assert np.array_equal(nxt, pop)
 
     def test_best_fitness_non_decreasing(self):
@@ -251,7 +254,7 @@ class TestDeEvolve:
         cfg = DEConfig(pop_size=15, max_iter=1, seed=9, F=0.9)
         rng = np.random.default_rng(9)
         pop = init_population(cfg, rng)
-        fit = None
+        fit = self.sum_fitness(pop)
         for _ in range(30):
             pop, fit = de_evolve(pop, self.sum_fitness, cfg, rng, fit)
         assert pop[:, 0].min() >= 1 and pop[:, 0].max() <= 28
@@ -262,7 +265,8 @@ class TestDeEvolve:
     def test_population_size_constant(self):
         cfg = DEConfig(pop_size=10, max_iter=1, seed=1)
         pop = init_population(cfg, np.random.default_rng(1))
-        nxt, _ = de_evolve(pop, self.sum_fitness, cfg)
+        nxt, _ = de_evolve(pop, self.sum_fitness, cfg, np.random.default_rng(1),
+                           self.sum_fitness(pop))
         assert nxt.shape == pop.shape
 
     @pytest.mark.parametrize("n", [4, 9])
@@ -309,15 +313,16 @@ class TestDeEvolve:
             seen.append(cands.copy())
             return np.zeros(len(cands))
 
-        de_evolve(pop, fitness, cfg, np.random.default_rng(5))
-        changed = (seen[1] != seen[0]).sum(axis=1)
+        de_evolve(pop, fitness, cfg, np.random.default_rng(5), np.zeros(len(pop)))
+        changed = (seen[0] != pop).sum(axis=1)
         assert changed.max() <= 1
         assert changed.mean() > 0.8
 
     def test_small_population_rejected(self):
         cfg = DEConfig(pop_size=4, max_iter=1, seed=0)
         with pytest.raises(AttackError):
-            de_evolve(np.zeros((3, 3)), self.sum_fitness, cfg)
+            de_evolve(np.zeros((3, 3)), self.sum_fitness, cfg,
+                      np.random.default_rng(0), np.zeros(3))
 
     def test_config_validation(self):
         with pytest.raises(AttackError):

@@ -102,6 +102,30 @@ def test_a_sweep_with_no_graphs_is_one_error_line(desk_manifest_path, tmp_path, 
     assert errors(caplog) == ["sweep failed: no graphs in store; run gen-graphs first"]
 
 
+def test_a_sweep_with_fewer_than_one_worker_is_one_error_line(desk_manifest_path, tmp_path,
+                                                              caplog, capsys):
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(tmp_path / "results")]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, "--workers", "0"]) == 1
+    assert errors(caplog) == ["sweep failed: workers must be >= 1"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list((tmp_path / "results").glob("models/*"))
+
+
+def test_a_pruning_alpha_above_one_is_one_error_line(desk_manifest_path, tmp_path,
+                                                     caplog, capsys):
+    m = json.loads(desk_manifest_path.read_text())
+    m["pruning"]["alpha"] = 1.5
+    desk_manifest_path.write_text(json.dumps(m))
+    out = tmp_path / "results"
+    assert main(["prune-baseline", "--manifest", str(desk_manifest_path),
+                 "--out-dir", str(out), "--data-dir", str(tmp_path / "nodata")]) == 1
+    [line] = errors(caplog)
+    assert line.startswith("prune-baseline failed: pruning ")
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attack_on_other_data_is_one_error_line(desk_manifest_path, tmp_path, caplog):
     write_synthetic_idx(tmp_path / "idx", train_n=200, test_n=80, seed=0)
     m = ExperimentManifest.from_file(desk_manifest_path)

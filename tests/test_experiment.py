@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,13 @@ from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
                                   _aggregate_column, _sweep_task,
                                   build_graph_dataset, candidate_param_count,
                                   correlate, dense_stack_dag, derive_seed,
-                                  hidden_edge_count, load_data_source,
-                                  load_split, render_report, rerun_attacks,
-                                  resolve_data_source, run_pruning_baseline,
-                                  run_sweep)
+                                  load_data_source, load_split, render_report,
+                                  rerun_attacks, resolve_data_source,
+                                  run_pruning_baseline, run_sweep)
 from snnrobust.graph import generate_ws, layer_dag
 from snnrobust.measure import MEASURE_COLUMNS, RobustnessRecord, tukey_fences
 from snnrobust.network import (build_network, init_weights, load_checkpoint,
-                               param_count, save_checkpoint)
+                               network_to_graph, param_count, save_checkpoint)
 from snnrobust.store import ResultsStore
 from snnrobust.train import predict
 
@@ -98,6 +98,23 @@ class TestManifest:
         # an unknown name would otherwise fail every one of its tasks at run time
         with pytest.raises(ExperimentError, match=message):
             ExperimentManifest.from_dict({**ExperimentManifest().to_dict(), **change})
+
+    @pytest.mark.parametrize("pruning", [
+        {"alpha": 1.5}, {"alpha": -0.1}, {"steps": -2}, {"retrain_epochs": -1},
+        {"hidden_layers": []}, {"hidden_layers": [50, 0, 50]},
+    ], ids=["alpha-high", "alpha-low", "steps", "retrain", "no-layers", "empty-layer"])
+    def test_pruning_settings_validated(self, pruning):
+        # each would otherwise fail, or run something else, only after the
+        # dense model has trained
+        with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
+            ExperimentManifest.from_dict({"pruning": pruning})
+
+    def test_zero_retrain_epochs_retrain_nothing(self):
+        m = ExperimentManifest.from_dict({"pruning": {"retrain_epochs": 0}})
+        assert m.effective_retrain_epochs() == 0
+        # a positive count scales down to no less than one epoch
+        assert ExperimentManifest.from_dict(
+            {"scale": {"epochs": 0.1}}).effective_retrain_epochs() == 1
 
     def test_effective_scaling(self):
         m = tiny_manifest()
@@ -258,6 +275,46 @@ class TestRunSweep:
         assert json.loads((store.model_dir("g0000", "He_N")
                            / "done.json").read_text()) == done
         assert store.completed_pairs(manifest.manifest_hash) == [("g0000", "He_N")]
+
+    def test_the_pool_is_no_larger_than_the_pending_pairs(self, tmp_path, monkeypatch):
+        from snnrobust import experiment as exp_mod
+        sizes = []
+
+        class RecordingPool:
+            """Runs each task here, and records the pool size asked for."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", RecordingPool)
+        manifest = tiny_manifest()
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        source = resolve_data_source(manifest, None)
+        assert len(run_sweep(manifest, store, source, workers=8)) == 2
+        assert sizes == [2]
+        # one pair left runs here, with no pool
+        (store.model_dir("g0001", "He_N") / "done.json").unlink()
+        assert len(run_sweep(manifest, store, source, workers=8)) == 1
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, sweep_run, workers):
+        manifest, store, _ = sweep_run
+        with pytest.raises(ExperimentError, match="^workers must be >= 1$"):
+            run_sweep(manifest, store, resolve_data_source(manifest, None),
+                      workers=workers)
 
     def test_attack_csv_schema(self, sweep_run):
         _, store, _ = sweep_run
@@ -687,7 +744,7 @@ class TestPruningBaseline:
         ld = layer_dag(dense_stack_dag([3, 4, 2]))
         assert [len(layer) for layer in ld.layers] == [3, 4, 2]
         net = build_network(ld, 5, 2)
-        assert hidden_edge_count(net) == 3 * 4 + 4 * 2
+        assert network_to_graph(net).edge_count == 3 * 4 + 4 * 2
 
 
 class TestRerunAttacks:

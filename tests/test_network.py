@@ -172,9 +172,9 @@ class TestForward:
         ld = layer_dag(UndirectedGraph(2, frozenset({(0, 1)})))
         net = build_network(ld, 1, 1)
         net.weights = [m.copy() for m in net.masks]
-        _, _, cache = forward(net, np.array([1.0]))
+        logits, _, cache = forward(net, np.array([1.0]))
         assert cache.acts.tolist() == [[1.0], [1.0]]  # unit-major
-        assert cache.logits[0, 0] == 1.0
+        assert logits[0] == 1.0
 
     def test_matches_vertex_oracle(self, rng):
         from snnrobust.experiment import dense_stack_dag
@@ -340,11 +340,10 @@ class TestPruneRandom:
         assert np.array_equal(pruned.masks[-1], net.masks[-1])
 
     def test_exact_floor_count(self, rng):
-        from snnrobust.experiment import hidden_edge_count
         net = random_layered_net(rng)
-        before = hidden_edge_count(net)
+        before = network_to_graph(net).edge_count
         pruned = prune_random(net, 0.5, seed=1)
-        assert hidden_edge_count(pruned) == before - int(np.floor(0.5 * before))
+        assert network_to_graph(pruned).edge_count == before - int(np.floor(0.5 * before))
 
     def test_deterministic(self, rng):
         net = random_layered_net(rng)
@@ -405,10 +404,9 @@ class TestNetworkToGraph:
             assert network_to_graph(net) == g
 
     def test_dense_stack_edge_count(self):
-        from snnrobust.experiment import dense_stack_dag, hidden_edge_count
+        from snnrobust.experiment import dense_stack_dag
         net = build_network(layer_dag(dense_stack_dag([50, 100, 100, 50])), 784, 10)
-        assert hidden_edge_count(net) == 50 * 100 + 100 * 100 + 100 * 50
-        assert network_to_graph(net).edge_count == 20_000
+        assert network_to_graph(net).edge_count == 50 * 100 + 100 * 100 + 100 * 50
 
     def test_pruning_reduces_edges(self, rng):
         net = random_layered_net(rng)
@@ -494,4 +492,31 @@ class TestCheckpoint:
         struct.pack_into("<f", raw, offset + 4 * masked, 0.5)
         path.write_bytes(bytes(raw))
         with pytest.raises(NetworkError, match="masked position"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["layer_vertices", "layer_units"])
+    def test_a_header_that_disagrees_with_its_layer_vertices_is_refused(
+            self, rng, tmp_path, field):
+        # the shapes come from layer_vertices; layer_units and sinks are
+        # copies of what it and the output block say, and must agree
+        net = random_layered_net(rng)
+        path = tmp_path / "model.bin"
+        save_checkpoint(net, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + blob_len])
+        if field == "layer_vertices":
+            # a sink and a unit the output does not read trade places
+            order = [v for layer in header["layer_vertices"] for v in layer]
+            sink = header["sinks"][0]
+            other = next(v for v in order if v not in header["sinks"])
+            swap = {sink: other, other: sink}
+            header["layer_vertices"] = [[swap.get(v, v) for v in layer]
+                                        for layer in header["layer_vertices"]]
+        else:
+            header["layer_units"][0] += 1
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                         + raw[12 + blob_len:])
+        with pytest.raises(NetworkError, match="disagree with its layer_vertices"):
             load_checkpoint(path)

@@ -22,6 +22,13 @@ snnrobust correlate --manifest manifest.json --out-dir results
 snnrobust report --manifest manifest.json --out-dir results
 snnrobust attack --manifest manifest.json --out-dir results
 snnrobust report --manifest manifest.json --out-dir results
+cp -r results results_trailing
+python -c "import glob; open(sorted(glob.glob('results_trailing/models/*/checkpoint.bin'))[0], 'ab').write(bytes(100))"
+code=0; snnrobust attack --manifest manifest.json --out-dir results_trailing 2> trailing_err.txt || code=$?
+cat trailing_err.txt
+test "$code" -eq 1
+grep -F "attack failed: checkpoint" trailing_err.txt
+if grep -F Traceback trailing_err.txt; then exit 1; fi
 python -c "import json; m = json.load(open('manifest.json')); m['scale'].update({k: 2 * m['scale'][k] for k in ('search_subset', 'one_pixel', 'de_pop', 'de_iter')}); json.dump(m, open('manifest_attack.json', 'w'))"
 snnrobust attack --manifest manifest_attack.json --out-dir results
 snnrobust sweep --manifest manifest.json --out-dir results --workers 2

@@ -40,8 +40,8 @@ from .graph import (GraphMetrics, UndirectedGraph, compute_metrics, generate_ws,
 from .measure import (MEASURE_COLUMNS, CorrelationTable, RobustnessRecord,
                       correlation_cell, rank_groups, robustness_record,
                       tukey_fences)
-from .network import (INIT_METHODS, MaskedNetwork, build_network, init_weights,
-                      load_checkpoint, network_to_graph, param_count,
+from .network import (INIT_METHODS, MaskedNetwork, NetworkError, build_network,
+                      init_weights, load_checkpoint, network_to_graph, param_count,
                       prune_random, save_checkpoint)
 from .store import GraphEntry, ResultsStore, Study
 from .train import TrainConfig, evaluate_f1, predict, train
@@ -182,6 +182,12 @@ class ExperimentManifest:
     max_generation_rounds: int = 50
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ExperimentError on a setting out of its domain. Runs at
+        construction and in to_dict, which saving and hashing go through, so
+        a field set after construction is checked before it is used."""
         if self.param_range[0] >= self.param_range[1]:
             raise ExperimentError("param_range low must be < high")
         if self.outlier_mode not in ("run", "model"):
@@ -206,6 +212,7 @@ class ExperimentManifest:
                                   "retrain_epochs >= 0, hidden_layers non-empty and positive")
 
     def to_dict(self) -> dict:
+        self.check()
         d = asdict(self)
         d["param_range"] = list(self.param_range)
         d["schema_version"] = MANIFEST_SCHEMA_VERSION
@@ -348,8 +355,8 @@ def candidate_param_count(g) -> int:
     per edge, OUTPUT_DIM out of every sink (no higher-indexed neighbour),
     and a bias per hidden unit and output."""
     n = g.vertex_count
-    sources = n - len({v for _, v in g.edges})
-    sinks = n - len({u for u, _ in g.edges})
+    sources = int(np.count_nonzero(np.bincount(g.edges[:, 1], minlength=n) == 0))
+    sinks = int(np.count_nonzero(np.bincount(g.edges[:, 0], minlength=n) == 0))
     return INPUT_DIM * sources + g.edge_count + OUTPUT_DIM * sinks + n + OUTPUT_DIM
 
 
@@ -605,7 +612,9 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
     hash's (ResultsStore.study); before any load or write, another data kind
     or a change outside the attack plan is refused (_refuse_other_settings).
     Each model's done.json keeps its hash, seeds, training seconds and data
-    kind, and takes this run's attack seconds, generations and settings."""
+    kind, and takes this run's attack seconds, generations and settings. A
+    checkpoint that load_checkpoint refuses raises ExperimentError naming
+    its pair; the models before it keep their new records."""
     study = store.study(manifest.manifest_hash)
     _refuse_other_settings(study, manifest, data_source[0],
                            f"refusing to re-attack it on {data_source[0]}")
@@ -614,7 +623,11 @@ def rerun_attacks(manifest: ExperimentManifest, store: ResultsStore,
     settings = manifest.attack_settings(test_n)
     for done in study.done:
         graph_id, init_method = done["graph_id"], done["init_method"]
-        net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
+        try:
+            net, _ = load_checkpoint(store.checkpoint_path(graph_id, init_method))
+        except NetworkError as exc:
+            raise ExperimentError(f"checkpoint of {graph_id}/{init_method} refused: "
+                                  f"{exc}") from exc
         predictions = predict(net, test_set.images).argmax(axis=1)
         # zeroed, as _timed adds to them and a model with no correct image times none
         seconds = {**done.get("seconds", {}), "fgsm": 0.0, "fgsm_search": 0.0,
@@ -736,12 +749,11 @@ def dense_stack_dag(hidden_layers: list[int]) -> UndirectedGraph:
     """Fully connected consecutive layers over contiguous vertex blocks, each
     edge from a lower block to the next."""
     offsets = np.concatenate([[0], np.cumsum(hidden_layers)])
-    edges = set()
-    for b in range(len(hidden_layers) - 1):
-        for u in range(offsets[b], offsets[b + 1]):
-            for v in range(offsets[b + 1], offsets[b + 2]):
-                edges.add((int(u), int(v)))
-    return UndirectedGraph(int(offsets[-1]), frozenset(edges))
+    blocks = [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    edges = [np.column_stack([np.repeat(a, len(b)), np.tile(b, len(a))])
+             for a, b in zip(blocks, blocks[1:])]
+    return UndirectedGraph(int(offsets[-1]),
+                           np.concatenate([np.empty((0, 2), dtype=np.int64), *edges]))
 
 
 PRUNING_STEP_HEADER = [
@@ -781,7 +793,10 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
                          data_source: tuple) -> list[dict]:
     """Dense reference model pruned randomly for the configured number of
     steps, with retraining, attacks (one plan for every step, which the
-    provenance event records), and hidden-structure metrics per step."""
+    provenance event records), and hidden-structure metrics per step. The
+    manifest is checked first (its hash), so a bad setting raises before any
+    training."""
+    mhash = manifest.manifest_hash
     train_set, test_set = load_data_source(data_source,
                                            manifest.subset_sizes(data_source))
     p = manifest.pruning
@@ -821,7 +836,7 @@ def run_pruning_baseline(manifest: ExperimentManifest, store: ResultsStore,
     table = _correlation_table(manifest.properties,
                                {rec["step"]: rec for rec in steps}, columns)
     store.save_correlations(table, subdir="pruning")
-    store.append_provenance("prune-baseline", manifest_hash=manifest.manifest_hash,
+    store.append_provenance("prune-baseline", manifest_hash=mhash,
                             steps=p.steps, alpha=p.alpha,
                             retrain_epochs=manifest.effective_retrain_epochs(),
                             dataset=data_source[0], attacks=settings)

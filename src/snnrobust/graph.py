@@ -1,12 +1,14 @@
 """Watts-Strogatz graph generation, layering, and metrics.
 
 Undirected graphs are generated from a ring lattice with random rewiring
-(all coins drawn in one call, each new endpoint by rejection from batched
-integer draws). One UndirectedGraph value runs from the generator to the
-network. It stores every edge as (u, v) with u < v, so directing each edge
-from the lower index to the higher (as Xie et al. 2019 do) gives the same
-edge set: the graph is its own acyclic orientation. layer_dag layers it by
-the max-predecessor rule, and network_to_graph recovers it from a network.
+(Watts & Strogatz 1998; all coins drawn in one call, each new endpoint by
+rejection from batched integer draws). One UndirectedGraph value runs from
+the generator to the network. Its edges are one read-only, sorted
+(edge_count, 2) int64 array of rows (u, v) with u < v, built and read with
+array operations everywhere. Directing each edge from the lower index to
+the higher (as Xie et al. 2019 do) gives the same edge set: the graph is
+its own acyclic orientation. layer_dag layers it by the max-predecessor
+rule, and network_to_graph recovers it from a network.
 Metric computation (density, distances, centralities) runs on the
 undirected graph; the directed density of the orientation is recorded
 alongside. Distances come from a breadth-first search from every vertex at
@@ -17,7 +19,6 @@ needed. The graph file format belongs to the results store.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -26,46 +27,80 @@ class GraphError(ValueError):
     """Invalid graph input or parameter."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UndirectedGraph:
     """Simple undirected graph on vertices 0..vertex_count-1.
 
-    Edges are stored as a frozenset of (u, v) tuples with u < v; no
-    self-loops, no duplicates.
+    edges is a read-only (edge_count, 2) int64 array of rows (u, v) with
+    u < v, in sorted order: no self-loops, no duplicates. The constructor
+    takes such rows in any order, as an array or any iterable of pairs,
+    checks them in one vectorized pass and stores them sorted; make_graph
+    canonicalizes pairs from outside. Two graphs are equal when their
+    vertex counts and edges are.
     """
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
     def __post_init__(self):
-        if self.vertex_count < 1:
+        n = self.vertex_count
+        if n < 1:
             raise GraphError("vertex_count must be positive")
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.vertex_count):
-                raise GraphError(f"edge ({u},{v}) out of range or not canonical")
+        edges = _pairs(self.edges)
+        u, v = edges[:, 0], edges[:, 1]
+        loops = np.flatnonzero(u == v)
+        if len(loops):
+            raise GraphError(f"self-loop at vertex {u[loops[0]]}")
+        bad = np.flatnonzero((u < 0) | (u > v) | (v >= n))
+        if len(bad):
+            raise GraphError(f"edge ({u[bad[0]]},{v[bad[0]]}) out of range or not canonical")
+        # u * n + v orders the rows as (u, v) pairs do
+        key = np.sort(u * n + v)
+        edges = np.column_stack(np.divmod(key, n))
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if len(dup):
+            raise GraphError(f"duplicate edge ({edges[dup[0], 0]},{edges[dup[0], 1]})")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UndirectedGraph):
+            return NotImplemented
+        return (self.vertex_count == other.vertex_count
+                and np.array_equal(self.edges, other.edges))
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges.tobytes()))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (edge_count, 2) int64 array, in set order."""
-        return np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array().ravel(), minlength=self.vertex_count)
+        return np.bincount(self.edges.ravel(), minlength=self.vertex_count)
 
 
-def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
-    """Build an UndirectedGraph, canonicalizing edge tuples to u < v."""
-    canon = set()
-    for u, v in edges:
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        canon.add((min(u, v), max(u, v)))
-    return UndirectedGraph(vertex_count, frozenset(canon))
+def _pairs(edges) -> np.ndarray:
+    """The given pairs, an array or any iterable of them, as an int64
+    (count, 2) array."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    return pairs
+
+
+def make_graph(vertex_count: int, edges) -> UndirectedGraph:
+    """Build an UndirectedGraph from any pairs, turning each into u < v and
+    dropping repeats."""
+    edges = _pairs(edges)
+    loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+    if len(loops):
+        raise GraphError(f"self-loop at vertex {edges[loops[0], 0]}")
+    return UndirectedGraph(vertex_count, np.unique(np.sort(edges, axis=1), axis=0))
 
 
 @dataclass(frozen=True)
@@ -96,9 +131,14 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
     All coins come from one `rng.random((nei, size))` call. Each new endpoint
     is the next `rng.integers(size)` draw that is neither u nor a neighbour
     of u, which makes it uniform over the allowed vertices; the draws are
-    fetched in batches as large as the number of coins below p. A lattice edge {u, u+k} is
-    only ever removed by its own visit, because k + k' < size for any two
-    offsets, so it is still present when visited.
+    fetched in batches as large as the number of coins below p. Only this
+    loop runs vertex by vertex, on neighbour sets; it records the new
+    endpoint of each visit it rewires. The edges are then the lattice edges
+    it left plus the ones it added, two disjoint parts: a lattice edge
+    {u, u+k} is only ever removed by its own visit, because k + k' < size
+    for any two offsets, so it is still present when visited; an added edge
+    was absent when it was added, so it is neither a lattice edge still to
+    be visited nor ever removed.
     """
     if nei < 1:
         raise GraphError("nei must be >= 1")
@@ -108,12 +148,16 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
         raise GraphError(f"rewiring probability must be in [0,1], got {p}")
 
     rng = np.random.default_rng(seed)
-    adj = [{(u + k) % size for k in range(-nei, nei + 1) if k} for u in range(size)]
+    ring = list(range(size)) * 3
+    adj = [{*ring[u + size - nei:u + size], *ring[u + size + 1:u + size + nei + 1]}
+           for u in range(size)]
     ks, us = np.nonzero(rng.random((nei, size)) < p)
     draws = _batched_integers(rng, size, len(us))
+    ends = []  # per coin below p: the new endpoint, or -1 if u had no room
     for k, u in zip(ks.tolist(), us.tolist()):
         nbrs = adj[u]
         if len(nbrs) >= size - 1:
+            ends.append(-1)
             continue
         w = next(draws)
         while w == u or w in nbrs:
@@ -123,9 +167,17 @@ def generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
         adj[v].discard(u)
         nbrs.add(w)
         adj[w].add(u)
+        ends.append(w)
 
-    edges = frozenset((u, v) for u in range(size) for v in adj[u] if u < v)
-    return UndirectedGraph(size, edges)
+    ends = np.array(ends, dtype=np.int64)
+    rewired = ends >= 0
+    lattice_u = np.tile(np.arange(size), nei)
+    lattice_v = (lattice_u + np.repeat(np.arange(1, nei + 1), size)) % size
+    kept = np.ones(nei * size, dtype=bool)
+    kept[ks[rewired] * size + us[rewired]] = False
+    u = np.concatenate([lattice_u[kept], us[rewired]])
+    v = np.concatenate([lattice_v[kept], ends[rewired]])
+    return UndirectedGraph(size, np.column_stack([np.minimum(u, v), np.maximum(u, v)]))
 
 
 def _batched_integers(rng: np.random.Generator, high: int, batch: int):
@@ -150,25 +202,24 @@ def layer_dag(g: UndirectedGraph) -> LayeredDag:
     """Assign each vertex the layer 1 + max(layer of predecessors); vertices
     with in-degree zero get layer 0.
 
-    Each edge (u, v), u < v, is directed from u to v, so vertex order is a
-    topological order: one pass in that order meets each vertex after all
-    its predecessors.
+    Each edge (u, v), u < v, is directed from u to v. The rows are sorted
+    by u, so one pass over them meets every edge into u before any edge
+    out of u: u's layer is final when it is read.
     """
     n = g.vertex_count
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        preds[v].append(u)
-    index: dict[int, int] = {}
-    for v in range(n):
-        index[v] = 1 + max((index[u] for u in preds[v]), default=-1)
-
-    layers_mut: list[list[int]] = [[] for _ in range(max(index.values()) + 1)]
-    for v in range(n):
-        layers_mut[index[v]].append(v)
-    layers = tuple(tuple(layer) for layer in layers_mut)
-    tails = {u for u, _ in g.edges}
-    sinks = tuple(v for v in range(n) if v not in tails)
-    return LayeredDag(graph=g, layer_index=index, layers=layers, sinks=sinks)
+    layer = [0] * n
+    # two lists of ints, not a list per row: ints are not tracked by the
+    # cyclic garbage collector, so a large graph triggers no full collection
+    for u, v in zip(g.edges[:, 0].tolist(), g.edges[:, 1].tolist()):
+        if layer[u] >= layer[v]:
+            layer[v] = layer[u] + 1
+    depth = np.array(layer, dtype=np.int64)
+    order = np.argsort(depth, kind="stable").tolist()
+    bounds = [0, *np.cumsum(np.bincount(depth)).tolist()]
+    layers = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+    sinks = np.flatnonzero(np.bincount(g.edges[:, 0], minlength=n) == 0)
+    return LayeredDag(graph=g, layer_index=dict(enumerate(layer)), layers=layers,
+                      sinks=tuple(sinks.tolist()))
 
 
 @dataclass
@@ -213,7 +264,7 @@ def _bfs_levels(g: UndirectedGraph) -> tuple[np.ndarray, list[np.ndarray]]:
     the vertices at distance k from it.
     """
     n = g.vertex_count
-    edges = g.edge_array()
+    edges = g.edges
     order = np.argsort(edges.ravel(), kind="stable")
     neighbours = edges[:, ::-1].ravel()[order]
     degrees = np.bincount(edges.ravel(), minlength=n)

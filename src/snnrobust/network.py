@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import struct
-from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -108,9 +107,15 @@ class MaskedNetwork:
         self.version += 1
 
     def copy(self) -> "MaskedNetwork":
-        out = deepcopy(self)
-        out.version = 0
-        return out
+        """An independent copy: every array and vertex list copied, the
+        version reset to 0."""
+        return MaskedNetwork(self.input_dim, self.output_dim,
+                             [list(v) for v in self.layer_vertices],
+                             [w.copy() for w in self.weights],
+                             [m.copy() for m in self.masks],
+                             [c.copy() for c in self.sources],
+                             [b.copy() for b in self.biases],
+                             init_method=self.init_method)
 
     def assert_mask_invariant(self) -> None:
         for w, m in zip(self.weights, self.masks):
@@ -177,15 +182,25 @@ def build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetw
 
     layers = [list(layer) for layer in ld.layers]
     units = [len(layer) for layer in layers]
-    column = {v: i for i, v in enumerate(v for layer in layers for v in layer)}
-    row = {v: i for layer in layers for i, v in enumerate(layer)}
+    offsets = np.array([0, *accumulate(units)])
+    # per vertex: its layer, its buffer column and its row within the layer
+    order = np.concatenate(ld.layers)
+    layer_of = np.empty(len(order), dtype=np.int64)
+    layer_of[order] = np.repeat(np.arange(len(units)), units)
+    column = np.empty(len(order), dtype=np.int64)
+    column[order] = np.arange(len(order))
+    row = column - offsets[layer_of]
 
     masks = [np.zeros(shape, dtype=CHECKPOINT_DTYPE)
              for shape in _layer_shapes(input_dim, output_dim, units)]
     masks[0][:] = 1.0
-    for u, v in ld.graph.edges:
-        masks[ld.layer_index[v]][row[v], column[u]] = 1.0
-    masks[-1][:, [column[v] for v in ld.sinks]] = 1.0
+    # an edge sets an entry of the mask of its head's layer
+    tails, heads = ld.graph.edges[:, 0], ld.graph.edges[:, 1]
+    head_layer = layer_of[heads]
+    for l in range(1, len(units)):
+        e = head_layer == l
+        masks[l][row[heads[e]], column[tails[e]]] = 1.0
+    masks[-1][:, column[list(ld.sinks)]] = 1.0
 
     return _from_blocks(input_dim, output_dim, layers,
                        [np.zeros_like(m) for m in masks], masks,
@@ -203,6 +218,11 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
     order input block, hidden blocks by (source, target), output blocks by
     source; the live columns are kept and masked entries zeroed. Biases stay
     zero. Weights are drawn in float64 and cast once to the masks' dtype.
+
+    sources[t] holds only live columns, so a block carries a connection
+    exactly when it holds one of them: one searchsorted of every block
+    bound per target layer finds each block's columns, and a block without
+    any is skipped.
     """
     if method not in INIT_METHODS:
         raise NetworkError(f"unknown init method {method!r}; expected one of {INIT_METHODS}")
@@ -211,14 +231,17 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
     out = net.copy()
     out.weights = [np.zeros_like(m) for m in out.masks]
     L, offsets = out.n_layers, out.offsets
+    # starts[t][s]: the index in sources[t] of hidden layer s's first column
+    starts = [None, *(np.searchsorted(out.sources[t], offsets).tolist()
+                      for t in range(1, L + 1))]
     pairs = ([(-1, 0)] + [(s, l) for s in range(L) for l in range(s + 1, L)]
              + [(t, L) for t in range(L)])
     for s, t in pairs:
-        block = _columns(offsets, out.input_dim, s)
-        lo, hi = np.searchsorted(out.sources[t], (block.start, block.stop))
-        m = out.masks[t][:, lo:hi]
-        if not m.any():
+        lo, hi = (0, len(out.sources[0])) if t == 0 else starts[t][s:s + 2]
+        if lo == hi:
             continue
+        block = _columns(offsets, out.input_dim, s)
+        m = out.masks[t][:, lo:hi]
         shape = (m.shape[0], block.stop - block.start)
         fan_out, fan_in = shape
         if method == "G_N":
@@ -425,13 +448,13 @@ def prune_random(net: MaskedNetwork, alpha: float, seed: int) -> MaskedNetwork:
 def network_to_graph(net: MaskedNetwork) -> UndirectedGraph:
     """Recover the hidden-structure graph: one vertex per hidden unit, one
     edge (u, v), directed from u to v, per surviving hidden mask entry."""
-    order = [v for layer in net.layer_vertices for v in layer]
-    edges = set()
+    order = np.concatenate(net.layer_vertices)
+    edges = [np.empty((0, 2), dtype=np.int64)]
     for l in range(1, net.n_layers):
-        targets = net.layer_vertices[l]
-        for j, i in zip(*np.nonzero(net.masks[l])):
-            edges.add((order[net.sources[l][i]], targets[j]))
-    return UndirectedGraph(len(order), frozenset(edges))
+        j, i = np.nonzero(net.masks[l])
+        edges.append(np.column_stack([order[net.sources[l][i]],
+                                      np.asarray(net.layer_vertices[l])[j]]))
+    return UndirectedGraph(len(order), np.concatenate(edges))
 
 
 def _sinks(net: MaskedNetwork) -> list[int]:
@@ -478,9 +501,10 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
     """Read a checkpoint of schema 2 into a CHECKPOINT_DTYPE net, the
     stored values unchanged; each layer's full-width block is then narrowed
     to its live columns. The layer shapes come from layer_vertices. Raises
-    NetworkError on a bad magic, any other schema, a truncated file, a
-    nonzero weight at a masked position, or a header whose layer_units or
-    sinks disagree with layer_vertices and the output layer's columns."""
+    NetworkError on a bad magic, any other schema, a truncated file, bytes
+    past the last bias, a nonzero weight at a masked position, or a header
+    whose layer_units or sinks disagree with layer_vertices and the output
+    layer's columns."""
     with open(path, "rb") as f:
         buf = f.read()
     pos = 0
@@ -515,6 +539,9 @@ def load_checkpoint(path) -> tuple[MaskedNetwork, dict]:
         masks.append(np.unpackbits(packed, count=size).reshape(shape)
                      .astype(CHECKPOINT_DTYPE))
     biases = [take_values(n) for n in units + [header["output_dim"]]]
+    if pos != len(buf):
+        raise NetworkError(f"checkpoint {path} has {len(buf) - pos} bytes "
+                           "past its last bias")
     net = _from_blocks(header["input_dim"], header["output_dim"], vertices,
                        weights, masks, biases, init_method=header.get("init_method"))
     if header["layer_units"] != units or header["sinks"] != _sinks(net):

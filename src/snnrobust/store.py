@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import GraphError, GraphMetrics, UndirectedGraph, make_graph
+from .graph import GraphError, GraphMetrics, UndirectedGraph
 from .measure import CorrelationTable, RobustnessRecord
 
 GRAPH_SCHEMA_VERSION = 1
@@ -145,7 +145,7 @@ class ResultsStore:
             "graph_id": entry.graph_id,
             "generator": entry.generator,
             "vertex_count": g.vertex_count,
-            "edges": sorted([list(e) for e in g.edges]),
+            "edges": g.edges.tolist(),
             "metrics": metrics.to_dict(),
             "disconnected_flag": metrics.disconnected,
             "param_count": entry.param_count,
@@ -156,7 +156,7 @@ class ResultsStore:
             raise GraphError(f"unsupported graph schema version {doc.get('schema_version')!r}")
         return GraphEntry(
             graph_id=doc["graph_id"],
-            graph=make_graph(doc["vertex_count"], [tuple(e) for e in doc["edges"]]),
+            graph=UndirectedGraph(doc["vertex_count"], doc["edges"]),
             generator=doc["generator"],
             metrics=GraphMetrics.from_dict(doc["metrics"]),
             param_count=doc["param_count"],

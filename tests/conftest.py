@@ -11,6 +11,7 @@ import snnrobust
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from snnrobust.graph import generate_ws, layer_dag
 from snnrobust.network import build_network, init_weights
@@ -26,6 +27,18 @@ def random_small_graph(rng: np.random.Generator, max_vertices: int = 8):
                 edges.add((u, v))
     from snnrobust.graph import UndirectedGraph
     return UndirectedGraph(n, frozenset(edges))
+
+
+@st.composite
+def ws_args(draw) -> tuple[int, int, float, int]:
+    """(size, nei, p, seed) with size 5-120, nei 1-20 and 2 * nei < size.
+    Half the draws take one of the three smallest sizes for nei, where
+    rewiring saturates vertices (at size 2 * nei + 1 the lattice is
+    complete, and every visit finds its vertex with no room)."""
+    nei = draw(st.integers(1, 20))
+    low = max(5, 2 * nei + 1)
+    size = draw(st.one_of(st.integers(low, low + 2), st.integers(low, 120)))
+    return size, nei, draw(st.floats(0, 1)), draw(st.integers(0, 2**31))
 
 
 def random_layered_net(rng: np.random.Generator, input_dim: int = 6,

@@ -32,6 +32,13 @@ the (n, units) layout and transposed, the row max reduced row by row, and
 one Gaussian blob and one np.roll per point and row. Tests compare the
 fast versions' bits against them.
 
+`set_generate_ws`, `set_layer_dag`, `dict_build_network`,
+`set_network_to_graph` and `set_candidate_param_count` are the graph path
+as it was when a graph's edges were a frozenset of (u, v) tuples: the
+generator collects its edges from the neighbour sets, and layering, masks,
+the recovered graph and the parameter count loop over edge tuples with
+dicts and sets. The array path must give exactly what they give.
+
 `write_idx_images`, `write_idx_labels` and `write_synthetic_idx` write IDX
 files byte by byte from the format's header layout, for the loader's tests
 and for tests that need an MNIST-shaped data directory.
@@ -50,9 +57,12 @@ from scipy.sparse import csgraph, csr_matrix
 from snnrobust.attack import INTENSITY_MAX, _pixel_index
 from snnrobust.data import (_GLYPH_SEGMENTS, _SHEARS, _STENCIL_SIZE, IMAGE_MAGIC,
                             LABEL_MAGIC, MNIST_FILES, synthetic_dataset)
+from snnrobust.experiment import INPUT_DIM, OUTPUT_DIM
 from snnrobust.graph import (GraphError, GraphMetrics, LayeredDag,
-                             UndirectedGraph)
-from snnrobust.network import MaskedNetwork, cross_entropy, forward, propagate
+                             UndirectedGraph, _batched_integers)
+from snnrobust.network import (CHECKPOINT_DTYPE, MaskedNetwork, NetworkError,
+                               _from_blocks, _layer_shapes, cross_entropy, forward,
+                               propagate)
 
 INF = float("inf")
 
@@ -107,6 +117,103 @@ def sequential_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
 
     edges = frozenset((u, v) for u in range(size) for v in adj[u] if u < v)
     return UndirectedGraph(size, edges)
+
+
+def set_generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph:
+    """generate_ws with the same draws, its edges collected from the
+    neighbour sets into a frozenset of (u, v) tuples."""
+    if nei < 1:
+        raise GraphError("nei must be >= 1")
+    if size < 2 * nei + 1:
+        raise GraphError(f"size must be >= 2*nei+1, got size={size}, nei={nei}")
+    if not (0.0 <= p <= 1.0):
+        raise GraphError(f"rewiring probability must be in [0,1], got {p}")
+
+    rng = np.random.default_rng(seed)
+    adj = [{(u + k) % size for k in range(-nei, nei + 1) if k} for u in range(size)]
+    ks, us = np.nonzero(rng.random((nei, size)) < p)
+    draws = _batched_integers(rng, size, len(us))
+    for k, u in zip(ks.tolist(), us.tolist()):
+        nbrs = adj[u]
+        if len(nbrs) >= size - 1:
+            continue
+        w = next(draws)
+        while w == u or w in nbrs:
+            w = next(draws)
+        v = (u + k + 1) % size
+        nbrs.discard(v)
+        adj[v].discard(u)
+        nbrs.add(w)
+        adj[w].add(u)
+
+    edges = frozenset((u, v) for u in range(size) for v in adj[u] if u < v)
+    return UndirectedGraph(size, edges)
+
+
+def set_layer_dag(g: UndirectedGraph) -> LayeredDag:
+    """layer_dag from per-vertex predecessor lists, one pass in vertex
+    order, and the sinks from the set of edge tails."""
+    n = g.vertex_count
+    edges = [tuple(e) for e in g.edges.tolist()]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        preds[v].append(u)
+    index: dict[int, int] = {}
+    for v in range(n):
+        index[v] = 1 + max((index[u] for u in preds[v]), default=-1)
+
+    layers_mut: list[list[int]] = [[] for _ in range(max(index.values()) + 1)]
+    for v in range(n):
+        layers_mut[index[v]].append(v)
+    layers = tuple(tuple(layer) for layer in layers_mut)
+    tails = {u for u, _ in edges}
+    sinks = tuple(v for v in range(n) if v not in tails)
+    return LayeredDag(graph=g, layer_index=index, layers=layers, sinks=sinks)
+
+
+def dict_build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetwork:
+    """build_network setting one mask entry per edge tuple, through
+    vertex -> row and vertex -> column dicts."""
+    if ld.graph.vertex_count < 1 or not ld.layers:
+        raise NetworkError("layered DAG must contain at least one vertex")
+    layers = [list(layer) for layer in ld.layers]
+    units = [len(layer) for layer in layers]
+    column = {v: i for i, v in enumerate(v for layer in layers for v in layer)}
+    row = {v: i for layer in layers for i, v in enumerate(layer)}
+
+    masks = [np.zeros(shape, dtype=CHECKPOINT_DTYPE)
+             for shape in _layer_shapes(input_dim, output_dim, units)]
+    masks[0][:] = 1.0
+    for u, v in ld.graph.edges.tolist():
+        masks[ld.layer_index[v]][row[v], column[u]] = 1.0
+    masks[-1][:, [column[v] for v in ld.sinks]] = 1.0
+
+    return _from_blocks(input_dim, output_dim, layers,
+                        [np.zeros_like(m) for m in masks], masks,
+                        [np.zeros(n, dtype=CHECKPOINT_DTYPE)
+                         for n in units + [output_dim]])
+
+
+def set_network_to_graph(net: MaskedNetwork) -> UndirectedGraph:
+    """network_to_graph collecting one (u, v) tuple per unmasked hidden
+    entry into a set."""
+    order = [v for layer in net.layer_vertices for v in layer]
+    edges = set()
+    for l in range(1, net.n_layers):
+        targets = net.layer_vertices[l]
+        for j, i in zip(*np.nonzero(net.masks[l])):
+            edges.add((order[net.sources[l][i]], targets[j]))
+    return UndirectedGraph(len(order), frozenset(edges))
+
+
+def set_candidate_param_count(g: UndirectedGraph) -> int:
+    """candidate_param_count with sources and sinks from sets of edge heads
+    and tails."""
+    n = g.vertex_count
+    edges = [tuple(e) for e in g.edges.tolist()]
+    sources = n - len({v for _, v in edges})
+    sinks = n - len({u for u, _ in edges})
+    return INPUT_DIM * sources + g.edge_count + OUTPUT_DIM * sinks + n + OUTPUT_DIM
 
 
 def floyd_warshall(g: UndirectedGraph) -> np.ndarray:

@@ -199,6 +199,22 @@ def changed_manifest(path, out, **scale_factors) -> list[str]:
     return ["--manifest", str(out)]
 
 
+def test_an_attack_on_a_checkpoint_with_trailing_bytes_is_one_error_line(
+        desk_manifest_path, tmp_path, caplog, capsys):
+    out = tmp_path / "results"
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    data = ["--data-dir", str(tmp_path / "nodata")]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, *data]) == 0
+    path = out / "models" / "g0001__He_N" / "checkpoint.bin"
+    path.write_bytes(path.read_bytes() + bytes(100))
+    assert main(["attack", *args, *data]) == 1
+    [line] = errors(caplog)
+    assert line.startswith("attack failed: checkpoint of g0001/He_N refused: ")
+    assert line.endswith(" has 100 bytes past its last bias")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_an_attack_under_another_seed_is_one_error_line(desk_manifest_path, tmp_path,
                                                         caplog):
     # the master seed picks the synthetic test set, so only a sweep may change it

@@ -109,6 +109,15 @@ class TestManifest:
         with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
             ExperimentManifest.from_dict({"pruning": pruning})
 
+    def test_a_setting_changed_after_construction_is_checked_when_saved(self, tmp_path):
+        m = ExperimentManifest()
+        m.pruning.alpha = 3.0
+        with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
+            m.save(tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+        with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
+            m.manifest_hash
+
     def test_zero_retrain_epochs_retrain_nothing(self):
         m = ExperimentManifest.from_dict({"pruning": {"retrain_epochs": 0}})
         assert m.effective_retrain_epochs() == 0
@@ -740,6 +749,17 @@ class TestPruningBaseline:
         assert rerun_attacks(manifest, store, source) == 1
         assert sorted(splits) == ["test", "train"]
 
+    def test_a_bad_setting_raises_before_training(self, tmp_path, monkeypatch):
+        from snnrobust import experiment as exp_mod
+        trained = []
+        monkeypatch.setattr(exp_mod, "train", lambda *a, **k: trained.append(a))
+        manifest = tiny_manifest()
+        manifest.pruning.alpha = 3.0
+        with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
+            run_pruning_baseline(manifest, ResultsStore(tmp_path),
+                                 resolve_data_source(manifest, None))
+        assert trained == []
+
     def test_dense_stack_dag_layers(self):
         ld = layer_dag(dense_stack_dag([3, 4, 2]))
         assert [len(layer) for layer in ld.layers] == [3, 4, 2]
@@ -759,6 +779,14 @@ class TestRerunAttacks:
         store.save_manifest(manifest.to_dict(), manifest.manifest_hash)
         store.mark_pair_done("g0000", "He_N", manifest.manifest_hash)
         return manifest, store
+
+    def test_a_checkpoint_with_trailing_bytes_is_refused(self, store_with_model):
+        manifest, store = store_with_model
+        path = store.checkpoint_path("g0000", "He_N")
+        path.write_bytes(path.read_bytes() + bytes(100))
+        with pytest.raises(ExperimentError, match=r"^checkpoint of g0000/He_N refused: "
+                           r"checkpoint .* has 100 bytes past its last bias$"):
+            rerun_attacks(manifest, store, resolve_data_source(manifest, None))
 
     def test_loads_only_the_test_split(self, store_with_model, monkeypatch):
         from snnrobust import data

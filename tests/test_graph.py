@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnrobust.experiment import dense_stack_dag, derive_seed
+from snnrobust.experiment import candidate_param_count, dense_stack_dag, derive_seed
 from snnrobust.graph import (GraphError, UndirectedGraph, compute_metrics,
                              generate_ws, layer_dag, make_graph, to_dag)
 from snnrobust.store import GraphEntry, ResultsStore
 
-from tests.conftest import random_small_graph, run_child
-from tests.oracles import (longest_path_layering, naive_metrics,
-                           sequential_ws, shortest_path_metrics)
+from tests.conftest import random_small_graph, run_child, ws_args
+from tests.oracles import (longest_path_layering, naive_metrics, sequential_ws,
+                           set_candidate_param_count, set_generate_ws, set_layer_dag,
+                           shortest_path_metrics)
 
 
 class TestGenerateWS:
@@ -44,7 +45,7 @@ class TestGenerateWS:
     def test_deterministic_given_seed(self):
         a = generate_ws(40, 2, 0.5, seed=9)
         b = generate_ws(40, 2, 0.5, seed=9)
-        assert a.edges == b.edges
+        assert a == b
 
     # SHA-256 of repr(sorted(edges)), recorded from the generator that draws
     # every coin in one call and each rewired endpoint by batched rejection
@@ -67,20 +68,20 @@ class TestGenerateWS:
 
     @pytest.mark.parametrize("args", list(GOLDEN_WS), ids=str)
     def test_golden_edges(self, args):
-        edges = sorted(generate_ws(*args).edges)
+        edges = [tuple(e) for e in generate_ws(*args).edges.tolist()]
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == self.GOLDEN_WS[args]
 
     def test_sequential_reference_keeps_its_digests(self):
         for args, digest in self.SEQUENTIAL_GOLDEN_WS.items():
-            edges = sorted(sequential_ws(*args).edges)
+            edges = [tuple(e) for e in sequential_ws(*args).edges.tolist()]
             assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("size, nei", [(5, 2), (20, 2), (31, 15), (64, 3)])
     def test_no_rewiring_gives_the_ring_lattice(self, size, nei):
         lattice = make_graph(size, [(u, (u + k) % size) for u in range(size)
-                                    for k in range(1, nei + 1)]).edges
-        assert generate_ws(size, nei, 0.0, seed=1).edges == lattice
-        assert sequential_ws(size, nei, 0.0, seed=1).edges == lattice
+                                    for k in range(1, nei + 1)])
+        assert generate_ws(size, nei, 0.0, seed=1) == lattice
+        assert sequential_ws(size, nei, 0.0, seed=1) == lattice
 
     @staticmethod
     def ensemble(gen, seeds: int = 500) -> np.ndarray:
@@ -112,11 +113,71 @@ class TestGenerateWS:
             generate_ws(10, 0, 0.5, seed=0)
 
 
+class TestUndirectedGraph:
+    def test_rows_sorted_and_read_only(self):
+        g = UndirectedGraph(4, [(2, 3), (0, 3), (0, 1)])
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [[0, 1], [0, 3], [2, 3]]
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+
+    def test_array_and_pairs_give_equal_graphs(self):
+        pairs = [(0, 1), (1, 2)]
+        a, b = UndirectedGraph(3, frozenset(pairs)), UndirectedGraph(3, np.array(pairs))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != UndirectedGraph(4, pairs)
+        assert a != UndirectedGraph(3, [(0, 1)])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(1, 1)], "self-loop at vertex 1"),
+        ([(0, 5)], r"edge \(0,5\) out of range or not canonical"),
+        ([(-1, 2)], r"edge \(-1,2\) out of range or not canonical"),
+        ([(2, 1)], r"edge \(2,1\) out of range or not canonical"),
+        ([(0, 1), (1, 2), (0, 1)], r"duplicate edge \(0,1\)"),
+        ([(0, 1, 2)], "edges must be"),
+    ])
+    def test_refusals(self, edges, message):
+        with pytest.raises(GraphError, match=message):
+            UndirectedGraph(5, edges)
+
+    def test_make_graph_canonicalizes_and_drops_repeats(self):
+        g = make_graph(4, [(3, 0), (0, 3), (2, 1), (1, 2), (1, 2)])
+        assert g.edges.tolist() == [[0, 3], [1, 2]]
+        with pytest.raises(GraphError, match="self-loop at vertex 2"):
+            make_graph(4, [(0, 1), (2, 2)])
+
+
+class TestArrayPathMatchesSetOracles:
+    """generate_ws, layer_dag and candidate_param_count on the edge array
+    give exactly what the set-based path gave."""
+
+    @staticmethod
+    def assert_matches(args):
+        g = generate_ws(*args)
+        assert g == set_generate_ws(*args)
+        ld, want = layer_dag(g), set_layer_dag(g)
+        assert ld.layer_index == want.layer_index
+        assert ld.layers == want.layers
+        assert ld.sinks == want.sinks
+        assert candidate_param_count(g) == set_candidate_param_count(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(args=ws_args())
+    def test_random_parameters(self, args):
+        self.assert_matches(args)
+
+    @pytest.mark.parametrize("nei", [2, 7, 20])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_saturated_vertices(self, nei, extra):
+        # every coin is below p = 1; at extra 0 every vertex is saturated
+        self.assert_matches((2 * nei + 1 + extra, nei, 1.0, nei))
+
+
 class TestToDag:
     def test_triangle_orientation(self):
         g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
         d = to_dag(g)
-        assert d.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert d.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_empty_graph(self):
         d = to_dag(UndirectedGraph(5, frozenset()))
@@ -154,7 +215,7 @@ class TestLayerDag:
 
     @staticmethod
     def assert_matches_oracle(ld):
-        want = longest_path_layering(ld.graph.vertex_count, ld.graph.edges)
+        want = longest_path_layering(ld.graph.vertex_count, ld.graph.edges.tolist())
         assert ld.layer_index == want["layer_index"]
         assert ld.layers == want["layers"]
         assert ld.layers[0] == want["sources"]
@@ -364,4 +425,14 @@ class TestPersistence:
         assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True)
         path.write_text(json.dumps({**doc, "schema_version": 99}))
         with pytest.raises(GraphError):
+            store.load_graph_entry("g0001")
+
+    def test_a_stored_edge_not_canonical_is_refused(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        self.saved(store, 8, 1, 0.0, 0)
+        path = tmp_path / "graphs" / "g0001.json"
+        doc = json.loads(path.read_text())
+        doc["edges"][0] = doc["edges"][0][::-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphError, match=r"edge \(1,0\) out of range or not canonical"):
             store.load_graph_entry("g0001")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnrobust.graph import UndirectedGraph, generate_ws, layer_dag
 from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
@@ -15,10 +17,11 @@ from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
                                param_count, param_views, prune_random,
                                save_checkpoint, softmax)
 
-from tests.conftest import kink_free_case, random_layered_net, random_small_graph
-from tests.oracles import (finite_diff_bias_grads, finite_diff_input_grad,
-                           finite_diff_weight_grads, float64_copy, keyed_weights,
-                           row_max_softmax, sequential_ws, vertex_forward_logits)
+from tests.conftest import kink_free_case, random_layered_net, random_small_graph, ws_args
+from tests.oracles import (dict_build_network, finite_diff_bias_grads,
+                           finite_diff_input_grad, finite_diff_weight_grads,
+                           float64_copy, keyed_weights, row_max_softmax, sequential_ws,
+                           set_network_to_graph, vertex_forward_logits)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -386,7 +389,7 @@ class TestPruneRandom:
         net = build_network(layer_dag(g), 784, 10)
         for step in range(2):
             net = prune_random(net, 0.4, seed=13 + step)
-        edges = sorted(network_to_graph(net).edges)
+        edges = [tuple(e) for e in network_to_graph(net).edges.tolist()]
         digest = hashlib.sha256(repr(edges).encode()).hexdigest()
         assert (len(edges), digest) == self.GOLDEN_PRUNED[kind]
 
@@ -394,6 +397,21 @@ class TestPruneRandom:
         net = random_layered_net(rng)
         pruned = prune_random(net, 0.7, seed=5)
         pruned.assert_mask_invariant()
+
+
+class TestCopy:
+    def test_shares_nothing_and_resets_version(self, rng):
+        net = random_layered_net(rng)
+        net.mark_mutated()
+        out = net.copy()
+        assert (out.version, out.init_method) == (0, net.init_method)
+        assert out.layer_vertices == net.layer_vertices
+        for a, b in zip(net.weights + net.masks + net.sources + net.biases,
+                        out.weights + out.masks + out.sources + out.biases):
+            assert np.array_equal(a, b) and b.flags.c_contiguous
+            assert not np.shares_memory(a, b)
+        out.layer_vertices[0].append(-1)
+        assert -1 not in net.layer_vertices[0]
 
 
 class TestNetworkToGraph:
@@ -414,6 +432,20 @@ class TestNetworkToGraph:
         pruned = prune_random(net, 0.4, seed=3)
         removed = int(np.floor(0.4 * before))
         assert network_to_graph(pruned).edge_count == before - removed
+
+    @settings(max_examples=40, deadline=None)
+    @given(args=ws_args(), alpha=st.floats(0, 1), seed=st.integers(0, 2**31))
+    def test_array_path_matches_set_oracles(self, args, alpha, seed):
+        ld = layer_dag(generate_ws(*args))
+        net, want = build_network(ld, 7, 3), dict_build_network(ld, 7, 3)
+        assert net.layer_vertices == want.layer_vertices
+        for a, b in zip(net.masks + net.sources + net.weights + net.biases,
+                        want.masks + want.sources + want.weights + want.biases):
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert np.array_equal(a, b)
+        assert network_to_graph(net) == set_network_to_graph(net) == ld.graph
+        pruned = prune_random(net, alpha, seed)
+        assert network_to_graph(pruned) == set_network_to_graph(pruned)
 
 
 class TestCheckpoint:
@@ -467,6 +499,13 @@ class TestCheckpoint:
         loaded, header = load_checkpoint(tmp_path / "a.bin")
         save_checkpoint(loaded, tmp_path / "b.bin", extra=header["extra"])
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_trailing_bytes_rejected(self, rng, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(random_layered_net(rng), path)
+        path.write_bytes(path.read_bytes() + bytes(100))
+        with pytest.raises(NetworkError, match="has 100 bytes past its last bias"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("keep", [6, 20, -40, -1])
     def test_truncated_file_rejected(self, rng, tmp_path, keep):

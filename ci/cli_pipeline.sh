@@ -83,4 +83,11 @@ cat missing_err.txt
 test "$code" -eq 1
 grep -F "gen-graphs failed: bad manifest no_such.json" missing_err.txt
 if grep -F Traceback missing_err.txt; then exit 1; fi
+python -c "import json; m = json.load(open('manifest.json')); m['attacks']['search_step'] = 0; json.dump(m, open('manifest_step.json', 'w'))"
+# under timeout: a zero search step must be refused at load, not start an endless epsilon search
+code=0; timeout 120 $SNNROBUST sweep --manifest manifest_step.json --out-dir results --workers 2 2> step_err.txt || code=$?
+cat step_err.txt
+test "$code" -eq 1
+grep -F "sweep failed: bad manifest manifest_step.json" step_err.txt
+if grep -F Traceback step_err.txt; then exit 1; fi
 echo "cli_pipeline: every check passed"

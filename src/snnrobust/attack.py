@@ -27,7 +27,6 @@ class AdversarialExample:
     """Per-image attack record."""
 
     original_index: int
-    predicted_label: int
     success: bool
     confidence: float
     perturbed_image: np.ndarray | None = None
@@ -68,7 +67,6 @@ def _outcome_from_probs(probs: np.ndarray, y: int, index: int, **extra) -> Adver
     pred = int(probs.argmax())
     return AdversarialExample(
         original_index=index,
-        predicted_label=pred,
         success=pred != int(y),
         confidence=float(probs[pred]),
         **extra,
@@ -102,31 +100,31 @@ def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
 
 def fgsm_eps_search(net: MaskedNetwork, x: np.ndarray, y: int,
                     start: float = 0.001, step: float = 0.01, cap: float = 1.0,
-                    index: int = 0, keep_image: bool = False) -> AdversarialExample:
+                    index: int = 0) -> AdversarialExample:
     """Smallest epsilon on the grid start, start+step, ... <= cap that flips
-    the prediction.
+    the prediction; the record holds no image.
 
     The input gradient is computed once at x; only the scale varies. Requires
-    x to be correctly classified. If no grid point flips, the record is
-    censored: success False, epsilon_used None, and the probabilities and
-    image of the last grid point (the clean ones for an empty grid).
+    x to be correctly classified and step > 0, so that the grid is finite.
+    If no grid point flips, the record is censored: success False,
+    epsilon_used None, and the probabilities of the last grid point (the
+    clean ones for an empty grid).
     """
+    if step <= 0:
+        raise AttackError(f"eps search step must be > 0, got {step}")
     _, probs, cache = forward(net, x)
     if int(probs.argmax()) != int(y):
         raise AttackError("eps search requires a correctly classified input")
     _, _, input_grad = backward(net, cache, y, params=False)
     direction = np.sign(input_grad)
 
-    eps, x_adv = start, x.copy()
+    eps = start
     while eps <= cap + 1e-12:
-        x_adv = np.clip(x + eps * direction, 0.0, 1.0)
-        _, probs, _ = forward(net, x_adv)
+        _, probs, _ = forward(net, np.clip(x + eps * direction, 0.0, 1.0))
         if int(probs.argmax()) != int(y):
-            return _outcome_from_probs(probs, y, index, epsilon_used=float(eps),
-                                       perturbed_image=x_adv if keep_image else None)
+            return _outcome_from_probs(probs, y, index, epsilon_used=float(eps))
         eps += step
-    return _outcome_from_probs(probs, y, index,
-                               perturbed_image=x_adv if keep_image else None)
+    return _outcome_from_probs(probs, y, index)
 
 
 def init_population(cfg: DEConfig, rng: np.random.Generator) -> np.ndarray:

@@ -81,6 +81,9 @@ class GridSpec:
     p: list[float] = field(default_factory=lambda: list(GRID_P_CHOICES))
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
         for values, choices, name in ((self.size, GRID_SIZE_CHOICES, "size"),
                                       (self.nei, GRID_NEI_CHOICES, "nei"),
                                       (self.p, GRID_P_CHOICES, "p")):
@@ -102,10 +105,26 @@ class AttackSettings:
     de_CR: float = 0.9
     one_pixel_images: int = 100
 
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError on a setting that would never end the epsilon
+        search or that DEConfig refuses."""
+        if not (self.fgsm_eps >= 0 and self.search_start >= 0 and self.search_step > 0
+                and self.de_F > 0 and 0 <= self.de_CR <= 1
+                and all(n >= 1 for n in (self.de_pop_size, self.de_max_iter,
+                                         self.one_pixel_images))):
+            raise ValueError(
+                f"attacks {asdict(self)}: need fgsm_eps and search_start >= 0, search_step "
+                "and de_F > 0, de_CR in [0, 1], de_pop_size, de_max_iter and "
+                "one_pixel_images >= 1")
+
 
 @dataclass
 class ScaleFactors:
-    """Multipliers shrinking the study for desk-scale runs; all 1.0 = full scale."""
+    """Multipliers shrinking the study for desk-scale runs, each > 0; all
+    1.0 = full scale. A scaled count rounds to at least one."""
 
     epochs: float = 1.0
     train_subset: float = 1.0
@@ -115,8 +134,12 @@ class ScaleFactors:
     de_pop: float = 1.0
     de_iter: float = 1.0
 
-    def is_full_scale(self) -> bool:
-        return all(v == 1.0 for v in asdict(self).values())
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        if not all(f > 0 for f in asdict(self).values()):
+            raise ValueError(f"scale {asdict(self)}: need every factor > 0")
 
 
 # the scale factors of the attack plan: with `attacks`, all a re-attack may change
@@ -185,9 +208,16 @@ class ExperimentManifest:
         self.check()
 
     def check(self) -> None:
-        """Raise ExperimentError on a setting out of its domain. Runs at
+        """Raise ExperimentError on a setting out of its domain, re-running
+        the grid's, train's, attacks' and scale's own checks. Runs at
         construction and in to_dict, which saving and hashing go through, so
         a field set after construction is checked before it is used."""
+        self.grid.check()
+        try:
+            for section in (self.train, self.attacks, self.scale):
+                section.check()
+        except ValueError as exc:
+            raise ExperimentError(str(exc)) from exc
         if self.param_range[0] >= self.param_range[1]:
             raise ExperimentError("param_range low must be < high")
         if self.outlier_mode not in ("run", "model"):
@@ -250,7 +280,7 @@ class ExperimentManifest:
 
     @property
     def mode(self) -> str:
-        return "full" if self.scale.is_full_scale() else "desk"
+        return "full" if all(v == 1.0 for v in asdict(self.scale).values()) else "desk"
 
     # effective (scaled) quantities -------------------------------------
 

@@ -18,7 +18,7 @@ needed. The graph file format belongs to the results store.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,9 @@ class UndirectedGraph:
     edges is a read-only (edge_count, 2) int64 array of rows (u, v) with
     u < v, in sorted order: no self-loops, no duplicates. The constructor
     takes such rows in any order, as an array or any iterable of pairs,
-    checks them in one vectorized pass and stores them sorted; make_graph
-    canonicalizes pairs from outside. Two graphs are equal when their
-    vertex counts and edges are.
+    checks them in one vectorized pass and stores them sorted. Two graphs
+    are equal when their vertex counts and edges are; a graph is not
+    hashable.
     """
 
     vertex_count: int
@@ -69,9 +69,6 @@ class UndirectedGraph:
         return (self.vertex_count == other.vertex_count
                 and np.array_equal(self.edges, other.edges))
 
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges.tobytes()))
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -93,28 +90,18 @@ def _pairs(edges) -> np.ndarray:
     return pairs
 
 
-def make_graph(vertex_count: int, edges) -> UndirectedGraph:
-    """Build an UndirectedGraph from any pairs, turning each into u < v and
-    dropping repeats."""
-    edges = _pairs(edges)
-    loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
-    if len(loops):
-        raise GraphError(f"self-loop at vertex {edges[loops[0], 0]}")
-    return UndirectedGraph(vertex_count, np.unique(np.sort(edges, axis=1), axis=0))
-
-
 @dataclass(frozen=True)
 class LayeredDag:
     """A graph, its edges directed from lower to higher index, with the
     max-predecessor layering.
 
-    layer_index maps each vertex to its layer; layers is the corresponding
-    ordered partition (vertex ids ascending within each layer). Layer 0 is
-    exactly the in-degree-0 vertices; sinks are the out-degree-0 ones.
+    layers is the ordered partition of the vertices into layers (vertex
+    ids ascending within each layer); a vertex's layer is the position of
+    the layer that holds it. Layer 0 is exactly the in-degree-0 vertices;
+    sinks are the out-degree-0 ones.
     """
 
     graph: UndirectedGraph
-    layer_index: dict[int, int]
     layers: tuple[tuple[int, ...], ...]
     sinks: tuple[int, ...]
 
@@ -218,8 +205,7 @@ def layer_dag(g: UndirectedGraph) -> LayeredDag:
     bounds = [0, *np.cumsum(np.bincount(depth)).tolist()]
     layers = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
     sinks = np.flatnonzero(np.bincount(g.edges[:, 0], minlength=n) == 0)
-    return LayeredDag(graph=g, layer_index=dict(enumerate(layer)), layers=layers,
-                      sinks=tuple(sinks.tolist()))
+    return LayeredDag(graph=g, layers=layers, sinks=tuple(sinks.tolist()))
 
 
 @dataclass
@@ -244,13 +230,6 @@ class GraphMetrics:
     degree_distribution: list[int] = field(default_factory=list)
     path_length_distribution: list[int] = field(default_factory=list)
     disconnected: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraphMetrics":
-        return cls(**d)
 
 
 def _bfs_levels(g: UndirectedGraph) -> tuple[np.ndarray, list[np.ndarray]]:

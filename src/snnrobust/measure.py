@@ -50,13 +50,6 @@ class RobustnessRecord:
     n_successful: int
     n_censored: int
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RobustnessRecord":
-        return cls(**d)
-
 
 def error_rate(outcomes) -> float:
     """Fraction of attacked images whose prediction flipped.

@@ -44,7 +44,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .graph import GraphError, GraphMetrics, UndirectedGraph
@@ -146,7 +146,7 @@ class ResultsStore:
             "generator": entry.generator,
             "vertex_count": g.vertex_count,
             "edges": g.edges.tolist(),
-            "metrics": metrics.to_dict(),
+            "metrics": asdict(metrics),
             "disconnected_flag": metrics.disconnected,
             "param_count": entry.param_count,
         })
@@ -158,7 +158,7 @@ class ResultsStore:
             graph_id=doc["graph_id"],
             graph=UndirectedGraph(doc["vertex_count"], doc["edges"]),
             generator=doc["generator"],
-            metrics=GraphMetrics.from_dict(doc["metrics"]),
+            metrics=GraphMetrics(**doc["metrics"]),
             param_count=doc["param_count"],
         )
 
@@ -222,7 +222,7 @@ class ResultsStore:
     def save_robustness(self, graph_id: str, init_method: str,
                         records: list[RobustnessRecord]) -> None:
         self._write_json(self.model_dir(graph_id, init_method) / "robustness.json",
-                         [r.to_dict() for r in records])
+                         [asdict(r) for r in records])
 
     def checkpoint_path(self, graph_id: str, init_method: str) -> Path:
         return self.model_dir(graph_id, init_method) / "checkpoint.bin"
@@ -246,7 +246,7 @@ class ResultsStore:
         study_hash = stored["manifest_hash"] if stored else manifest_hash
         docs = self.done_records(None)
         done = tuple(d for d in docs if self._completed_under(d, study_hash))
-        records = tuple(RobustnessRecord.from_dict(r) for d in done for r in self._read_json(
+        records = tuple(RobustnessRecord(**r) for d in done for r in self._read_json(
             f"models/{d['graph_id']}__{d['init_method']}/robustness.json", []))
         return Study(study_hash, stored and stored["manifest"], done, records,
                      len(docs) - len(done))

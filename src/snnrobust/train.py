@@ -11,6 +11,9 @@ from .network import (MaskedNetwork, backward, cross_entropy, flatten_params,
                       forward, param_views)
 
 
+PREDICT_BATCH = 1024
+
+
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
@@ -26,6 +29,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
         if min(self.learning_rate, self.beta1, self.beta2, self.adam_eps) <= 0:
             raise ValueError("all rates must be positive")
         if self.epochs < 0:
@@ -136,7 +142,7 @@ class EvalReport:
     precision: list[float]
     recall: list[float]
     f1_per_class: list[float]
-    confusion: np.ndarray  # (10, 10), rows = true class
+    confusion: np.ndarray  # (classes, classes), rows = true class
     absent_classes: list[int]
     predictions: np.ndarray  # (n,) predicted class per image, int64
 
@@ -147,23 +153,25 @@ class EvalReport:
         return d
 
 
-def predict(net: MaskedNetwork, images: np.ndarray, batch_size: int = 1024) -> np.ndarray:
-    """Class probabilities in evaluation batches; returns (n, output_dim)."""
+def predict(net: MaskedNetwork, images: np.ndarray) -> np.ndarray:
+    """Class probabilities, in batches of PREDICT_BATCH images; returns
+    (n, output_dim)."""
     outs = []
-    for i in range(0, images.shape[0], batch_size):
-        _, probs, _ = forward(net, images[i:i + batch_size])
+    for i in range(0, images.shape[0], PREDICT_BATCH):
+        _, probs, _ = forward(net, images[i:i + PREDICT_BATCH])
         outs.append(probs)
     return np.concatenate(outs, axis=0)
 
 
-def evaluate_f1(net: MaskedNetwork, test_set: Dataset, n_classes: int = 10) -> EvalReport:
-    """Accuracy plus macro-averaged F1 (unweighted mean of per-class F1).
+def evaluate_f1(net: MaskedNetwork, test_set: Dataset) -> EvalReport:
+    """Accuracy plus macro-averaged F1 (unweighted mean of per-class F1)
+    over the net's output_dim classes.
 
     A class absent from both predictions and truth gets F1 = 0 and is listed
     in absent_classes.
     """
     probs = predict(net, test_set.images)
-    return classification_report(test_set.labels, probs.argmax(axis=1), n_classes)
+    return classification_report(test_set.labels, probs.argmax(axis=1), net.output_dim)
 
 
 def classification_report(truth: np.ndarray, preds: np.ndarray,

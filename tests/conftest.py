@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from snnrobust.graph import generate_ws, layer_dag
 from snnrobust.network import build_network, init_weights
 
+from tests.oracles import layer_of
+
 
 def random_small_graph(rng: np.random.Generator, max_vertices: int = 8):
     """Random simple graph for oracle comparisons."""
@@ -51,8 +53,8 @@ def random_layered_net(rng: np.random.Generator, input_dim: int = 6,
         p = float(rng.uniform(0.2, 0.9))
         g = generate_ws(size, nei, p, seed=int(rng.integers(2**31)))
         ld = layer_dag(g)
-        has_skip = any(ld.layer_index[v] - ld.layer_index[u] > 1
-                       for u, v in ld.graph.edges)
+        layer = layer_of(ld)
+        has_skip = any(layer[v] - layer[u] > 1 for u, v in ld.graph.edges)
         if has_skip or not require_skip:
             net = init_weights(build_network(ld, input_dim, output_dim), "He_N",
                                seed=int(rng.integers(2**31)))

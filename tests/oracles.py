@@ -38,6 +38,8 @@ as it was when a graph's edges were a frozenset of (u, v) tuples: the
 generator collects its edges from the neighbour sets, and layering, masks,
 the recovered graph and the parameter count loop over edge tuples with
 dicts and sets. The array path must give exactly what they give.
+`layer_of` reads each vertex's layer back from a layered DAG's partition,
+for tests that check edges against layers.
 
 `write_idx_images`, `write_idx_labels` and `write_synthetic_idx` write IDX
 files byte by byte from the format's header layout, for the loader's tests
@@ -150,6 +152,11 @@ def set_generate_ws(size: int, nei: int, p: float, seed: int) -> UndirectedGraph
     return UndirectedGraph(size, edges)
 
 
+def layer_of(ld: LayeredDag) -> dict[int, int]:
+    """Each vertex's layer, read from the layered DAG's partition."""
+    return {v: k for k, layer in enumerate(ld.layers) for v in layer}
+
+
 def set_layer_dag(g: UndirectedGraph) -> LayeredDag:
     """layer_dag from per-vertex predecessor lists, one pass in vertex
     order, and the sinks from the set of edge tails."""
@@ -168,7 +175,7 @@ def set_layer_dag(g: UndirectedGraph) -> LayeredDag:
     layers = tuple(tuple(layer) for layer in layers_mut)
     tails = {u for u, _ in edges}
     sinks = tuple(v for v in range(n) if v not in tails)
-    return LayeredDag(graph=g, layer_index=index, layers=layers, sinks=sinks)
+    return LayeredDag(graph=g, layers=layers, sinks=sinks)
 
 
 def dict_build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> MaskedNetwork:
@@ -180,12 +187,13 @@ def dict_build_network(ld: LayeredDag, input_dim: int, output_dim: int) -> Maske
     units = [len(layer) for layer in layers]
     column = {v: i for i, v in enumerate(v for layer in layers for v in layer)}
     row = {v: i for layer in layers for i, v in enumerate(layer)}
+    depth = layer_of(ld)
 
     masks = [np.zeros(shape, dtype=CHECKPOINT_DTYPE)
              for shape in _layer_shapes(input_dim, output_dim, units)]
     masks[0][:] = 1.0
     for u, v in ld.graph.edges.tolist():
-        masks[ld.layer_index[v]][row[v], column[u]] = 1.0
+        masks[depth[v]][row[v], column[u]] = 1.0
     masks[-1][:, [column[v] for v in ld.sinks]] = 1.0
 
     return _from_blocks(input_dim, output_dim, layers,

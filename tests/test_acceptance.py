@@ -33,7 +33,7 @@ from snnrobust.train import TrainConfig, evaluate_f1, predict, train
 
 from tests.conftest import kink_free_case, random_small_graph
 from tests.oracles import (finite_diff_bias_grads, finite_diff_input_grad,
-                           finite_diff_weight_grads, kendall_pair_count,
+                           finite_diff_weight_grads, kendall_pair_count, layer_of,
                            naive_metrics, spearman_rank_diff)
 
 
@@ -120,8 +120,9 @@ def test_criterion_03_structural_invariants():
         g = generate_ws(size, nei, p, seed=int(rng.integers(2**31)))
         assert g.edge_count == size * nei
         ld = layer_dag(g)  # raises on any cycle: topological order exists
+        layer = layer_of(ld)
         for u, v in g.edges:
-            assert ld.layer_index[u] < ld.layer_index[v]
+            assert layer[u] < layer[v]
         net = build_network(ld, 8, 3)
         assert network_to_graph(net) == g
     report(3, True, "1000 WS graphs: acyclic orientation, edge counts, "

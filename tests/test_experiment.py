@@ -5,8 +5,10 @@ import csv
 import hashlib
 import importlib
 import json
+import re
 from collections import Counter
 from concurrent.futures import Future
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -109,14 +111,42 @@ class TestManifest:
         with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
             ExperimentManifest.from_dict({"pruning": pruning})
 
+    @pytest.mark.parametrize("section, change", [
+        ("attacks", {"fgsm_eps": -0.1}), ("attacks", {"search_start": -0.001}),
+        ("attacks", {"search_step": 0}), ("attacks", {"search_step": -0.01}),
+        ("attacks", {"de_F": 0}), ("attacks", {"de_CR": 3.0}), ("attacks", {"de_CR": -0.1}),
+        ("attacks", {"de_pop_size": 0}), ("attacks", {"de_max_iter": 0}),
+        ("attacks", {"one_pixel_images": 0}),
+        *(("scale", {name: 0.0}) for name in asdict(ScaleFactors())),
+        ("scale", {"de_pop": -1.0}),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()))
+    def test_attack_and_scale_settings_validated(self, tmp_path, section, change):
+        # a zero search step would hang the sweep, and a bad DE setting would
+        # fail every task only after its model has trained
+        message = {"attacks": "attacks .*need fgsm_eps and search_start >= 0",
+                   "scale": "scale .*need every factor > 0"}[section]
+        with pytest.raises(ValueError, match=message):
+            ExperimentManifest.from_dict({section: change})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({section: change}))
+        with pytest.raises(ExperimentError, match=f"bad manifest {re.escape(str(path))}: "
+                                                  f"{message}"):
+            ExperimentManifest.from_file(path)
+
     def test_a_setting_changed_after_construction_is_checked_when_saved(self, tmp_path):
-        m = ExperimentManifest()
-        m.pruning.alpha = 3.0
-        with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
-            m.save(tmp_path / "m.json")
-        assert not (tmp_path / "m.json").exists()
-        with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
-            m.manifest_hash
+        for section, name, value, message in [
+                ("pruning", "alpha", 3.0, "pruning .*need alpha in"),
+                ("grid", "size", [123], r"grid size values \[123\] outside"),
+                ("train", "batch_size", 0, "batch_size must be >= 1"),
+                ("attacks", "search_step", 0.0, "attacks .*need fgsm_eps"),
+                ("scale", "de_iter", 0.0, "scale .*need every factor > 0")]:
+            m = ExperimentManifest()
+            setattr(getattr(m, section), name, value)
+            with pytest.raises(ExperimentError, match=message):
+                m.save(tmp_path / "m.json")
+            assert not (tmp_path / "m.json").exists()
+            with pytest.raises(ExperimentError, match=message):
+                m.manifest_hash
 
     def test_zero_retrain_epochs_retrain_nothing(self):
         m = ExperimentManifest.from_dict({"pruning": {"retrain_epochs": 0}})

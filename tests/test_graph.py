@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,13 +11,20 @@ from hypothesis import strategies as st
 
 from snnrobust.experiment import candidate_param_count, dense_stack_dag, derive_seed
 from snnrobust.graph import (GraphError, UndirectedGraph, compute_metrics,
-                             generate_ws, layer_dag, make_graph, to_dag)
+                             generate_ws, layer_dag, to_dag)
 from snnrobust.store import GraphEntry, ResultsStore
 
 from tests.conftest import random_small_graph, run_child, ws_args
-from tests.oracles import (longest_path_layering, naive_metrics, sequential_ws,
+from tests.oracles import (layer_of, longest_path_layering, naive_metrics, sequential_ws,
                            set_candidate_param_count, set_generate_ws, set_layer_dag,
                            shortest_path_metrics)
+
+
+def canonical(pairs) -> np.ndarray:
+    """The distinct pairs, each as (lower, higher): rows the graph
+    constructor takes."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.unique(np.sort(pairs, axis=1), axis=0)
 
 
 class TestGenerateWS:
@@ -78,8 +86,8 @@ class TestGenerateWS:
 
     @pytest.mark.parametrize("size, nei", [(5, 2), (20, 2), (31, 15), (64, 3)])
     def test_no_rewiring_gives_the_ring_lattice(self, size, nei):
-        lattice = make_graph(size, [(u, (u + k) % size) for u in range(size)
-                                    for k in range(1, nei + 1)])
+        lattice = UndirectedGraph(size, canonical([(u, (u + k) % size) for u in range(size)
+                                                   for k in range(1, nei + 1)]))
         assert generate_ws(size, nei, 0.0, seed=1) == lattice
         assert sequential_ws(size, nei, 0.0, seed=1) == lattice
 
@@ -124,7 +132,7 @@ class TestUndirectedGraph:
     def test_array_and_pairs_give_equal_graphs(self):
         pairs = [(0, 1), (1, 2)]
         a, b = UndirectedGraph(3, frozenset(pairs)), UndirectedGraph(3, np.array(pairs))
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a == b
         assert a != UndirectedGraph(4, pairs)
         assert a != UndirectedGraph(3, [(0, 1)])
 
@@ -140,12 +148,6 @@ class TestUndirectedGraph:
         with pytest.raises(GraphError, match=message):
             UndirectedGraph(5, edges)
 
-    def test_make_graph_canonicalizes_and_drops_repeats(self):
-        g = make_graph(4, [(3, 0), (0, 3), (2, 1), (1, 2), (1, 2)])
-        assert g.edges.tolist() == [[0, 3], [1, 2]]
-        with pytest.raises(GraphError, match="self-loop at vertex 2"):
-            make_graph(4, [(0, 1), (2, 2)])
-
 
 class TestArrayPathMatchesSetOracles:
     """generate_ws, layer_dag and candidate_param_count on the edge array
@@ -156,7 +158,6 @@ class TestArrayPathMatchesSetOracles:
         g = generate_ws(*args)
         assert g == set_generate_ws(*args)
         ld, want = layer_dag(g), set_layer_dag(g)
-        assert ld.layer_index == want.layer_index
         assert ld.layers == want.layers
         assert ld.sinks == want.sinks
         assert candidate_param_count(g) == set_candidate_param_count(g)
@@ -175,7 +176,7 @@ class TestArrayPathMatchesSetOracles:
 
 class TestToDag:
     def test_triangle_orientation(self):
-        g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
+        g = UndirectedGraph(3, [(0, 1), (0, 2), (1, 2)])
         d = to_dag(g)
         assert d.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
@@ -200,23 +201,23 @@ class TestToDag:
 class TestLayerDag:
     def test_chain(self):
         ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1), (1, 2)})))
-        assert ld.layer_index == {0: 0, 1: 1, 2: 2}
+        assert layer_of(ld) == {0: 0, 1: 1, 2: 2}
 
     def test_max_predecessor_rule(self):
         ld = layer_dag(UndirectedGraph(3, frozenset({(0, 1), (0, 2), (1, 2)})))
-        assert ld.layer_index == {0: 0, 1: 1, 2: 2}
+        assert layer_of(ld) == {0: 0, 1: 1, 2: 2}
         # edge 0->2 spans two layers
-        assert ld.layer_index[2] - ld.layer_index[0] == 2
+        assert layer_of(ld)[2] - layer_of(ld)[0] == 2
 
     def test_isolated_vertex_is_layer_zero(self):
         ld = layer_dag(UndirectedGraph(4, frozenset({(0, 1), (1, 3)})))
-        assert ld.layer_index[2] == 0
+        assert layer_of(ld)[2] == 0
         assert 2 in ld.layers[0] and 2 in ld.sinks
 
     @staticmethod
     def assert_matches_oracle(ld):
         want = longest_path_layering(ld.graph.vertex_count, ld.graph.edges.tolist())
-        assert ld.layer_index == want["layer_index"]
+        assert layer_of(ld) == want["layer_index"]
         assert ld.layers == want["layers"]
         assert ld.layers[0] == want["sources"]
         assert ld.sinks == want["sinks"]
@@ -233,8 +234,9 @@ class TestLayerDag:
         for _ in range(25):
             g = random_small_graph(rng)
             ld = layer_dag(g)
+            layer = layer_of(ld)
             for u, v in ld.graph.edges:
-                assert ld.layer_index[u] < ld.layer_index[v]
+                assert layer[u] < layer[v]
             self.assert_matches_oracle(ld)
 
     def test_benchmark_scale_graph_matches_oracle(self):
@@ -245,39 +247,39 @@ class TestLayerDag:
 
 class TestComputeMetrics:
     def test_complete_graph_density(self):
-        g = make_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        g = UndirectedGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         m = compute_metrics(g)
         assert m.density_undirected == 1.0
         assert m.density_directed == 0.5
 
     def test_path_p3(self):
-        m = compute_metrics(make_graph(3, [(0, 1), (1, 2)]))
+        m = compute_metrics(UndirectedGraph(3, [(0, 1), (1, 2)]))
         assert m.avg_path_length == pytest.approx(4 / 3, abs=1e-12)
 
     def test_star_center_betweenness(self):
-        g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+        g = UndirectedGraph(4, [(0, 1), (0, 2), (0, 3)])
         m = compute_metrics(g)
         # center carries all 3 leaf pairs; normalizer (n-1)(n-2)/2 = 3
         assert m.avg_betweenness == pytest.approx(1.0 / 4, abs=1e-12)
 
     def test_cycle_c4_eccentricity(self):
-        m = compute_metrics(make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        m = compute_metrics(UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
         assert m.avg_eccentricity == pytest.approx(2.0, abs=1e-12)
         assert m.diameter == 2
 
     def test_disconnected_flag_and_largest_component(self):
-        g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
+        g = UndirectedGraph(5, [(0, 1), (1, 2), (3, 4)])
         m = compute_metrics(g)
         assert m.disconnected
         assert m.diameter == 2  # computed on {0,1,2}
         assert m.density_undirected == pytest.approx(3 / 10)
 
     def test_degree_distribution(self):
-        m = compute_metrics(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
+        m = compute_metrics(UndirectedGraph(4, [(0, 1), (0, 2), (0, 3)]))
         assert m.degree_distribution == [0, 3, 0, 1]
 
     def test_path_length_distribution_counts_pairs(self):
-        m = compute_metrics(make_graph(3, [(0, 1), (1, 2)]))
+        m = compute_metrics(UndirectedGraph(3, [(0, 1), (1, 2)]))
         assert m.path_length_distribution == [0, 2, 1]
 
     def test_matches_bruteforce_oracle(self, rng):
@@ -299,7 +301,7 @@ class TestComputeMetrics:
     ], ids=["path-first", "path-interleaved", "triangle-first"])
     def test_component_tie_keeps_lowest_vertex(self, edges, diameter):
         # two 3-vertex components: the one holding vertex 0 is measured
-        m = compute_metrics(make_graph(6, edges))
+        m = compute_metrics(UndirectedGraph(6, edges))
         assert m.disconnected
         assert m.diameter == diameter
         assert m.path_length_distribution == ([0, 2, 1] if diameter == 2 else [0, 3])
@@ -309,7 +311,7 @@ class TestComputeMetrics:
         g = generate_ws(40, 2, 0.5, seed=5)
         if kind == "disconnected":
             a, b = generate_ws(24, 2, 0.6, seed=7), generate_ws(15, 1, 0.4, seed=8)
-            g = make_graph(40, [*a.edges, *((u + 24, v + 24) for u, v in b.edges)])
+            g = UndirectedGraph(40, np.vstack([a.edges, b.edges + 24]))
         m = compute_metrics(g)
         o = naive_metrics(g)
         assert m.disconnected == o["disconnected"] == (kind == "disconnected")
@@ -331,7 +333,7 @@ class TestComputeMetrics:
     ])
     def test_golden_benchmark_graphs(self, index, p, digest, betweenness):
         g = sequential_ws(400, 2, p, derive_seed(2107_06158, "bench-graph", index))
-        d = compute_metrics(g).to_dict()
+        d = asdict(compute_metrics(g))
         assert d.pop("avg_betweenness") == pytest.approx(betweenness, abs=1e-15)
         assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
 
@@ -355,26 +357,26 @@ class TestComputeMetrics:
                 continue
             edges.append((vs[-1], vs[0]))
             edges += (tuple(rng.choice(vs, 2, replace=False)) for _ in range(size // 4))
-        return make_graph(n, [(int(u), int(v)) for u, v in edges])
+        return UndirectedGraph(n, canonical(edges))
 
     @pytest.mark.parametrize("kind", ["connected", "disconnected", "tie"])
     @pytest.mark.parametrize("n", [63, 64, 65, 129, 500])
     def test_multiword_bitsets_equal_shortest_paths(self, n, kind):
         # above 64 vertices a source bitset spans several uint64 words
         g = self.multiword_graph(n, kind, seed=n)
-        want = shortest_path_metrics(g).to_dict()
-        assert want["disconnected"] == (kind != "connected")
-        assert compute_metrics(g).to_dict() == want
+        want = shortest_path_metrics(g)
+        assert want.disconnected == (kind != "connected")
+        assert compute_metrics(g) == want
 
     @pytest.mark.parametrize("g", [
         UndirectedGraph(1, frozenset()), UndirectedGraph(2, frozenset()),
-        make_graph(2, [(0, 1)]),
-        make_graph(5, [(0, 1), (0, 2), (1, 2)]), make_graph(5, [(2, 3), (2, 4), (3, 4)]),
+        UndirectedGraph(2, [(0, 1)]),
+        UndirectedGraph(5, [(0, 1), (0, 2), (1, 2)]), UndirectedGraph(5, [(2, 3), (2, 4), (3, 4)]),
         dense_stack_dag([50, 100, 50]),
     ], ids=["1-vertex", "2-isolated", "2-edge", "isolated-last", "isolated-first",
             "dense-50-100-50"])
     def test_small_and_dense_equal_shortest_paths(self, g):
-        assert compute_metrics(g).to_dict() == shortest_path_metrics(g).to_dict()
+        assert compute_metrics(g) == shortest_path_metrics(g)
 
     def test_sparse_random_graphs_equal_shortest_paths(self):
         # many components and isolated vertices, at any position
@@ -382,8 +384,8 @@ class TestComputeMetrics:
         for _ in range(300):
             n = int(rng.integers(1, 200))
             pairs = rng.integers(0, n, (int(rng.integers(0, n + 1)), 2))
-            g = make_graph(n, [(int(u), int(v)) for u, v in pairs if u != v])
-            assert compute_metrics(g).to_dict() == shortest_path_metrics(g).to_dict()
+            g = UndirectedGraph(n, canonical(pairs[pairs[:, 0] != pairs[:, 1]]))
+            assert compute_metrics(g) == shortest_path_metrics(g)
 
     def test_cli_import_leaves_scipy_out(self):
         # scipy.sparse.csgraph costs every process about 0.35 s to import
@@ -411,7 +413,7 @@ class TestPersistence:
         loaded = ResultsStore(tmp_path).load_graph_entry("g0001")
         assert loaded.graph == entry.graph
         assert loaded.generator == {"size": 12, "nei": 2, "p": 0.4, "seed": 2}
-        assert loaded.metrics.to_dict() == entry.metrics.to_dict()
+        assert loaded.metrics == entry.metrics
         assert (loaded.graph_id, loaded.param_count) == ("g0001", 1234)
 
     def test_schema_fields_present(self, tmp_path):

@@ -20,9 +20,7 @@ from tests.oracles import kendall_pair_count, spearman_rank_diff
 
 
 def outcome(success, confidence=0.5, epsilon=None):
-    return AdversarialExample(original_index=0,
-                              predicted_label=1 if success else 0,
-                              success=success, confidence=confidence,
+    return AdversarialExample(original_index=0, success=success, confidence=confidence,
                               epsilon_used=epsilon)
 
 

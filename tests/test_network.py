@@ -20,8 +20,8 @@ from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
 from tests.conftest import kink_free_case, random_layered_net, random_small_graph, ws_args
 from tests.oracles import (dict_build_network, finite_diff_bias_grads,
                            finite_diff_input_grad, finite_diff_weight_grads,
-                           float64_copy, keyed_weights, row_max_softmax, sequential_ws,
-                           set_network_to_graph, vertex_forward_logits)
+                           float64_copy, keyed_weights, layer_of, row_max_softmax,
+                           sequential_ws, set_network_to_graph, vertex_forward_logits)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,10 +66,10 @@ class TestBuildNetwork:
             ld = layer_dag(random_small_graph(rng, max_vertices=12))
             net = build_network(ld, 6, 4)
             column = {v: i for i, v in enumerate(v for layer in ld.layers for v in layer)}
+            layer = layer_of(ld)
             assert net.sources[0].tolist() == list(range(6))
             for l in range(1, net.n_layers):
-                preds = {column[u] for u, v in ld.graph.edges
-                         if ld.layer_index[v] == l}
+                preds = {column[u] for u, v in ld.graph.edges if layer[v] == l}
                 assert net.sources[l].tolist() == sorted(preds)
                 assert net.masks[l].shape == (len(ld.layers[l]), len(preds))
             assert net.sources[-1].tolist() == sorted(column[v] for v in ld.sinks)

@@ -11,6 +11,7 @@ import argparse
 import logging
 import sys
 
+from .data import DataFormatError
 from .experiment import (ExperimentError, ExperimentManifest,
                          ScaleFactors, build_graph_dataset, correlate,
                          render_report, rerun_attacks, resolve_data_source,
@@ -75,15 +76,15 @@ def desk_manifest() -> ExperimentManifest:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; an ExperimentError is logged as one line and
-    exits 1."""
+    """Run one subcommand; an ExperimentError, or a DataFormatError (which
+    names its file), is logged as one line and exits 1."""
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     try:
         _dispatch(args)
-    except ExperimentError as exc:
+    except (ExperimentError, DataFormatError) as exc:
         log.error("%s failed: %s", args.command, exc)
         return 1
     return 0

@@ -118,11 +118,15 @@ def load_idx(images_path, labels_path, split: str = "train",
     labels = _read_idx(labels_path, LABEL_MAGIC)
     if imgs.shape[0] != labels.shape[0]:
         raise DataFormatError(
-            f"image count {imgs.shape[0]} != label count {labels.shape[0]}")
+            f"{images_path}: image count {imgs.shape[0]} != label count "
+            f"{labels.shape[0]} of {labels_path}")
     count = _prefix_count(imgs.shape[0], count)
     flat = imgs[:count].reshape(count, int(np.prod(imgs.shape[1:]))).astype(CHECKPOINT_DTYPE)
     flat /= 255.0
-    return Dataset(flat, labels[:count].astype(np.int64), split)
+    try:  # pixels of bytes / 255 always lie in [0, 1], so only a label can be refused
+        return Dataset(flat, labels[:count].astype(np.int64), split)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{labels_path}: {exc}") from exc
 
 
 def find_mnist(data_dir) -> dict[str, tuple[Path, Path]] | None:

@@ -89,8 +89,7 @@ class GridSpec:
                                       (self.p, GRID_P_CHOICES, "p")):
             bad = [v for v in values if v not in choices]
             if bad:
-                raise ExperimentError(
-                    f"grid {name} values {bad} outside the declared set {choices}")
+                raise ValueError(f"grid {name} values {bad} outside the declared set {choices}")
 
 
 @dataclass
@@ -152,7 +151,16 @@ class PruningSettings:
     steps: int = 20
     retrain_epochs: int = 5
     hidden_layers: list[int] = field(default_factory=lambda: [50, 100, 100, 50])
-    init_method: str = "He_N"
+    init_method: str = "He_N"  # checked with init_methods, by ExperimentManifest.check
+
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        if (not 0.0 <= self.alpha <= 1.0 or min(self.steps, self.retrain_epochs) < 0
+                or not self.hidden_layers or min(self.hidden_layers) < 1):
+            raise ValueError(f"pruning {asdict(self)}: need alpha in [0, 1], steps and "
+                             "retrain_epochs >= 0, hidden_layers non-empty and positive")
 
 
 # graph property name -> GraphMetrics field; num_parameters is the network's
@@ -170,6 +178,12 @@ METRIC_PROPERTIES = {
 PROPERTY_NAMES = ("num_parameters", *METRIC_PROPERTIES)
 DEFAULT_PROPERTIES = ["num_parameters", "density", "avg_path_length",
                       "avg_eccentricity", "diameter"]
+# the manifest's sections by field name; each checks itself, raising ValueError
+SECTIONS = {"grid": GridSpec, "train": TrainConfig, "attacks": AttackSettings,
+            "scale": ScaleFactors, "pruning": PruningSettings}
+# the manifest's counts, each an integer >= 1
+COUNTS = ("target_graph_count", "max_generation_rounds", "synthetic_train_n",
+          "synthetic_test_n")
 
 
 def graph_properties(metrics: GraphMetrics, num_parameters: int) -> dict:
@@ -208,38 +222,37 @@ class ExperimentManifest:
         self.check()
 
     def check(self) -> None:
-        """Raise ExperimentError on a setting out of its domain, re-running
-        the grid's, train's, attacks' and scale's own checks. Runs at
-        construction and in to_dict, which saving and hashing go through, so
-        a field set after construction is checked before it is used."""
-        self.grid.check()
+        """Raise ExperimentError on a setting out of its domain, by each section's
+        check and the manifest's own; runs at construction and in to_dict (saving,
+        hashing), so a field set after construction is checked before it is used."""
         try:
-            for section in (self.train, self.attacks, self.scale):
-                section.check()
+            for name in SECTIONS:
+                getattr(self, name).check()
+            counts = {name: getattr(self, name) for name in COUNTS}
+            bad = [f"{name}={v!r}" for name, v in counts.items() if type(v) is not int or v < 1]
+            if bad:
+                raise ValueError(f"{', '.join(bad)}: need integers >= 1")
+            if len(self.param_range) != 2 or any(type(v) is not int for v in self.param_range):
+                raise ValueError(f"param_range {list(self.param_range)}: need two integers")
+            if self.param_range[0] >= self.param_range[1]:
+                raise ValueError("param_range low must be < high")
+            if self.outlier_mode not in ("run", "model"):
+                raise ValueError(f"unknown outlier_mode {self.outlier_mode!r}")
+            if self.dataset not in ("mnist", "synthetic", "auto"):
+                raise ValueError(f"unknown dataset {self.dataset!r}")
+            unknown = [p for p in self.properties if p not in PROPERTY_NAMES]
+            if unknown:
+                raise ValueError(f"unknown graph properties {unknown}; "
+                                 f"allowed: {', '.join(PROPERTY_NAMES)}")
+            unknown = [m for m in [*self.init_methods, self.pruning.init_method]
+                       if m not in INIT_METHODS]
+            if unknown:
+                raise ValueError(f"unknown init methods {unknown}; "
+                                 f"allowed: {', '.join(INIT_METHODS)}")
+            if len(set(self.init_methods)) < len(self.init_methods):
+                raise ValueError(f"init_methods {self.init_methods} repeats a method")
         except ValueError as exc:
             raise ExperimentError(str(exc)) from exc
-        if self.param_range[0] >= self.param_range[1]:
-            raise ExperimentError("param_range low must be < high")
-        if self.outlier_mode not in ("run", "model"):
-            raise ExperimentError(f"unknown outlier_mode {self.outlier_mode!r}")
-        if self.dataset not in ("mnist", "synthetic", "auto"):
-            raise ExperimentError(f"unknown dataset {self.dataset!r}")
-        unknown = [p for p in self.properties if p not in PROPERTY_NAMES]
-        if unknown:
-            raise ExperimentError(f"unknown graph properties {unknown}; "
-                                  f"allowed: {', '.join(PROPERTY_NAMES)}")
-        unknown = [m for m in [*self.init_methods, self.pruning.init_method]
-                   if m not in INIT_METHODS]
-        if unknown:
-            raise ExperimentError(f"unknown init methods {unknown}; "
-                                  f"allowed: {', '.join(INIT_METHODS)}")
-        if len(set(self.init_methods)) < len(self.init_methods):
-            raise ExperimentError(f"init_methods {self.init_methods} repeats a method")
-        p = self.pruning
-        if (not 0.0 <= p.alpha <= 1.0 or min(p.steps, p.retrain_epochs) < 0
-                or not p.hidden_layers or min(p.hidden_layers) < 1):
-            raise ExperimentError(f"pruning {asdict(p)}: need alpha in [0, 1], steps and "
-                                  "retrain_epochs >= 0, hidden_layers non-empty and positive")
 
     def to_dict(self) -> dict:
         self.check()
@@ -250,24 +263,25 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentManifest":
+        """The manifest of a to_dict dict, a missing field taking its default;
+        another schema_version raises ExperimentError."""
         d = dict(d)
-        d.pop("schema_version", None)
-        d["grid"] = GridSpec(**d.get("grid", {}))
-        d["train"] = TrainConfig(**d.get("train", {}))
-        d["attacks"] = AttackSettings(**d.get("attacks", {}))
-        d["scale"] = ScaleFactors(**d.get("scale", {}))
-        d["pruning"] = PruningSettings(**d.get("pruning", {}))
-        d["param_range"] = tuple(d.get("param_range", (50_000, 91_000)))
+        version = d.pop("schema_version", MANIFEST_SCHEMA_VERSION)
+        if version != MANIFEST_SCHEMA_VERSION:
+            raise ExperimentError(f"schema_version {version!r}; this program reads "
+                                  f"schema {MANIFEST_SCHEMA_VERSION}")
+        d.update((name, section(**d.get(name, {}))) for name, section in SECTIONS.items())
+        d["param_range"] = tuple(d.get("param_range", cls.param_range))
         return cls(**d)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentManifest":
         """The manifest in the JSON file at path; a file that cannot be read,
         is not valid JSON or holds an unknown field or a bad value raises
-        ExperimentError."""
+        ExperimentError naming path."""
         try:
             return cls.from_dict(json.loads(Path(path).read_text()))
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError, ExperimentError) as exc:
             raise ExperimentError(f"bad manifest {path}: {exc}") from exc
 
     def save(self, path) -> None:
@@ -532,7 +546,8 @@ def _sweep_task(manifest: ExperimentManifest, data_source: tuple, out_dir: str,
     returns its done.json: the pair, its manifest hash and seeds, the wall
     seconds of each of SWEEP_STAGES, the one-pixel summed generations, and
     the data kind (`dataset`) and attack settings (`attacks`) that scored it.
-    A worker's first task fills load_split's cache for the rest."""
+    The splits come from load_split's cache, which run_sweep filled before
+    forking any worker; a worker started otherwise fills it in its first task."""
     train_set, test_set = load_data_source(data_source, manifest.subset_sizes(data_source))
     store = ResultsStore(out_dir)
 
@@ -595,9 +610,12 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
     """Train and attack every (graph, init_method) pair; returns the done.json
     contents of each pair this call completed, each committed by its own task.
     A resume skips the pairs done under this manifest's hash and refuses
-    another data kind; only then is the manifest stored, as the study's.
-    The pending pairs run in min(workers, pending) processes, here when that
-    is 1, with the same results; workers < 1 raises ExperimentError."""
+    another data kind. The two splits are then loaded, so malformed data
+    files raise their DataFormatError before any write; only then is the
+    manifest stored, as the study's. The pending pairs run in
+    min(workers, pending) processes, here when that is 1, with the same
+    results, each reading the splits from load_split's cache (a forked
+    worker inherits it); workers < 1 raises ExperimentError."""
     if workers < 1:
         raise ExperimentError("workers must be >= 1")
     entries = store.load_graph_entries()
@@ -610,6 +628,7 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
         _refuse_other_settings(study, manifest, data_source[0], f"refusing to resume it "
                                f"on {data_source[0]}; sweep --no-resume retrains every pair")
         completed = study.pairs
+    load_data_source(data_source, manifest.subset_sizes(data_source))
     store.save_manifest(manifest.to_dict(), mhash)
     pending = [pair for pair in product([e.graph_id for e in entries], manifest.init_methods)
                if pair not in completed]

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import asdict
 
 import pytest
 
 from snnrobust.cli import main
+from snnrobust.data import MNIST_FILES
 from snnrobust.experiment import ExperimentManifest
 
 from tests.oracles import write_synthetic_idx
@@ -121,7 +123,7 @@ def test_a_pruning_alpha_above_one_is_one_error_line(desk_manifest_path, tmp_pat
     assert main(["prune-baseline", "--manifest", str(desk_manifest_path),
                  "--out-dir", str(out), "--data-dir", str(tmp_path / "nodata")]) == 1
     [line] = errors(caplog)
-    assert line.startswith("prune-baseline failed: pruning ")
+    assert line.startswith(f"prune-baseline failed: bad manifest {desk_manifest_path}: pruning ")
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
@@ -164,7 +166,11 @@ def test_a_resume_on_other_data_is_one_error_line(desk_manifest_path, tmp_path, 
     lambda text: text.replace('"master_seed"', '"no_such_field": 1, "master_seed"'),
     lambda text: text[:-1],
     lambda text: text.replace('"batch_size": 128', '"batch_size": 0'),
-], ids=["unknown-field", "invalid-json", "bad-train"])
+    lambda text: text.replace('"schema_version": 1', '"schema_version": 2'),
+    lambda text: text.replace('"target_graph_count": 3', '"target_graph_count": "3"'),
+    lambda text: re.sub(r'"param_range": \[[^]]*\]', '"param_range": [5]', text),
+], ids=["unknown-field", "invalid-json", "bad-train", "schema-version", "count-text",
+        "param-range"])
 def test_a_malformed_manifest_is_one_error_line(desk_manifest_path, tmp_path, caplog,
                                                 capsys, break_manifest):
     text = desk_manifest_path.read_text()
@@ -187,6 +193,47 @@ def test_a_missing_manifest_is_one_error_line(tmp_path, caplog, capsys):
     assert line.startswith(f"gen-graphs failed: bad manifest {path}: ")
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def malformed_idx_dir(desk_manifest_path, tmp_path):
+    """A --data-dir whose four MNIST files hold 2 bytes each; the desk
+    manifest is set to request MNIST."""
+    m = ExperimentManifest.from_file(desk_manifest_path)
+    m.dataset = "mnist"
+    m.save(desk_manifest_path)
+    path = tmp_path / "badidx"
+    path.mkdir()
+    for name in (name for pair in MNIST_FILES.values() for name in pair):
+        (path / name).write_bytes(b"\x00\x00")
+    return path
+
+
+def test_a_sweep_on_malformed_idx_files_is_one_error_line_and_writes_nothing(
+        desk_manifest_path, tmp_path, malformed_idx_dir, caplog, capsys):
+    out = tmp_path / "results"
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(out)]
+    assert main(["gen-graphs", *args]) == 0
+    (out / "manifest.json").unlink()
+    before = {f: f.read_bytes() for f in out.rglob("*") if f.is_file()}
+    assert main(["sweep", *args, "--data-dir", str(malformed_idx_dir)]) == 1
+    [line] = errors(caplog)
+    assert line.startswith(f"sweep failed: {malformed_idx_dir}")
+    assert line.endswith(": truncated header")
+    assert "Traceback" not in capsys.readouterr().err
+    # no manifest.json, model or task-failed event
+    assert {f: f.read_bytes() for f in out.rglob("*") if f.is_file()} == before
+
+
+def test_a_pruning_baseline_on_malformed_idx_files_is_one_error_line(
+        desk_manifest_path, tmp_path, malformed_idx_dir, caplog, capsys):
+    assert main(["prune-baseline", "--manifest", str(desk_manifest_path),
+                 "--out-dir", str(tmp_path / "results"),
+                 "--data-dir", str(malformed_idx_dir)]) == 1
+    [line] = errors(caplog)
+    assert line.startswith(f"prune-baseline failed: {malformed_idx_dir}")
+    assert line.endswith(": truncated header")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def changed_manifest(path, out, **scale_factors) -> list[str]:

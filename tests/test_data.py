@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -51,7 +52,15 @@ class TestLoadIdx:
         img_path, _ = write_pair(tmp_path, images, np.zeros(4, dtype=np.uint8))
         lbl_path = tmp_path / "short"
         write_idx_labels(lbl_path, np.zeros(3, dtype=np.uint8))
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(img_path))}: image count "
+                                                  f"4 != label count 3 of "
+                                                  f"{re.escape(str(lbl_path))}$"):
+            load_idx(img_path, lbl_path)
+
+    def test_a_label_above_nine_names_its_file(self, tmp_path):
+        img_path, lbl_path = write_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8),
+                                        np.array([1, 12], dtype=np.uint8))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(lbl_path))}: labels must lie"):
             load_idx(img_path, lbl_path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from snnrobust import cli
 from snnrobust.experiment import (PROPERTY_NAMES, CorrelationWithheldError,
                                   ExperimentError, ExperimentManifest,
                                   GridSpec, ScaleFactors,
@@ -73,9 +74,9 @@ class TestManifest:
         assert tiny_manifest().mode == "desk"
 
     def test_grid_values_must_come_from_declared_sets(self):
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ValueError):
             GridSpec(size=[123])
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ValueError):
             GridSpec(p=[0.25])
 
     def test_param_range_validated(self):
@@ -108,7 +109,7 @@ class TestManifest:
     def test_pruning_settings_validated(self, pruning):
         # each would otherwise fail, or run something else, only after the
         # dense model has trained
-        with pytest.raises(ExperimentError, match="pruning .*need alpha in"):
+        with pytest.raises(ValueError, match="pruning .*need alpha in"):
             ExperimentManifest.from_dict({"pruning": pruning})
 
     @pytest.mark.parametrize("section, change", [
@@ -132,6 +133,39 @@ class TestManifest:
         with pytest.raises(ExperimentError, match=f"bad manifest {re.escape(str(path))}: "
                                                   f"{message}"):
             ExperimentManifest.from_file(path)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"grid": {"size": [123]}}, r"grid size values \[123\] outside the declared set"),
+        ({"pruning": {"alpha": 3.0}}, "pruning .*need alpha in"),
+        ({"init_methods": ["G_N", "XYZ"]}, r"unknown init methods \['XYZ'\]; allowed: G_N"),
+        ({"properties": ["nope"]}, r"unknown graph properties \['nope'\]; allowed: "),
+        ({"param_range": [100, 100]}, "param_range low must be < high"),
+        ({"param_range": [5]}, r"param_range \[5\]: need two integers"),
+        ({"param_range": [1, 2, 10**9]}, r"param_range \[1, 2, 1000000000\]: need two"),
+        ({"param_range": "ab"}, r"param_range \['a', 'b'\]: need two integers"),
+        ({"outlier_mode": "x"}, "unknown outlier_mode 'x'"),
+        ({"dataset": "x"}, "unknown dataset 'x'"),
+        ({"schema_version": 2}, "schema_version 2; this program reads schema 1"),
+        ({"target_graph_count": 0}, "target_graph_count=0: need integers >= 1"),
+        ({"target_graph_count": "3"}, "target_graph_count='3': need integers >= 1"),
+        ({"max_generation_rounds": 0}, "max_generation_rounds=0: need integers >= 1"),
+        ({"synthetic_train_n": 0}, "synthetic_train_n=0: need integers >= 1"),
+        ({"synthetic_test_n": 2.5}, "synthetic_test_n=2.5: need integers >= 1"),
+    ], ids=["grid", "pruning", "init-methods", "properties", "param-range-order",
+            "param-range-one", "param-range-three", "param-range-text", "outlier-mode",
+            "dataset", "schema-version", "graph-count", "graph-count-text",
+            "generation-rounds", "train-n", "test-n"])
+    def test_every_refused_file_names_its_path(self, tmp_path, change, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**ExperimentManifest().to_dict(), **change}))
+        with pytest.raises(ExperimentError,
+                           match=f"^bad manifest {re.escape(str(path))}: {message}"):
+            ExperimentManifest.from_file(path)
+
+    def test_the_default_and_desk_manifest_hashes_are_pinned(self):
+        # the bytes a manifest stores and hashes; a change here is a schema change
+        assert ExperimentManifest().manifest_hash == "13fb22e1a4e34b8b"
+        assert cli.desk_manifest().manifest_hash == "ad441c6aa15842f5"
 
     def test_a_setting_changed_after_construction_is_checked_when_saved(self, tmp_path):
         for section, name, value, message in [

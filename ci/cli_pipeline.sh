@@ -31,7 +31,18 @@ snnrobust gen-graphs --manifest manifest.json --out-dir results
 snnrobust sweep --manifest manifest.json --out-dir results --workers 2
 snnrobust correlate --manifest manifest.json --out-dir results
 snnrobust report --manifest manifest.json --out-dir results
+# a re-attack of the loaded checkpoints reproduces the sweep's records byte for byte
+for d in results/models/*/; do
+    mkdir -p "swept/$(basename "$d")"
+    cp "$d/fgsm_search.csv" "$d/one_pixel.csv" "$d/robustness.json" "swept/$(basename "$d")/"
+done
+test "$(ls swept | wc -l)" -eq 20
 snnrobust attack --manifest manifest.json --out-dir results
+for d in swept/*/; do
+    for f in fgsm_search.csv one_pixel.csv robustness.json; do
+        cmp "$d/$f" "results/models/$(basename "$d")/$f"
+    done
+done
 snnrobust report --manifest manifest.json --out-dir results
 cp -r results results_trailing
 python -c "import glob; open(sorted(glob.glob('results_trailing/models/*/checkpoint.bin'))[0], 'ab').write(bytes(100))"

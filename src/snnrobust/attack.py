@@ -98,33 +98,58 @@ def fgsm_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
             for i in range(images.shape[0])]
 
 
-def fgsm_eps_search(net: MaskedNetwork, x: np.ndarray, y: int,
-                    start: float = 0.001, step: float = 0.01, cap: float = 1.0,
-                    index: int = 0) -> AdversarialExample:
-    """Smallest epsilon on the grid start, start+step, ... <= cap that flips
-    the prediction; the record holds no image.
+def fgsm_search_many(net: MaskedNetwork, images: np.ndarray, labels: np.ndarray,
+                     indices: np.ndarray, start: float, step: float,
+                     cap: float) -> list[AdversarialExample]:
+    """For each image, the smallest epsilon on the grid start, start+step,
+    ... <= cap that flips its prediction; images[i] is recorded under
+    indices[i], and no record holds an image.
 
-    The input gradient is computed once at x; only the scale varies. Requires
-    x to be correctly classified and step > 0, so that the grid is finite.
-    If no grid point flips, the record is censored: success False,
-    epsilon_used None, and the probabilities of the last grid point (the
-    clean ones for an empty grid).
+    Each image's input gradient is computed once, at the image; only the
+    scale varies. The images are searched in lockstep, each as its own
+    batch of one on a leading stack axis (see network): one stacked forward
+    and input gradient at the clean images, then one stacked forward per
+    grid point over the images not yet flipped. A stacked pass runs one
+    single-image product per image, so every record is bit for bit that of
+    searching its image alone. Requires every image to be correctly
+    classified and step > 0, so that the grid is finite. An image that no
+    grid point flips gets a censored record: success False, epsilon_used
+    None, and the probabilities of the last grid point (the clean ones for
+    an empty grid).
     """
     if step <= 0:
         raise AttackError(f"eps search step must be > 0, got {step}")
+    x = np.asarray(images)[:, None, :]
+    labels = np.asarray(labels, dtype=np.int64)
     _, probs, cache = forward(net, x)
-    if int(probs.argmax()) != int(y):
+    probs = probs[:, 0]
+    if np.any(probs.argmax(axis=1) != labels):
         raise AttackError("eps search requires a correctly classified input")
-    _, _, input_grad = backward(net, cache, y, params=False)
+    _, _, input_grad = backward(net, cache, labels[:, None], params=False)
     direction = np.sign(input_grad)
 
+    eps_used: list[float | None] = [None] * labels.size
+    live = np.arange(labels.size)
     eps = start
-    while eps <= cap + 1e-12:
-        _, probs, _ = forward(net, np.clip(x + eps * direction, 0.0, 1.0))
-        if int(probs.argmax()) != int(y):
-            return _outcome_from_probs(probs, y, index, epsilon_used=float(eps))
+    while live.size and eps <= cap + 1e-12:
+        _, p, _ = forward(net, np.clip(x[live] + eps * direction[live], 0.0, 1.0))
+        probs[live] = p[:, 0]
+        flipped = p[:, 0].argmax(axis=1) != labels[live]
+        for i in live[flipped]:
+            eps_used[i] = float(eps)
+        live = live[~flipped]
         eps += step
-    return _outcome_from_probs(probs, y, index)
+    return [_outcome_from_probs(probs[i], labels[i], int(indices[i]),
+                                epsilon_used=eps_used[i])
+            for i in range(labels.size)]
+
+
+def fgsm_eps_search(net: MaskedNetwork, x: np.ndarray, y: int,
+                    start: float = 0.001, step: float = 0.01, cap: float = 1.0,
+                    index: int = 0) -> AdversarialExample:
+    """fgsm_search_many of the one image x with label y."""
+    return fgsm_search_many(net, np.asarray(x)[None], [y], [index],
+                            start, step, cap)[0]
 
 
 def init_population(cfg: DEConfig, rng: np.random.Generator) -> np.ndarray:

@@ -105,9 +105,7 @@ def _dispatch(args) -> None:
     if args.command == "gen-graphs":
         log.info("accepted %d graphs", len(build_graph_dataset(manifest, store)))
     elif args.command == "sweep":
-        summaries = run_sweep(manifest, store, source,
-                              workers=args.workers, resume=args.resume)
-        log.info("sweep finished: %d models", len(summaries))
+        run_sweep(manifest, store, source, workers=args.workers, resume=args.resume)
     elif args.command == "attack":
         log.info("re-attacked %d models", rerun_attacks(manifest, store, source))
     elif args.command == "correlate":

@@ -32,8 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .attack import (ATTACK_CSV_HEADER, DEConfig, fgsm_eps_search, fgsm_many,
-                     one_pixel)
+# fgsm_eps_search is not called here; perfbench/spans.py wraps it by this name
+from .attack import (ATTACK_CSV_HEADER, DEConfig, fgsm_eps_search,  # noqa: F401
+                     fgsm_many, fgsm_search_many, one_pixel)
 from .data import Dataset
 from .graph import (GraphMetrics, UndirectedGraph, compute_metrics, generate_ws,
                     layer_dag)
@@ -509,10 +510,10 @@ def run_attacks(net: MaskedNetwork, test_set: Dataset, predictions: np.ndarray,
                                          test_set.labels[correct],
                                          settings["fgsm_eps"], indices=correct)
         with _timed(seconds, "fgsm_search"):
-            for i in correct[:images["fgsm_search"]]:
-                outcomes["fgsm_search"].append(fgsm_eps_search(
-                    net, test_set.images[i], int(test_set.labels[i]),
-                    **settings["eps_grid"], index=int(i)))
+            searched = correct[:images["fgsm_search"]]
+            outcomes["fgsm_search"] = fgsm_search_many(
+                net, test_set.images[searched], test_set.labels[searched],
+                searched, **settings["eps_grid"])
         with _timed(seconds, "one_pixel"):
             for i in correct[:images["one_pixel"]]:
                 cfg = DEConfig(**settings["de"],
@@ -615,7 +616,13 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
     manifest stored, as the study's. The pending pairs run in
     min(workers, pending) processes, here when that is 1, with the same
     results, each reading the splits from load_split's cache (a forked
-    worker inherits it); workers < 1 raises ExperimentError."""
+    worker inherits it); workers < 1 raises ExperimentError.
+
+    A failed task is logged and recorded as a task-failed event, and the
+    sweep goes on; if every pending task failed, the sweep raises
+    ExperimentError naming the first failure, after its sweep event. An
+    OSError (a failed read or write of the store) stops the sweep as a
+    crash would: the pairs done stay done, and a resume runs the rest."""
     if workers < 1:
         raise ExperimentError("workers must be >= 1")
     entries = store.load_graph_entries()
@@ -636,6 +643,7 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
              len(pending), len(entries), len(manifest.init_methods), resume)
     task = functools.partial(_sweep_task, manifest, data_source, str(store.root))
     summaries: list[dict] = []
+    failures: list[tuple[tuple, Exception]] = []
     workers = min(workers, len(pending))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # each pair's result, in order: a pooled future's, or the task run here
@@ -644,13 +652,21 @@ def run_sweep(manifest: ExperimentManifest, store: ResultsStore,
         for pair, result in results:
             try:
                 summaries.append(result())
+            except OSError:
+                raise  # the store failed, and every later pair would fail on it
             except Exception as exc:  # recorded, and the sweep continues
                 log.error("task %s/%s failed: %s", *pair, exc)
                 store.append_provenance("task-failed", graph_id=pair[0],
                                         init_method=pair[1], error=str(exc))
+                failures.append((pair, exc))
     store.append_provenance("sweep", manifest_hash=mhash,
                             completed=len(summaries), mode=manifest.mode,
                             dataset=data_source[0])
+    if failures and not summaries:
+        (graph_id, init_method), exc = failures[0]
+        raise ExperimentError(f"all {len(pending)} pending tasks failed; "
+                              f"first: {graph_id}/{init_method}: {exc}")
+    log.info("sweep finished: %d models, %d failed tasks", len(summaries), len(failures))
     return summaries
 
 

@@ -43,6 +43,16 @@ algebraic identities (finite differences, the vertex-by-vertex oracle) on
 such a copy.
 
 Hidden layers apply ReLU; the output layer is affine followed by softmax.
+
+forward, propagate and the input gradient of backward also take leading
+stack axes, (..., batch, features): each leading index is a separate
+problem with its own batch, and the activation buffer is then
+(..., offsets[-1], batch). Every layer stays one np.matmul, and numpy runs
+a stacked matmul as one BLAS call per stacked problem, on that problem's
+own strides. So K stacked batch-1 problems run K single-image products
+(gemv), and their outputs are bit for bit those of K single-image calls,
+whereas the same K images as one (K, features) batch run GEMM, which
+rounds differently.
 """
 
 from __future__ import annotations
@@ -125,8 +135,8 @@ class MaskedNetwork:
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray            # (batch, input_dim)
-    acts: np.ndarray         # (offsets[-1], batch) post-ReLU activation buffer
+    x: np.ndarray            # (..., batch, input_dim)
+    acts: np.ndarray         # (..., offsets[-1], batch) post-ReLU activation buffer
     probs: np.ndarray
     single: bool
     version: int
@@ -268,42 +278,51 @@ def init_weights(net: MaskedNetwork, method: str, seed: int) -> MaskedNetwork:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of (batch, classes) logits, shifted by the row max.
+    """Softmax over the last axis of (..., batch, classes) logits, each row
+    shifted by its max.
 
-    The row maximum is reduced over a transposed contiguous copy: one
-    vectorized pass per class instead of one short reduction per row. A
+    The row maximum is reduced over a copy with the last two axes swapped:
+    one vectorized pass per class instead of one short reduction per row. A
     maximum does not depend on the order it is taken in, except for which
     zero it keeps of a tied +0 and -0; subtracting either zero changes only
     the sign of a zero, and exp maps both zeros to 1. The row sum keeps
     numpy's own order, so the probabilities are bit for bit those of a
     plain row-wise max.
     """
-    e = np.exp(logits - logits.T.copy().max(axis=0)[:, None])
+    e = np.exp(logits - np.swapaxes(logits, -1, -2).copy().max(axis=-2)[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def propagate(net: MaskedNetwork, pre0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run the network from the layer-0 pre-activations pre0, a
-    (layer_units[0], batch) array, through hidden layers >= 1 and the output.
+    (..., layer_units[0], batch) array, through hidden layers >= 1 and the
+    output.
 
-    Returns (the (offsets[-1], batch) post-ReLU activation buffer;
-    (batch, output_dim) logits). Each hidden layer's product is written
+    Returns (the (..., offsets[-1], batch) post-ReLU activation buffer;
+    (..., batch, output_dim) logits). Each hidden layer's product is written
     straight into its rows of the buffer, then biased and rectified there.
+    Leading stack axes are separate problems (see the module docstring).
+    The rows a layer reads are gathered with take, which keeps each
+    problem's rows C-ordered; a fancy index over a middle axis would lay the
+    gathered axis outermost, and a single-image dot product over such a
+    strided vector rounds differently.
     """
     offsets = net.offsets
-    acts = np.empty((offsets[-1], pre0.shape[1]), dtype=pre0.dtype)
-    np.maximum(pre0, 0.0, out=acts[:offsets[1]])
+    acts = np.empty((*pre0.shape[:-2], offsets[-1], pre0.shape[-1]), dtype=pre0.dtype)
+    np.maximum(pre0, 0.0, out=acts[..., :offsets[1], :])
     for l in range(1, net.n_layers):
-        z = acts[offsets[l]:offsets[l + 1]]
-        np.matmul(net.weights[l], acts[net.sources[l]], out=z)
+        z = acts[..., offsets[l]:offsets[l + 1], :]
+        np.matmul(net.weights[l], acts.take(net.sources[l], axis=-2), out=z)
         z += net.biases[l][:, None]
         np.maximum(z, 0.0, out=z)
-    logits = acts[net.sources[-1]].T @ net.weights[-1].T + net.biases[-1]
+    logits = (np.swapaxes(acts.take(net.sources[-1], axis=-2), -1, -2)
+              @ net.weights[-1].T + net.biases[-1])
     return acts, logits
 
 
 def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Run the network on one input vector or a (batch, input_dim) array.
+    """Run the network on one input vector or a (..., batch, input_dim)
+    array, whose leading axes stack separate problems.
 
     The input is cast to the weights' dtype. Returns (logits, class
     probabilities, cache); the cache feeds backward().
@@ -311,10 +330,11 @@ def forward(net: MaskedNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     x = np.asarray(x, dtype=net.weights[0].dtype)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
+    if X.ndim < 2 or X.shape[-1] != net.input_dim:
         raise NetworkError(f"input must have {net.input_dim} features, got shape {x.shape}")
 
-    acts, logits = propagate(net, net.weights[0] @ X.T + net.biases[0][:, None])
+    acts, logits = propagate(net, net.weights[0] @ np.swapaxes(X, -1, -2)
+                             + net.biases[0][:, None])
     probs = softmax(logits)
 
     cache = ForwardCache(x=X, acts=acts, probs=probs, single=single, version=net.version)
@@ -350,18 +370,25 @@ def backward(
     in place and is returned; without it they are freshly allocated.
     params=False skips the parameter gradients and input_grad=False the
     input gradient; a skipped part is returned as None.
+
+    A stacked forward (leading axes before the batch) takes labels of shape
+    (..., batch), and each stacked problem's loss is the mean over its own
+    batch; only its input gradient is taken, so it needs params=False.
     """
     if cache.version != net.version:
         raise StaleCacheError("forward cache predates a parameter mutation")
     labels = np.atleast_1d(np.asarray(label, dtype=np.int64))
-    B = cache.x.shape[0]
-    if labels.shape[0] != B:
-        raise NetworkError(f"got {labels.shape[0]} labels for batch of {B}")
+    if labels.shape != cache.x.shape[:-1]:
+        raise NetworkError(f"got labels of shape {labels.shape} for a batch of "
+                           f"shape {cache.x.shape[:-1]}")
+    if params and cache.x.ndim > 2:
+        raise NetworkError("parameter gradients need an unstacked batch")
+    B = cache.x.shape[-2]
 
     L, offsets = net.n_layers, net.offsets
     onehot = np.zeros_like(cache.probs)
-    onehot[np.arange(B), labels] = 1.0
-    dz = ((cache.probs - onehot) / B).T  # (output_dim, batch)
+    onehot.reshape(-1, net.output_dim)[np.arange(labels.size), labels.ravel()] = 1.0
+    dz = np.swapaxes((cache.probs - onehot) / B, -1, -2)  # (..., output_dim, batch)
     d_acts = np.zeros_like(cache.acts)
 
     weight_grads = bias_grads = None
@@ -372,18 +399,18 @@ def backward(
     for l in range(L, -1, -1):
         if l < L:
             rows = slice(offsets[l], offsets[l + 1])
-            dz = d_acts[rows] * (cache.acts[rows] > 0.0)
+            dz = d_acts[..., rows, :] * (cache.acts[..., rows, :] > 0.0)
         if params:
             np.sum(dz, axis=1, out=bias_grads[l])
-            src = cache.x.T if l == 0 else cache.acts[net.sources[l]]
+            src = cache.x.T if l == 0 else cache.acts.take(net.sources[l], axis=0)
             np.matmul(dz, src.T, out=weight_grads[l])
             weight_grads[l] *= net.masks[l]
         if l > 0:
-            d_acts[net.sources[l]] += net.weights[l].T @ dz
+            d_acts[..., net.sources[l], :] += net.weights[l].T @ dz
 
     dx = None
     if input_grad:
-        dx = dz.T @ net.weights[0]
+        dx = np.swapaxes(dz, -1, -2) @ net.weights[0]
         if cache.single:
             dx = dx[0]
     return weight_grads, bias_grads, dx

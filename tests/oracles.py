@@ -32,6 +32,11 @@ the (n, units) layout and transposed, the row max reduced row by row, and
 one Gaussian blob and one np.roll per point and row. Tests compare the
 fast versions' bits against them.
 
+`sequential_eps_search` is the FGSM epsilon search as it was before the
+images of a model were searched in lockstep: one image, one single-image
+forward per grid point. `fgsm_search_many` must give its records bit for
+bit.
+
 `set_generate_ws`, `set_layer_dag`, `dict_build_network`,
 `set_network_to_graph` and `set_candidate_param_count` are the graph path
 as it was when a graph's edges were a frozenset of (u, v) tuples: the
@@ -56,15 +61,16 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from snnrobust.attack import INTENSITY_MAX, _pixel_index
+from snnrobust.attack import (INTENSITY_MAX, AdversarialExample, AttackError,
+                              _outcome_from_probs, _pixel_index)
 from snnrobust.data import (_GLYPH_SEGMENTS, _SHEARS, _STENCIL_SIZE, IMAGE_MAGIC,
                             LABEL_MAGIC, MNIST_FILES, synthetic_dataset)
 from snnrobust.experiment import INPUT_DIM, OUTPUT_DIM
 from snnrobust.graph import (GraphError, GraphMetrics, LayeredDag,
                              UndirectedGraph, _batched_integers)
 from snnrobust.network import (CHECKPOINT_DTYPE, MaskedNetwork, NetworkError,
-                               _from_blocks, _layer_shapes, cross_entropy, forward,
-                               propagate)
+                               _from_blocks, _layer_shapes, backward, cross_entropy,
+                               forward, propagate)
 
 INF = float("inf")
 
@@ -524,6 +530,35 @@ def row_layout_candidate_probs(net: MaskedNetwork, x: np.ndarray):
         return row_max_softmax(logits)
 
     return probs
+
+
+def sequential_eps_search(net: MaskedNetwork, x: np.ndarray, y: int,
+                          start: float = 0.001, step: float = 0.01, cap: float = 1.0,
+                          index: int = 0) -> AdversarialExample:
+    """Smallest epsilon on the grid start, start+step, ... <= cap that flips
+    the prediction; the record holds no image.
+
+    The input gradient is computed once at x; only the scale varies. Requires
+    x to be correctly classified and step > 0, so that the grid is finite.
+    If no grid point flips, the record is censored: success False,
+    epsilon_used None, and the probabilities of the last grid point (the
+    clean ones for an empty grid).
+    """
+    if step <= 0:
+        raise AttackError(f"eps search step must be > 0, got {step}")
+    _, probs, cache = forward(net, x)
+    if int(probs.argmax()) != int(y):
+        raise AttackError("eps search requires a correctly classified input")
+    _, _, input_grad = backward(net, cache, y, params=False)
+    direction = np.sign(input_grad)
+
+    eps = start
+    while eps <= cap + 1e-12:
+        _, probs, _ = forward(net, np.clip(x + eps * direction, 0.0, 1.0))
+        if int(probs.argmax()) != int(y):
+            return _outcome_from_probs(probs, y, index, epsilon_used=float(eps))
+        eps += step
+    return _outcome_from_probs(probs, y, index)
 
 
 def rolled_stencils() -> np.ndarray:

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snnrobust.attack import (AttackError, DEConfig, candidate_probs,
                               de_evolve, fgsm_eps_search, fgsm_many,
-                              init_population, one_pixel, perturbed_batch,
-                              rand1_bin_draw)
+                              fgsm_search_many, init_population, one_pixel,
+                              perturbed_batch, rand1_bin_draw)
 from snnrobust.data import synthetic_dataset
 from snnrobust.graph import UndirectedGraph, layer_dag
 from snnrobust.network import build_network, forward, init_weights
 
 from tests.conftest import random_layered_net
 from tests.oracles import (float64_copy, row_layout_candidate_probs,
-                           sorted_shift_rand1_bin_draw)
+                           sequential_eps_search, sorted_shift_rand1_bin_draw)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -150,6 +152,77 @@ class TestEpsSearch:
         out = fgsm_eps_search(net, np.full(4, 0.5), 0, start=0.001, step=0.01,
                               cap=0.05)
         assert not out.success
+
+
+def search_records(outs) -> list[tuple]:
+    """Each record's image index, success, confidence bits and epsilon."""
+    return [(o.original_index, o.success, float.hex(o.confidence), o.epsilon_used)
+            for o in outs]
+
+
+class TestLockstepSearch:
+    """fgsm_search_many gives, record for record and bit for bit, what the
+    one-image loop it replaced (oracles.sequential_eps_search) gives."""
+
+    @staticmethod
+    def case(seed: int, k: int, dtype) -> tuple:
+        """A small random net and k images, each labelled with the class a
+        single-image forward predicts for it."""
+        rng = np.random.default_rng(seed)
+        net = random_layered_net(rng, bias_scale=0.3)
+        images = rng.uniform(0.0, 1.0, (k, net.input_dim)).astype(dtype)
+        labels = np.array([int(forward(net, x)[1].argmax()) for x in images])
+        return net, images, labels
+
+    @staticmethod
+    def both(net, images, labels, start, step, cap) -> tuple[list, list]:
+        indices = np.arange(100, 100 + len(labels))
+        many = fgsm_search_many(net, images, labels, indices, start, step, cap)
+        loop = [sequential_eps_search(net, x, int(y), start, step, cap, index=int(i))
+                for x, y, i in zip(images, labels, indices)]
+        return search_records(many), search_records(loop)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), k=st.integers(1, 8),
+           start=st.floats(0.0, 1.2), step=st.floats(0.005, 0.5),
+           cap=st.floats(0.0, 1.0),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @example(seed=1, k=1, start=0.001, step=0.01, cap=1.0, dtype=np.float32)
+    @example(seed=2, k=5, start=0.001, step=0.01, cap=0.02, dtype=np.float32)
+    @example(seed=3, k=5, start=0.5, step=0.1, cap=0.2, dtype=np.float64)
+    def test_matches_the_one_image_loop(self, seed, k, start, step, cap, dtype):
+        many, loop = self.both(*self.case(seed, k, dtype), start, step, cap)
+        assert many == loop
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_kind_of_record_matches(self, dtype):
+        # one grid whose records hold flips at the first grid point, later
+        # flips and censored images; then the empty grid and a single image
+        net, images, labels = self.case(19, 40, dtype)
+        start, step, cap = 0.011, 0.01, 0.3
+        many, loop = self.both(net, images, labels, start, step, cap)
+        assert many == loop
+        eps = [e for _, _, _, e in many]
+        assert start in eps
+        assert any(e is not None and e > start for e in eps)
+        assert None in eps
+        many, loop = self.both(net, images, labels, 1.5, step, 1.0)  # start > cap
+        assert many == loop
+        assert all(not success and e is None for _, success, _, e in many)
+        many, loop = self.both(net, images[:1], labels[:1], start, step, cap)
+        assert many == loop and len(many) == 1
+
+    def test_a_misclassified_image_is_refused(self):
+        net, images, labels = self.case(5, 4, np.float32)
+        labels[2] = (labels[2] + 1) % net.output_dim
+        with pytest.raises(AttackError, match="correctly classified"):
+            fgsm_search_many(net, images, labels, np.arange(4), 0.001, 0.01, 1.0)
+
+    def test_the_784_input_net_matches_at_the_default_grid(self, frozen_net):
+        ds = synthetic_dataset(30, seed=12)
+        labels = np.array([int(forward(frozen_net, x)[1].argmax()) for x in ds.images])
+        many, loop = self.both(frozen_net, ds.images, labels, 0.001, 0.01, 1.0)
+        assert many == loop
 
 
 class TestOnePixel:

@@ -114,6 +114,24 @@ def test_a_sweep_with_fewer_than_one_worker_is_one_error_line(desk_manifest_path
     assert not list((tmp_path / "results").glob("models/*"))
 
 
+def test_a_sweep_whose_every_task_fails_is_one_error_line_and_exits_1(
+        desk_manifest_path, tmp_path, monkeypatch, caplog, capsys):
+    from snnrobust import experiment
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected training failure")
+
+    args = ["--manifest", str(desk_manifest_path), "--out-dir", str(tmp_path / "results")]
+    assert main(["gen-graphs", *args]) == 0
+    monkeypatch.setattr(experiment, "train", broken)
+    assert main(["sweep", *args, "--data-dir", str(tmp_path / "nodata")]) == 1
+    failed = [line for line in errors(caplog) if line.startswith("sweep failed")]
+    assert failed == ["sweep failed: all 3 pending tasks failed; first: "
+                      "g0000/He_N: injected training failure"]
+    assert errors(caplog)[-1] == failed[0]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_a_pruning_alpha_above_one_is_one_error_line(desk_manifest_path, tmp_path,
                                                      caplog, capsys):
     m = json.loads(desk_manifest_path.read_text())

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import importlib
 import json
+import logging
 import re
 from collections import Counter
 from concurrent.futures import Future
@@ -469,6 +470,68 @@ class TestCorrelate:
         assert [s["graph_id"] for s in retried] == ["g0000"]
         # a failure that a resume completed is no longer reported
         assert "failed tasks: 0\n" in render_report(manifest, store)
+
+    def test_a_sweep_whose_every_task_fails_raises_after_its_sweep_event(
+            self, tmp_path, monkeypatch):
+        from snnrobust import experiment as exp_mod
+        manifest = tiny_manifest()
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected training failure")
+
+        monkeypatch.setattr(exp_mod, "train", broken)
+        with pytest.raises(ExperimentError) as info:
+            run_sweep(manifest, store, resolve_data_source(manifest, None))
+        assert str(info.value) == ("all 2 pending tasks failed; first: "
+                                   "g0000/He_N: injected training failure")
+        prov = json.loads((tmp_path / "provenance.json").read_text())
+        assert [e["event"] for e in prov[-3:]] == ["task-failed", "task-failed", "sweep"]
+        assert prov[-1]["completed"] == 0
+
+    def test_a_partly_failed_sweep_returns_and_logs_its_failed_task_count(
+            self, tmp_path, monkeypatch, caplog):
+        from snnrobust import experiment as exp_mod
+        manifest = tiny_manifest()
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        real_task = exp_mod._sweep_task
+
+        def flaky(manifest, data_source, out_dir, graph_id, init_method):
+            if graph_id == "g0001":
+                raise RuntimeError("injected task failure")
+            return real_task(manifest, data_source, out_dir, graph_id, init_method)
+
+        monkeypatch.setattr(exp_mod, "_sweep_task", flaky)
+        with caplog.at_level(logging.INFO, logger="snnrobust"):
+            summaries = run_sweep(manifest, store, resolve_data_source(manifest, None))
+        assert [s["graph_id"] for s in summaries] == ["g0000"]
+        assert caplog.records[-1].getMessage() == "sweep finished: 1 models, 1 failed tasks"
+
+    def test_a_task_that_fails_on_the_store_stops_the_sweep(self, tmp_path, monkeypatch):
+        # the first pair is committed, the second's OSError propagates, and
+        # no pair after it runs; a resume completes the rest
+        from snnrobust import experiment as exp_mod
+        manifest = tiny_manifest(target_graph_count=3)
+        store = ResultsStore(tmp_path)
+        build_graph_dataset(manifest, store)
+        real_task, ran = exp_mod._sweep_task, []
+
+        def full_disk(manifest, data_source, out_dir, graph_id, init_method):
+            ran.append(graph_id)
+            if graph_id == "g0001":
+                raise OSError("injected: no space left on device")
+            return real_task(manifest, data_source, out_dir, graph_id, init_method)
+
+        monkeypatch.setattr(exp_mod, "_sweep_task", full_disk)
+        with pytest.raises(OSError, match="no space left"):
+            run_sweep(manifest, store, resolve_data_source(manifest, None))
+        assert ran == ["g0000", "g0001"]
+        assert [d["graph_id"] for d in store.done_records(None)] == ["g0000"]
+        monkeypatch.setattr(exp_mod, "_sweep_task", real_task)
+        resumed = run_sweep(manifest, store, resolve_data_source(manifest, None))
+        assert [s["graph_id"] for s in resumed] == ["g0001", "g0002"]
 
     def test_parallel_workers_match_serial(self, tmp_path):
         manifest = tiny_manifest()
@@ -1094,13 +1157,14 @@ class TestThePlanIsWhatRan:
         epsilon grid or DEConfig), closed when the model is committed."""
         from snnrobust import experiment as exp_mod
         calls, by_pair = [], {}
-        real_search, real_de = exp_mod.fgsm_eps_search, exp_mod.one_pixel
+        real_search, real_de = exp_mod.fgsm_search_many, exp_mod.one_pixel
         real_save = exp_mod._save_attacks
 
-        def search(net, x, y, start, step, cap, index, **kwargs):
-            calls.append(("fgsm_search", index, {"start": start, "step": step, "cap": cap}))
-            return real_search(net, x, y, start=start, step=step, cap=cap,
-                               index=index, **kwargs)
+        def search(net, images, labels, indices, start, step, cap):
+            grid = {"start": start, "step": step, "cap": cap}
+            calls.extend(("fgsm_search", int(i), grid) for i in indices)
+            return real_search(net, images, labels, indices, start=start,
+                               step=step, cap=cap)
 
         def de(net, x, y, cfg, **kwargs):
             calls.append(("one_pixel", kwargs["index"], cfg))
@@ -1111,7 +1175,7 @@ class TestThePlanIsWhatRan:
             calls.clear()
             return real_save(store, done, outcomes)
 
-        monkeypatch.setattr(exp_mod, "fgsm_eps_search", search)
+        monkeypatch.setattr(exp_mod, "fgsm_search_many", search)
         monkeypatch.setattr(exp_mod, "one_pixel", de)
         monkeypatch.setattr(exp_mod, "_save_attacks", save)
         return by_pair

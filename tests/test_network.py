@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnrobust.data import synthetic_dataset
 from snnrobust.graph import UndirectedGraph, generate_ws, layer_dag
 from snnrobust.network import (INIT_METHODS, NetworkError, StaleCacheError,
                                backward, build_network, cross_entropy, forward,
@@ -325,6 +326,57 @@ class TestBackward:
         net10 = build_network(ld, 784, 10)
         logits, _, _ = forward(net10, np.full(784, 0.3))
         assert cross_entropy(logits, 7) == pytest.approx(np.log(10), abs=1e-12)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(f"u{a.itemsize}"),
+                                                 b.view(f"u{b.itemsize}"))
+
+
+class TestStackAxes:
+    """Leading stack axes are separate problems: a stacked forward and input
+    gradient give, bit for bit, what one call per problem gives."""
+
+    @pytest.fixture(scope="class")
+    def ws_net(self):
+        # the sweep's kind of model: a WS(400, 2, 0.9) prior, 784 inputs, 10 classes
+        ld = layer_dag(generate_ws(400, 2, 0.9, seed=3))
+        return init_weights(build_network(ld, 784, 10), "He_N", seed=5)
+
+    def test_a_stack_of_single_images_is_the_single_image_calls(self, ws_net):
+        images = synthetic_dataset(16, seed=21).images
+        labels = synthetic_dataset(16, seed=21).labels
+        logits, probs, cache = forward(ws_net, images[:, None, :])
+        _, _, grads = backward(ws_net, cache, labels[:, None], params=False)
+        assert grads.shape == (16, 1, 784)
+        for k in range(16):
+            logits1, probs1, cache1 = forward(ws_net, images[k])
+            _, _, grad1 = backward(ws_net, cache1, int(labels[k]), params=False)
+            assert same_bits(logits[k, 0], logits1)
+            assert same_bits(probs[k, 0], probs1)
+            assert same_bits(grads[k, 0], grad1)
+
+    def test_two_stack_axes_and_batches_of_three(self, ws_net):
+        images = synthetic_dataset(12, seed=22).images.reshape(2, 2, 3, 784)
+        labels = np.arange(12).reshape(2, 2, 3) % 10
+        logits, probs, cache = forward(ws_net, images)
+        _, _, grads = backward(ws_net, cache, labels, params=False)
+        for i in range(2):
+            for j in range(2):
+                logits1, probs1, cache1 = forward(ws_net, images[i, j])
+                _, _, grad1 = backward(ws_net, cache1, labels[i, j], params=False)
+                assert same_bits(logits[i, j], logits1)
+                assert same_bits(probs[i, j], probs1)
+                assert same_bits(grads[i, j], grad1)
+
+    def test_a_stack_takes_labels_of_its_batch_shape_and_no_parameter_gradients(
+            self, rng):
+        net = random_layered_net(rng)
+        _, _, cache = forward(net, rng.uniform(0, 1, (4, 1, net.input_dim)))
+        with pytest.raises(NetworkError, match="labels of shape"):
+            backward(net, cache, np.zeros(4, dtype=int), params=False)
+        with pytest.raises(NetworkError, match="unstacked batch"):
+            backward(net, cache, np.zeros((4, 1), dtype=int))
 
 
 class TestPruneRandom:
